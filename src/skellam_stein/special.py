@@ -1,11 +1,11 @@
 """Numeric primitives: modified Bessel functions of integer order, windowed
-Poisson and binomial probability vectors, and adaptive half-line quadrature.
+Poisson and binomial probability vectors, and adaptive quadrature.
 
 Bessel values are computed in log scale so extreme arguments stay usable.
 Small arguments use the ascending power series; large arguments use backward
 ratio recursion normalized by the scaled-sum identity, which never overflows.
-Quadrature maps [0, inf) to (0, 1] via u = exp(-t) and applies an adaptive
-Gauss-Kronrod 7/15 rule whose nodes avoid the endpoints.
+Time integrals over [0, inf) are taken on (0, 1] via u = exp(-t) by an
+adaptive Gauss-Kronrod 7/15 rule whose nodes avoid the endpoints.
 """
 
 from __future__ import annotations
@@ -343,29 +343,3 @@ def adaptive_gauss_kronrod(
         done_err += err
     return done_val, done_err
 
-
-def time_of_node(u: float) -> float:
-    """Map a quadrature node u in (0, 1] to t = -log(u), kept strictly > 0.
-
-    log1p keeps precision when u is near 1 (t near 0); if rounding lands a
-    node exactly on u = 1 the result is nudged to the smallest positive
-    float so integrands are never evaluated at t = 0.
-    """
-    t = -math.log1p(u - 1.0) if u > 0.5 else -math.log(u)
-    return t if t > 0.0 else 5e-324
-
-
-def integrate_halfline(fn: Callable[[float], float], abs_tol: float = 1e-10) -> float:
-    """Integral of fn over [0, inf) via the substitution u = exp(-t).
-
-    The transformed integrand g(u) = fn(-log u) / u is evaluated only at
-    interior nodes of (0, 1], never at t = 0 or t = inf.  Suited to
-    integrands bounded near t = 0 with exponential-type decay; raises
-    QuadratureError if refinement cannot certify abs_tol.
-    """
-    if not abs_tol > 0:
-        raise ValueError("abs_tol must be positive")
-    value, _ = adaptive_gauss_kronrod(
-        lambda u: fn(time_of_node(u)) / u, 0.0, 1.0, abs_tol
-    )
-    return float(value)

@@ -263,20 +263,6 @@ def _normalize_coords(order: int, coords) -> tuple[int, ...]:
     return coords
 
 
-def _binomial_stack(n_states: int, u: float) -> tuple[np.ndarray, np.ndarray]:
-    """Rows x = 0..n_states-1 of Bin(x, u) pmfs, plus row-reversed copies."""
-    b = np.zeros((n_states, n_states))
-    b[0, 0] = 1.0
-    w = 1.0 - u
-    for x in range(1, n_states):
-        b[x, :x] = w * b[x - 1, :x]
-        b[x, 1 : x + 1] += u * b[x - 1, :x]
-    r = np.zeros_like(b)
-    for y in range(n_states):
-        r[y, : y + 1] = b[y, y::-1]
-    return b, r
-
-
 def _max_state_l1(arr: np.ndarray) -> float:
     return float(np.abs(arr).sum(axis=-1).max())
 
@@ -363,10 +349,7 @@ def _sweep(
             if off0 - (ny - 1) < 0 or off0 + t_arr.size + (nx - 1) > size:
                 raise RuntimeError("node window escaped the global window")
             out = np.zeros((nx, ny, size))
-            bx, by_rev = _binomial_stack(max(nx, ny), u)
-            kernels.sweep_accumulate(
-                out, t_arr, off0, bx[:nx], by_rev[:ny], weight
-            )
+            kernels.sweep_accumulate(out, t_arr, off0, u, weight)
         if pi_row is not None:
             out -= weight * pi_row
         return out

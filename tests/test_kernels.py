@@ -1,94 +1,46 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
-import pytest
 
 from skellam_stein import kernels
 
 
-def _have_compiled():
-    try:
-        kernels.load_backend("c")
-        return True
-    except ImportError:
-        return False
+def _binomial_pmf(n, u):
+    row = np.array([1.0])
+    for _ in range(n):
+        row = np.convolve(row, [1.0 - u, u])
+    return row
 
 
-def test_backend_reported():
-    assert kernels.BACKEND in ("c", "python")
+def _reference_sweep(out, base, off0, u, weight):
+    """Direct form: one convolution with Bin(x, u) and -Bin(y, u) per state."""
+    nx, ny, _ = out.shape
+    for x in range(nx):
+        cx = np.convolve(base, _binomial_pmf(x, u))
+        for y in range(ny):
+            seg = np.convolve(cx, _binomial_pmf(y, u)[::-1])
+            j0 = off0 - y
+            out[x, y, j0 : j0 + seg.shape[0]] += weight * seg
 
 
-def test_load_backend_rejects_unknown():
-    with pytest.raises(ValueError):
-        kernels.load_backend("fortran")
-
-
-def test_env_var_forces_python_backend():
-    code = "import skellam_stein as s; print(s.BACKEND)"
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, SKELLAM_STEIN_BACKEND="python"),
-    )
-    assert proc.returncode == 0
-    assert proc.stdout.strip() == "python"
-
-
-@pytest.mark.skipif(not _have_compiled(), reason="compiled backend not built")
-def test_convolve_parity():
-    py = kernels.load_backend("python")
-    c = kernels.load_backend("c")
-    rng = np.random.default_rng(17)
-    for _ in range(20):
-        a = rng.standard_normal(int(rng.integers(1, 200)))
-        b = rng.standard_normal(int(rng.integers(1, 200)))
-        got = np.asarray(c.convolve(a, b))
-        want = py.convolve(a, b)
-        assert got.shape == want.shape
-        scale = max(1.0, float(np.max(np.abs(want))))
-        assert np.max(np.abs(got - want)) / scale < 1e-14
-
-
-def _random_binomial_rows(rng, n, q):
-    rows = np.zeros((n, n))
-    rows_rev = np.zeros((n, n))
-    for m in range(n):
-        row = np.array([1.0])
-        for _ in range(m):
-            row = np.convolve(row, [1.0 - q, q])
-        rows[m, : m + 1] = row
-        rows_rev[m, : m + 1] = row[::-1]
-    return rows, rows_rev
-
-
-@pytest.mark.skipif(not _have_compiled(), reason="compiled backend not built")
-def test_sweep_accumulate_parity():
-    py = kernels.load_backend("python")
-    c = kernels.load_backend("c")
+def test_sweep_accumulate_matches_direct_convolution():
     rng = np.random.default_rng(99)
-    for _ in range(10):
-        nx = int(rng.integers(1, 6))
-        ny = int(rng.integers(1, 6))
-        base = rng.standard_normal(int(rng.integers(3, 40)))
-        off0 = ny + 2
-        width = base.size + nx + ny + off0 + 4
-        bx, _ = _random_binomial_rows(rng, nx, float(rng.random()))
-        _, by_rev = _random_binomial_rows(rng, ny, float(rng.random()))
-        out_py = np.zeros((nx, ny, width))
-        out_c = np.zeros((nx, ny, width))
+    us = [0.0, 1.0] + [float(rng.random()) for _ in range(12)]
+    for u in us:
+        nx = int(rng.integers(1, 7))
+        ny = int(rng.integers(1, 7))
+        base = rng.standard_normal(int(rng.integers(1, 40)))
+        off0 = ny - 1 + int(rng.integers(0, 4))
+        width = off0 + base.size + nx - 1 + int(rng.integers(0, 4))
         weight = float(rng.standard_normal())
-        py.sweep_accumulate(out_py, base, off0, bx, by_rev, weight)
-        c.sweep_accumulate(out_c, base, off0, bx, by_rev, weight)
-        scale = max(1.0, float(np.max(np.abs(out_py))))
-        assert np.max(np.abs(out_c - out_py)) / scale < 1e-14
+        got, want = np.zeros((2, nx, ny, width))
+        kernels.sweep_accumulate(got, base, off0, u, weight)
+        _reference_sweep(want, base, off0, u, weight)
+        scale = float(np.max(np.abs(want)))
+        assert np.max(np.abs(got - want)) <= 1e-14 * scale, (u, nx, ny)
 
 
 def test_sweep_accumulate_degenerate_state_grid():
-    py = kernels.load_backend("python")
     base = np.array([0.25, 0.5, 0.25])
     out = np.zeros((1, 1, 6))
-    py.sweep_accumulate(out, base, 2, np.ones((1, 1)), np.ones((1, 1)), 2.0)
+    kernels.sweep_accumulate(out, base, 2, 0.3, 2.0)
     assert np.allclose(out[0, 0], [0.0, 0.0, 0.5, 1.0, 0.5, 0.0])
+

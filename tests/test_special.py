@@ -10,9 +10,7 @@ from skellam_stein.special import (
     adaptive_gauss_kronrod,
     bessel_i,
     binomial_thin_dist,
-    integrate_halfline,
     poisson_dist,
-    time_of_node,
 )
 
 BESSEL_ORDERS = [0, 1, 2, 3, 7, 20, 64, 300, 1000]
@@ -127,24 +125,3 @@ def test_quadrature_rejects_bad_tolerance():
     with pytest.raises(ValueError):
         adaptive_gauss_kronrod(lambda u: u, 0.0, 1.0, 0.0)
 
-
-def test_halfline_exponential_integrals():
-    assert integrate_halfline(lambda t: math.exp(-t), 1e-10) == pytest.approx(1.0, abs=1e-9)
-    assert integrate_halfline(lambda t: t * math.exp(-t), 1e-10) == pytest.approx(1.0, abs=1e-9)
-    assert integrate_halfline(lambda t: math.exp(-2.0 * t), 1e-10) == pytest.approx(0.5, abs=1e-9)
-    assert integrate_halfline(lambda t: math.cos(t) * math.exp(-t), 1e-10) == pytest.approx(
-        0.5, abs=1e-9
-    )
-
-
-def test_halfline_polynomial_decay_rejected():
-    # 1/(1+t)^2 integrates to 1 but decays too slowly for the e^{-t} substitution
-    with pytest.raises(QuadratureError):
-        integrate_halfline(lambda t: 1.0 / (1.0 + t) ** 2, 1e-10)
-
-
-def test_time_of_node_endpoints():
-    assert time_of_node(1.0) == 5e-324  # t = 0 nudged to the smallest positive float
-    assert time_of_node(1.0 - 1e-16) == pytest.approx(1e-16, rel=0.2)
-    assert time_of_node(5e-324) == pytest.approx(744.44, abs=0.01)
-    assert time_of_node(math.exp(-3.0)) == pytest.approx(3.0, rel=1e-12)
