@@ -54,31 +54,6 @@ class LogReal:
         return self.log_magnitude == _NEG_INF
 
 
-def _log_scaled_iv_series(k: int, x: float) -> float:
-    """log(exp(-x) * I_k(x)) by the ascending series; k >= 0, x >= 0."""
-    if x == 0.0:
-        return 0.0 if k == 0 else _NEG_INF
-    log_t0 = k * math.log(0.5 * x) - math.lgamma(k + 1) - x
-    q = 0.25 * x * x
-    s = 1.0
-    term = 1.0
-    log_scale = 0.0
-    m = 0
-    while True:
-        m += 1
-        term *= q / (m * (k + m))
-        s += term
-        if term <= s * 1e-18 and m >= 2:
-            break
-        if s > 1e280:
-            s *= 1e-280
-            term *= 1e-280
-            log_scale += 280.0 * math.log(10.0)
-        if m > 5_000_000:
-            raise RuntimeError("Bessel series failed to converge")
-    return log_t0 + log_scale + math.log(s)
-
-
 def _log_scaled_iv_table_raw(x: float, kmax: int) -> np.ndarray:
     """log(exp(-x) * I_k(x)) for k = 0..kmax via backward ratios.
 
@@ -98,13 +73,18 @@ def _log_scaled_iv_table_raw(x: float, kmax: int) -> np.ndarray:
     for m in range(m_top, 0, -1):
         r = 1.0 / (2.0 * m / x + r)
         ratios[m - 1] = r
-    log_t = np.cumsum(np.log(ratios), dtype=np.longdouble)  # log(I_m / I_0)
+    # In place where possible: at large kmax or x these arrays hold
+    # millions of entries, and the transient peak sets the process's RSS.
+    log_t = np.cumsum(np.log(ratios, out=ratios), dtype=np.longdouble)  # log(I_m / I_0)
+    del ratios
     peak = max(0.0, float(log_t.max()))
-    norm = np.exp(np.longdouble(-peak)) + 2.0 * np.exp(log_t - peak).sum()
+    rel = log_t - peak
+    norm = np.exp(np.longdouble(-peak)) + 2.0 * np.exp(rel, out=rel).sum()
+    del rel
     log_norm = peak + np.log(norm)
     out = np.empty(kmax + 1)
     out[0] = float(-log_norm)
-    out[1:] = (log_t[:kmax] - log_norm).astype(np.float64)
+    out[1:] = np.subtract(log_t[:kmax], log_norm, out=log_t[:kmax])
     return out
 
 
@@ -121,20 +101,79 @@ def log_scaled_iv_table(x: float, kmax: int) -> np.ndarray:
     return _log_scaled_iv_table_cached(float(x), bucket)
 
 
-def log_scaled_iv(order: int, x: float) -> LogReal:
-    """log(exp(-x) * I_order(x)) as a LogReal; order may be negative."""
-    k = abs(int(order))
-    if k > 4 * 10**6:
+def log_scaled_iv_orders(orders, x: float) -> np.ndarray:
+    """log(exp(-x) * I_k(x)) for each integer order k in orders; x >= 0.
+
+    An order takes the ascending series when it converges in few terms
+    (x <= 30 or 0.25 x^2 / (k + 1) <= 64), summed for all such orders at
+    once; every other order is read from the cached ratio table of its own
+    size bucket.  So an order's value never depends on the orders asked for
+    with it, and a one-order call agrees bit for bit with a window.
+    """
+    k = np.abs(np.asarray(orders, dtype=np.int64))
+    if k.size and int(k.max()) > 4 * 10**6:
         raise ValueError("order magnitude above 4e6 is unsupported")
     if x < 0:
         raise ValueError("argument must be non-negative")
     if x == 0.0:
-        return LogReal(0.0 if k == 0 else _NEG_INF)
-    # The series is cheap when it converges in few terms; otherwise the
-    # ratio table costs O(sqrt(k^2 + 100 x)) once and is cached.
-    if x <= _SERIES_X_MAX or 0.25 * x * x / (k + 1.0) <= 64.0:
-        return LogReal(_log_scaled_iv_series(k, x))
-    return LogReal(float(log_scaled_iv_table(x, k)[k]))
+        return np.where(k == 0, 0.0, _NEG_INF)
+    out = np.empty(k.shape)
+    q = 0.25 * x * x
+    series = (x <= _SERIES_X_MAX) | (q / (k + 1.0) <= 64.0)
+    rest = k[~series]
+    if rest.size:
+        # frexp's exponent of k is k.bit_length(), which fixes the bucket.
+        bits = np.frexp(rest.astype(np.float64))[1]
+        values = np.empty(rest.shape)
+        for b in range(int(bits.min()), int(bits.max()) + 1):
+            sel = bits == b
+            if sel.any():
+                values[sel] = log_scaled_iv_table(x, int(rest[sel].max()))[rest[sel]]
+        out[~series] = values
+    ks = k[series]
+    if ks.size:
+        # Terms and partial sums for every order, a block of terms at a time.
+        # cumprod and cumsum accumulate in sequence, exactly as summing term
+        # by term would; each order stops at its first term from m = 2 on
+        # below 1e-18 of its sum.  The lowest order needs the most terms:
+        # about x + 10 for x <= 30 and at most about 150 beyond, so the first
+        # block nearly always suffices.  Products m (k + m) are exact in
+        # float64 here.
+        kf = ks.astype(np.float64)
+        term = q / (kf + 1.0)  # m = 1
+        s = 1.0 + term
+        sums = np.empty(ks.shape)
+        live = np.arange(ks.size)
+        m0, rows = 2.0, min(16 + int(x), 160)
+        while live.size:
+            m = np.arange(m0, m0 + rows)[:, None]
+            terms = q / (m * (kf[live] + m))
+            terms[0] *= term
+            np.cumprod(terms, axis=0, out=terms)
+            part = terms.copy()
+            part[0] += s
+            np.cumsum(part, axis=0, out=part)
+            stop = terms <= part * 1e-18
+            first = stop.argmax(axis=0)
+            cols = np.arange(live.size)
+            hit = stop[first, cols]
+            sums[live[hit]] = part[first[hit], cols[hit]]
+            live, term, s = live[~hit], terms[-1, ~hit], part[-1, ~hit]
+            m0, rows = m0 + rows, 2 * rows
+        # math.log/math.lgamma (libm) rather than numpy's SIMD loops, whose
+        # last bit varies with the CPU: records stay the same across machines.
+        log_t0 = (
+            ks * math.log(0.5 * x)
+            - np.fromiter(map(math.lgamma, (ks + 1).tolist()), float, ks.size)
+            - x
+        )
+        out[series] = log_t0 + np.fromiter(map(math.log, sums.tolist()), float, ks.size)
+    return out
+
+
+def log_scaled_iv(order: int, x: float) -> LogReal:
+    """log(exp(-x) * I_order(x)) as a LogReal; order may be negative."""
+    return LogReal(float(log_scaled_iv_orders([int(order)], x)[0]))
 
 
 def bessel_i(order: int, x: float, scaled: bool = False) -> float:

@@ -40,7 +40,7 @@ import numpy as np
 
 from . import kernels
 from .dists import IntegerDist, convolve, negate
-from .skellam import SkellamParams, to_dist
+from .skellam import SkellamParams, pmf_array, to_dist
 from .special import (
     QuadratureError,
     adaptive_gauss_kronrod,
@@ -641,9 +641,7 @@ def skellam_second_diff_sum(
         lo_k, hi_k = int(window[0]), int(window[1])
         if hi_k < lo_k:
             raise ValueError("window upper end below lower end")
-        from .skellam import pmf  # local import avoids cycle at module load
-
-        probs = np.array([pmf(params, k) for k in range(lo_k, hi_k + 1)])
+        probs = pmf_array(params, np.arange(lo_k, hi_k + 1))
         tail = max(0.0, 1.0 - float(probs.sum()))
     second = np.convolve(probs, np.array([1.0, -2.0, 1.0]))
     value = float(np.abs(second).sum())

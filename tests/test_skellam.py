@@ -1,10 +1,11 @@
 import math
+import time
 
 import numpy as np
 import pytest
 import scipy.stats as sstats
 
-from skellam_stein.dists import convolve, negate, tv_distance
+from skellam_stein.dists import ResourceLimitError, convolve, negate, tv_distance
 from skellam_stein.skellam import (
     SkellamParams,
     cdf,
@@ -75,6 +76,59 @@ def test_skew_symmetry_is_bit_exact():
         for k in range(-25, 26):
             assert pmf(a, k) == pmf(b, -k)
             assert log_pmf(a, k) == log_pmf(b, -k)
+
+
+def _greedy_oracle(params, tail_tol):
+    """(lo, hi, tail) of the two-sided greedy window over scalar pmf calls."""
+    center = int(round(params.lambda1 - params.lambda2))
+    total, comp = pmf(params, center), 0.0
+    lo_k = hi_k = center
+    width_cap = int(24.0 * math.sqrt(params.total)) + 100
+    while total < 1.0 - tail_tol:
+        next_lo = pmf(params, lo_k - 1)
+        next_hi = pmf(params, hi_k + 1)
+        if next_lo == 0.0 and next_hi == 0.0:
+            break
+        if hi_k - lo_k >= width_cap:
+            break
+        if next_lo >= next_hi:
+            lo_k -= 1
+            add = next_lo
+        else:
+            hi_k += 1
+            add = next_hi
+        y = add - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+    return lo_k, hi_k, max(0.0, 1.0 - total)
+
+
+def _window_rates():
+    rng = np.random.default_rng(20261018)
+    grid = [tuple(10.0 ** rng.uniform(-3, 4, 2)) for _ in range(12)]
+    ties = [(lam, lam) for lam in (1e-3, 0.5, 4.0, 250.0, 3e4)]
+    tiny = [(1e-3, 1e-6), (2e-4, 3e-4), (1e-6, 1e-6), (1e-3, 7.0)]
+    return grid + ties + tiny
+
+
+def test_window_matches_scalar_greedy_oracle():
+    for l1, l2 in _window_rates():
+        params = SkellamParams(l1, l2)
+        for tail_tol in (1e-10, 1e-12):
+            d = to_dist(params, tail_tol)
+            lo, hi, tail = _greedy_oracle(params, tail_tol)
+            assert (d.min_support, d.max_support) == (lo, hi), (l1, l2, tail_tol)
+            assert d.tail_mass == tail, (l1, l2, tail_tol)
+            for k in range(lo, hi + 1):
+                assert d.prob(k) == pmf(params, k), (l1, l2, k)
+
+
+def test_window_beyond_cap_fails_fast():
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError):
+        to_dist(SkellamParams(1e12, 1e12))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_extreme_rates_stay_finite():

@@ -10,6 +10,7 @@ from skellam_stein.special import (
     adaptive_gauss_kronrod,
     bessel_i,
     binomial_thin_dist,
+    log_scaled_iv_orders,
     poisson_dist,
 )
 
@@ -60,6 +61,65 @@ def test_bessel_domain_errors():
 def test_bessel_at_zero_argument():
     assert bessel_i(0, 0.0, scaled=True) == 1.0
     assert bessel_i(3, 0.0, scaled=True) == 0.0
+
+
+def _log_scaled_iv_series(k: int, x: float) -> float:
+    """Oracle: log(exp(-x) * I_k(x)) by the scalar ascending series; k >= 0, x >= 0."""
+    if x == 0.0:
+        return 0.0 if k == 0 else float("-inf")
+    log_t0 = k * math.log(0.5 * x) - math.lgamma(k + 1) - x
+    q = 0.25 * x * x
+    s = 1.0
+    term = 1.0
+    log_scale = 0.0
+    m = 0
+    while True:
+        m += 1
+        term *= q / (m * (k + m))
+        s += term
+        if term <= s * 1e-18 and m >= 2:
+            break
+        if s > 1e280:
+            s *= 1e-280
+            term *= 1e-280
+            log_scale += 280.0 * math.log(10.0)
+        if m > 5_000_000:
+            raise RuntimeError("Bessel series failed to converge")
+    return log_t0 + log_scale + math.log(s)
+
+
+def _switch_cases():
+    """Orders on both sides of each series/ratio-table switch."""
+    for x in (29.9, 30.0, 30.1):
+        yield x, np.arange(0, 40)
+    for x in (40.0, 100.0, 200.0, 400.0, 1000.0):
+        edge = int(x * x / 256.0)  # the series takes over near k = x^2/256 - 1
+        yield x, np.arange(max(0, edge - 8), edge + 9)
+
+
+def test_log_scaled_iv_orders_across_switches():
+    # The log's own rounding scales with its size (k log(x/2) and lgamma
+    # terms), so the tolerance is relative to max(1, |log|).
+    for x, ks in _switch_cases():
+        got = log_scaled_iv_orders(ks, x)
+        oracle = np.array([_log_scaled_iv_series(int(k), x) for k in ks])
+        scale = np.maximum(1.0, np.abs(oracle))
+        assert np.all(np.abs(got - oracle) <= 1e-13 * scale), x
+        if x <= 30.0:  # every order on the series: the same arithmetic
+            assert np.array_equal(got, oracle), x
+        ref = sps.ive(ks, x)
+        seen = ref > 1e-300
+        assert np.all(
+            np.abs(got[seen] - np.log(ref[seen])) <= 1e-13 * scale[seen]
+        ), x
+        for i in (0, ks.size // 2, ks.size - 1):  # one order alone, bit for bit
+            assert log_scaled_iv_orders(ks[i : i + 1], x)[0] == got[i]
+
+
+def test_log_scaled_iv_orders_at_zero_argument():
+    got = log_scaled_iv_orders(np.array([0, 1, 5, -3]), 0.0)
+    assert got[0] == 0.0
+    assert np.all(got[1:] == -np.inf)
 
 
 def test_poisson_window_against_reference():

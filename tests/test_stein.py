@@ -345,6 +345,11 @@ def test_second_diff_sum_reflected_window_symmetry():
 
 
 def test_second_diff_sum_probe_reports_only():
-    report = skellam_second_diff_sum(SkellamParams(5.0, 5.0))
+    params = SkellamParams(5.0, 5.0)
+    report = skellam_second_diff_sum(params)
     assert isinstance(report.conjecture_holds_numerically(), bool)
     assert report.reference == pytest.approx(0.1)
+    # An explicit window equal to the default one sums the same pmf values.
+    explicit = skellam_second_diff_sum(params, (report.window_lo, report.window_hi))
+    assert explicit.value == report.value
+    assert explicit.tail_bound == pytest.approx(report.tail_bound, abs=1e-15)
