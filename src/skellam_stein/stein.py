@@ -32,14 +32,14 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Iterable
 
 import numpy as np
 
 from . import kernels
-from .dists import IntegerDist, convolve, negate
+from .dists import IntegerDist, ResourceLimitError, convolve, negate
 from .skellam import SkellamParams, pmf_array, to_dist
 from .special import (
     QuadratureError,
@@ -51,6 +51,7 @@ from .special import (
 
 __all__ = [
     "QUAD_TOL_DEFAULT",
+    "SWEEP_TENSOR_CAP",
     "BivariateState",
     "TestSet",
     "DifferenceKernel",
@@ -74,6 +75,7 @@ __all__ = [
 ]
 
 QUAD_TOL_DEFAULT = 1e-8
+SWEEP_TENSOR_CAP = 10**7   # floats in one node value of a sweep (states x window)
 
 _ROOT_2 = math.sqrt(2.0)
 
@@ -296,6 +298,8 @@ def _sweep(
 
     With single_state=(x, y) the tensor is a bare (K,) vector for that
     state; otherwise it covers the product grid 0..nx-1 times 0..ny-1.
+    A node value above SWEEP_TENSOR_CAP floats raises ResourceLimitError
+    before any node is evaluated.
     The reported slack bounds each state's kernel L1 error: quadrature
     defect plus integrated window truncation (the per-node neglected mass
     is below quad_tol/100; differencing amplifies it by at most 4, and
@@ -314,6 +318,12 @@ def _sweep(
     lo = -pb_full.max_support - 2 - (ny - 1) - margin
     hi = pa_full.max_support + 2 + (nx - 1) + margin
     size = hi - lo + 1
+    cells = size if single_state is not None else nx * ny * size
+    if cells > SWEEP_TENSOR_CAP:
+        raise ResourceLimitError(
+            f"sweep tensor of {nx}x{ny} states by {size} points exceeds cap "
+            f"{SWEEP_TENSOR_CAP} floats"
+        )
 
     if subtract_stationary:
         pi = to_dist(params, pois_tol)
@@ -471,7 +481,12 @@ def default_state_grid(params: SkellamParams) -> int:
 
 @dataclass(frozen=True)
 class SteinFactorResult:
-    """Exact sup over states and indicator test functions, annotated."""
+    """Exact sup over states and indicator test functions, annotated.
+
+    rim_max is the largest per-state sup on the grid's outer rim (x or y
+    equal to grid_max); saturated says the argmax lies off that rim, so
+    the grid did not cut the sup short.
+    """
 
     value: float
     quad_error: float
@@ -480,6 +495,8 @@ class SteinFactorResult:
     order: int
     coords: tuple[int, ...]
     quad_tol: float
+    rim_max: float
+    saturated: bool
 
     def __float__(self) -> float:
         return self.value
@@ -489,11 +506,11 @@ class SteinFactorResult:
 def _exact_stein_factor_cached(
     params: SkellamParams,
     order: int,
-    coords: tuple[int, ...],
     grid_max: int,
     quad_tol: float,
 ) -> SteinFactorResult:
     n = grid_max + 1
+    coords = (1,) * order
     res = _sweep(
         params, order, coords, n, n, quad_tol, subtract_stationary=False
     )
@@ -501,6 +518,7 @@ def _exact_stein_factor_cached(
     neg = np.where(res.tensor < 0, -res.tensor, 0.0).sum(axis=2)
     per_state = np.maximum(pos, neg)
     idx = np.unravel_index(int(per_state.argmax()), per_state.shape)
+    rim_max = max(float(per_state[-1, :].max()), float(per_state[:, -1].max()))
     return SteinFactorResult(
         value=float(per_state[idx]),
         quad_error=res.slack,
@@ -509,6 +527,8 @@ def _exact_stein_factor_cached(
         order=order,
         coords=coords,
         quad_tol=quad_tol,
+        rim_max=rim_max,
+        saturated=bool(max(idx) < grid_max),
     )
 
 
@@ -519,15 +539,25 @@ def exact_stein_factor(
     state_grid_max: int | None = None,
     quad_tol: float = QUAD_TOL_DEFAULT,
 ) -> SteinFactorResult:
-    """Max over the state grid of the per-state exact indicator sup."""
+    """Max over the state grid of the per-state exact indicator sup.
+
+    The value does not depend on the coordinate tuple.  At every state the
+    kernels of the different tuples of one order share the state
+    convolution and differ only in _difference_base, by a shift in k and a
+    sign, and max(sum g+, sum g-) ignores both (a sweep per tuple would
+    agree up to the rounding of its sums).  So one sweep per order,
+    run with coordinates (1,)*order and cached, serves every tuple; the
+    result carries the tuple asked for.
+    """
     coords = _normalize_coords(order, coords)
     if state_grid_max is None:
         state_grid_max = default_state_grid(params)
     if state_grid_max < 0:
         raise ValueError("state_grid_max must be >= 0")
-    return _exact_stein_factor_cached(
-        params, order, coords, int(state_grid_max), float(quad_tol)
+    res = _exact_stein_factor_cached(
+        params, order, int(state_grid_max), float(quad_tol)
     )
+    return replace(res, coords=coords)
 
 
 # ---------------------------------------------------------------------------

@@ -174,6 +174,9 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2 and "set spec" in err
     code, _, _ = run_cli(capsys, "nonsense")
     assert code == 2
+    code, _, err = run_cli(capsys, "stein", "factors", "--l1", "1000", "--l2", "1000",
+                           "--order", "1")
+    assert code == 2 and "exceeds cap" in err
 
 
 def test_version_flag(capsys):

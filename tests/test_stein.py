@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ import scipy.special as sps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skellam_stein.dists import IntegerDist, tv_distance
+from skellam_stein import stein
+from skellam_stein.dists import IntegerDist, ResourceLimitError, tv_distance
 from skellam_stein.skellam import SkellamParams, to_dist
 from skellam_stein.special import poisson_dist
 from skellam_stein.stein import (
@@ -236,6 +238,84 @@ def test_factor_coordinate_symmetry():
         fa = exact_stein_factor(a, o, ca, 12, QUAD_TOL)
         fb = exact_stein_factor(b, o, cb, 12, QUAD_TOL)
         assert fa.value == pytest.approx(fb.value, abs=2 * QUAD_TOL)
+
+
+ALL_TUPLES = {1: [(1,), (2,)], 2: [(1, 1), (2, 2), (1, 2)]}
+
+
+@given(
+    st.sampled_from([0.2, 0.7, 1.0, 2.5, 4.0, 6.0]),
+    st.sampled_from([0.2, 0.7, 1.0, 2.5, 4.0, 6.0]),
+)
+@settings(max_examples=6, deadline=None, derandomize=True)
+def test_factor_coordinate_invariance_at_same_rates(l1, l2):
+    """Every coordinate tuple of one order has the same per-state sup.
+
+    The oracle is difference_kernel, one single-state integration per
+    tuple, which does not pass through the factor's cached sweep.
+    """
+    params = SkellamParams(l1, l2)
+    for order, tuples in ALL_TUPLES.items():
+        factor = exact_stein_factor(params, order, tuples[0], 8, QUAD_TOL)
+        others = [s for s in [(0, 0), (3, 1), (1, 4)] if s != factor.argmax_state]
+        for state in [factor.argmax_state] + others[:2]:
+            sups = [
+                difference_kernel(params, order, c, state, QUAD_TOL).sup_over_indicators()
+                for c in tuples
+            ]
+            assert max(sups) - min(sups) <= 1e-12, (order, state, sups)
+            if state == factor.argmax_state:
+                for value in sups:
+                    assert abs(value - factor.value) <= factor.quad_error + 2 * QUAD_TOL
+
+
+def test_factor_runs_one_sweep_per_order(monkeypatch):
+    calls = []
+    real_sweep = stein._sweep
+
+    def counting_sweep(*args, **kwargs):
+        calls.append(args[1:3])
+        return real_sweep(*args, **kwargs)
+
+    monkeypatch.setattr(stein, "_sweep", counting_sweep)
+    stein._exact_stein_factor_cached.cache_clear()
+    params = SkellamParams(1.5, 2.5)
+    results = {
+        (order, coords): exact_stein_factor(params, order, coords, 6, QUAD_TOL)
+        for order, tuples in ALL_TUPLES.items()
+        for coords in tuples
+    }
+    assert sorted(calls) == [(1, (1,)), (2, (1, 1))]
+    for (order, coords), res in results.items():
+        assert res.coords == coords and res.order == order
+        assert res.value == results[(order, ALL_TUPLES[order][0])].value
+    assert exact_stein_factor(params, 2, (2, 1), 6, QUAD_TOL).coords == (1, 2)
+    assert len(calls) == 2
+
+
+def test_factor_grid_saturation_flag():
+    params = SkellamParams(5.0, 5.0)
+    for order, coords in [(1, (1,)), (2, (1, 1))]:
+        res = exact_stein_factor(params, order, coords, None, QUAD_TOL)
+        assert res.saturated is True
+        assert res.rim_max < res.value
+    # At (3, 9) the first-difference sup sits at state (0, 5): a grid that
+    # ends at y = 5 puts it on the rim, one that ends below cuts it short.
+    for grid_max in (4, 5):
+        res = exact_stein_factor(SkellamParams(3.0, 9.0), 1, (1,), grid_max, QUAD_TOL)
+        assert res.argmax_state == (0, grid_max)
+        assert res.saturated is False
+        assert res.rim_max == res.value
+
+
+def test_sweep_tensor_beyond_cap_fails_fast():
+    params = SkellamParams(1e3, 1e3)
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError):
+        exact_stein_factor(params, 1, (1,))
+    with pytest.raises(ResourceLimitError):
+        stein_solution_grid(params, TestSet.geq(0), 2000, 2000)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_default_state_grid_policy():
