@@ -55,7 +55,7 @@ def _native(value):
     if isinstance(value, np.generic):
         return value.item()
     if isinstance(value, np.ndarray):
-        return [_native(v) for v in value.tolist()]
+        return value.tolist()  # already Python scalars and nested lists
     if isinstance(value, (list, tuple)):
         return [_native(v) for v in value]
     if isinstance(value, dict):

@@ -11,17 +11,30 @@ TV bound between the two, and Monte Carlo cross-checks.
 from __future__ import annotations
 
 import json
+import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dists import IntegerDist, ResourceLimitError, convolve, tv_distance
+from .dists import IntegerDist, ResourceLimitError, tv_distance
 from .skellam import SkellamParams, to_dist
 from .verification import VerificationReport, make_report
 
 EXACT_EDGE_CAP = 10**5
 _SIM_BLOCK_CELLS = 10**7
+# Rows at most this wide are convolved by shift-and-add, wider ones by one
+# batched rfft per level.  Measured on a 2-core host at n = 10^5 (p in
+# U[0.05, 0.5], r and s in U[0, 0.2], the benchmark's graph inputs), with
+# the handover at width 4/8/16/32/64/128/256: the tree took
+# 0.154/0.147/0.151/0.156/0.171/0.190/0.235 s (median of 7 interleaved
+# runs), and the largest |dtv| to the Skellam law against the tree of one
+# `dists.convolve` per pair over 3 seeds was
+# 2.0e-13/1.1e-13/4.7e-14/2.0e-14/2.8e-14/4.2e-14/3.9e-14.  32 is within
+# 6% of the fastest and has the smallest |dtv|.
+SHIFT_ADD_WIDTH = 32
+
+_log = logging.getLogger("skellam_stein")
 
 
 def _probability_vector(name: str, values) -> np.ndarray:
@@ -94,25 +107,68 @@ def skellam_params(model: NoisyGraphModel) -> SkellamParams:
     )
 
 
+def _convolve_pairs(rows: np.ndarray) -> np.ndarray:
+    """Row i of the result is the convolution of rows 2i and 2i+1."""
+    a, b = rows[0::2], rows[1::2]
+    m, w = a.shape
+    n_out = 2 * w - 1
+    if w <= SHIFT_ADD_WIDTH:
+        out = np.zeros((m, n_out))
+        for j in range(w):
+            out[:, j : j + w] += a[:, j, None] * b
+        return out
+    # n_fft >= n_out - 1, so at most the last point wraps onto the first.
+    # Both end points are single products and are set directly.
+    n_fft = 1 << (n_out - 2).bit_length()
+    out = np.empty((m, n_out))
+    out[:, :-1] = np.fft.irfft(
+        np.fft.rfft(a, n_fft) * np.fft.rfft(b, n_fft), n_fft
+    )[:, : n_out - 1]
+    out[:, 0] = a[:, 0] * b[:, 0]
+    out[:, -1] = a[:, -1] * b[:, -1]
+    return np.maximum(out, 0.0, out=out)
+
+
 def edge_difference_dist(model: NoisyGraphModel) -> IntegerDist:
-    """Exact law of the discrepancy: convolution of n three-point laws."""
-    if model.n > EXACT_EDGE_CAP:
+    """Exact law of the discrepancy: convolution of n three-point laws.
+
+    The laws are convolved in a pairwise tree, one stacked array per level.
+    Level 0 holds row i = [P(-1), P(0), P(+1)] of pair i on the window
+    [-1, 1]; each level convolves rows 2i and 2i+1, so every row of level L
+    is a law on [-2^L, 2^L].  A level with an odd row count first gains a
+    point mass at 0 (a 1 in the centre column), which keeps that window, and
+    the finished row is cut to [-n, n].  Narrow rows are convolved by
+    shift-and-add, rows wider than SHIFT_ADD_WIDTH by a batched rfft whose
+    round-off is clipped at 0.  Only the finished law is an IntegerDist.
+    Emits one DEBUG event with n, the level count, the first rfft level
+    (None if every level is shift-and-add) and |1 - window mass|.
+    """
+    n = model.n
+    if n > EXACT_EDGE_CAP:
         raise ResourceLimitError(
-            f"exact mode supports n <= {EXACT_EDGE_CAP}, got {model.n}; use simulate"
+            f"exact mode supports n <= {EXACT_EDGE_CAP}, got {n}; use simulate"
         )
     plus = model.drop_rates
     minus = model.invent_rates
-    layer = [
-        IntegerDist(-1, np.array([mi, 1.0 - pl - mi, pl]))
-        for pl, mi in zip(plus, minus)
-    ]
-    while len(layer) > 1:
-        nxt = [
-            convolve(layer[i], layer[i + 1]) if i + 1 < len(layer) else layer[i]
-            for i in range(0, len(layer), 2)
-        ]
-        layer = nxt
-    return layer[0]
+    rows = np.column_stack([minus, 1.0 - plus - minus, plus])
+    levels = 0
+    rfft_level = None
+    while rows.shape[0] > 1:
+        if rows.shape[0] % 2:
+            pad = np.zeros((1, rows.shape[1]))
+            pad[0, rows.shape[1] // 2] = 1.0
+            rows = np.vstack([rows, pad])
+        levels += 1
+        if rfft_level is None and rows.shape[1] > SHIFT_ADD_WIDTH:
+            rfft_level = levels
+        rows = _convolve_pairs(rows)
+    centre = rows.shape[1] // 2
+    law = IntegerDist(-n, rows[0, centre - n : centre + n + 1])
+    _log.debug(
+        "edge_difference_dist: n=%d levels=%d rfft_level=%s mass_defect=%.3g",
+        n, levels, rfft_level, abs(1.0 - law.window_mass()),
+    )
+    return law
 
 
 def _log_plus(z: float) -> float:

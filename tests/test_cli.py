@@ -1,10 +1,13 @@
+import io
 import json
 import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from skellam_stein import cli
 from skellam_stein.cli import main
 
 
@@ -190,3 +193,49 @@ def test_fresh_process_byte_identical():
     two = subprocess.run(args, capture_output=True)
     assert one.returncode == two.returncode == 0
     assert one.stdout == two.stdout
+
+
+def _native_recursive(value):
+    """The recursive conversion `cli._native` used before arrays went
+    straight through `tolist`, kept as the oracle."""
+    if isinstance(value, np.generic):
+        return value.item()
+    if isinstance(value, np.ndarray):
+        return [_native_recursive(v) for v in value.tolist()]
+    if isinstance(value, (list, tuple)):
+        return [_native_recursive(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _native_recursive(v) for k, v in value.items()}
+    return value
+
+
+def _render_text(monkeypatch, native, fmt, params, results, rows):
+    monkeypatch.setattr(cli, "_native", native)
+    out = io.StringIO()
+    config = cli.RunConfig("render check", params, 7, {"tol": np.float64(1e-10)}, fmt)
+    cli.render(config, results, rows, out)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "human"])
+def test_render_arrays_byte_identical_to_recursive_conversion(monkeypatch, fmt):
+    floats = np.array([0.1, 1.0 / 3.0, 1e-300, 2.5e17, -0.0, 5e-324])
+    ints = np.arange(-3, 4, dtype=np.int64)
+    bools = np.array([True, False, True])
+    grid = np.arange(6, dtype=np.float64).reshape(2, 3) / 7.0
+    params = {"p": floats, "k": ints, "mask": bools, "grid": grid, "n": np.int64(6)}
+    results = {"tv": np.float64(0.125), "ok": np.bool_(True), "values": floats}
+    rows = [{"k": np.int64(i), "pmf": floats[i], "pair": grid[i % 2]} for i in range(4)]
+    native = cli._native
+    for rows_arg in (rows, None):
+        new = _render_text(monkeypatch, native, fmt, params, results, rows_arg)
+        old = _render_text(monkeypatch, _native_recursive, fmt, params, results, rows_arg)
+        assert new == old
+
+    # The recursion failed on 0-d arrays (it iterated a scalar); tolist now
+    # returns their scalar, which renders as the recursive conversion of it.
+    zero_d = {"x": np.array(0.1), "i": np.array(3), "b": np.array(False)}
+    new = _render_text(monkeypatch, native, fmt, zero_d, zero_d, None)
+    items = {k: v.item() for k, v in zero_d.items()}
+    old = _render_text(monkeypatch, _native_recursive, fmt, items, items, None)
+    assert new == old

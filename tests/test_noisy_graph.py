@@ -1,14 +1,24 @@
 import itertools
 import json
+import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skellam_stein.dists import ResourceLimitError, empirical_dist, tv_distance
+from skellam_stein.cli import main
+from skellam_stein.dists import (
+    IntegerDist,
+    ResourceLimitError,
+    convolve,
+    empirical_dist,
+    tv_distance,
+)
 from skellam_stein.noisy_graph import (
+    EXACT_EDGE_CAP,
     NoisyGraphModel,
     bound_theorem31,
     edge_difference_dist,
@@ -17,6 +27,7 @@ from skellam_stein.noisy_graph import (
     skellam_params,
     verify,
 )
+from skellam_stein.skellam import to_dist
 from skellam_stein.verification import empirical_tv_threshold
 
 TWO_EDGE = NoisyGraphModel([0.5, 0.5], [0.2, 0.2], [0.1, 0.1])
@@ -75,8 +86,87 @@ def test_edge_difference_two_edge_expansion():
 def test_edge_difference_cap():
     n = 10**5 + 1
     model = NoisyGraphModel.homogeneous(n, 0.5, 0.1, 0.1)
-    with pytest.raises(ResourceLimitError):
-        edge_difference_dist(model)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            edge_difference_dist(model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n // 4  # refused before even one rate vector exists
+
+
+def test_edge_difference_at_cap():
+    n = EXACT_EDGE_CAP
+    model = NoisyGraphModel.homogeneous(n, 0.3, 0.1, 0.05)
+    params = skellam_params(model)
+    d = edge_difference_dist(model)
+    assert (d.min_support, d.max_support, d.tail_mass) == (-n, n, 0.0)
+    assert abs(d.window_mass() - 1.0) <= 1e-9
+    assert d.mean() == pytest.approx(params.lambda1 - params.lambda2, abs=1e-8)
+
+
+def _pairwise_tree_dist(model: NoisyGraphModel) -> IntegerDist:
+    """The pairwise tree of one IntegerDist per pair that
+    edge_difference_dist replaced, kept as the oracle."""
+    plus = model.drop_rates
+    minus = model.invent_rates
+    layer = [
+        IntegerDist(-1, np.array([mi, 1.0 - pl - mi, pl]))
+        for pl, mi in zip(plus, minus)
+    ]
+    while len(layer) > 1:
+        nxt = [
+            convolve(layer[i], layer[i + 1]) if i + 1 < len(layer) else layer[i]
+            for i in range(0, len(layer), 2)
+        ]
+        layer = nxt
+    return layer[0]
+
+
+def _oracle_models(n: int):
+    rng = np.random.default_rng(n)
+    yield "random", NoisyGraphModel(rng.random(n), rng.random(n), rng.random(n))
+    yield "zero", NoisyGraphModel.homogeneous(n, 0.4, 0.0, 0.0)
+    yield "all drop", NoisyGraphModel.homogeneous(n, 1.0, 1.0, 0.3)
+    yield "all invent", NoisyGraphModel.homogeneous(n, 0.0, 0.3, 1.0)
+    r, s = rng.random(n), rng.random(n)
+    quiet = rng.random(n) < 0.5
+    r[quiet] = 0.0
+    s[quiet] = 0.0
+    yield "mixed", NoisyGraphModel(rng.random(n), r, s)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 9, 31, 32, 33, 1000, 5000])
+def test_edge_difference_matches_pairwise_tree(n):
+    for kind, model in _oracle_models(n):
+        got = edge_difference_dist(model)
+        want = _pairwise_tree_dist(model)
+        assert got.min_support == want.min_support == -n, kind
+        assert got.probabilities.size == want.probabilities.size == 2 * n + 1, kind
+        assert got.tail_mass == want.tail_mass == 0.0, kind
+        assert np.abs(got.probabilities - want.probabilities).max() <= 1e-15, kind
+        approx = to_dist(skellam_params(model), 1e-10)
+        tv_got = tv_distance(got, approx).value
+        assert abs(tv_got - tv_distance(want, approx).value) <= 1e-13, kind
+
+
+def test_edge_difference_debug_event(caplog, capsys):
+    rng = np.random.default_rng(5)
+    with caplog.at_level(logging.DEBUG, logger="skellam_stein"):
+        edge_difference_dist(NoisyGraphModel(rng.random(100), rng.random(100), rng.random(100)))
+        edge_difference_dist(TWO_EDGE)
+    events = [r for r in caplog.records if r.msg.startswith("edge_difference_dist")]
+    assert [r.levelno for r in events] == [logging.DEBUG] * 2
+    # 100 rows take 7 levels; rows first exceed 32 points (33) at level 5.
+    n, levels, rfft_level, mass_defect = events[0].args
+    assert (n, levels, rfft_level) == (100, 7, 5)
+    assert 0.0 <= mass_defect <= 1e-12
+    assert events[1].args[:3] == (2, 1, None)
+
+    # At the default log level the event is not emitted: CLI output is unchanged.
+    assert main(["verify", "graph", "--homogeneous", "3", "0.5", "0.2", "0.1"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @given(
