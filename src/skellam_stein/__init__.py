@@ -25,6 +25,7 @@ from .special import (
     adaptive_gauss_kronrod,
     bessel_i,
     binomial_thin_dist,
+    pointwise_rule,
     poisson_dist,
 )
 from .stein import (

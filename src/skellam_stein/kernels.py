@@ -1,4 +1,22 @@
-"""Numpy kernels of the hot loops: plain convolution and the state sweep."""
+"""Numpy kernels of the hot loops: plain convolution and the state sweep.
+
+The sweep's value at state (x, y) is base (*) Bin(x, u) (*) -Bin(y, u).
+Raising x adds one Bernoulli(u) survival (a right shift taken with
+probability u) and raising y subtracts one (a left shift), so the state grid
+is built by one two-term recurrence step per x and per y.
+
+One call evaluates a whole quadrature rule.  Its m nodes are stacked in one
+frame of shape (m, nx, K + 2): row 0 of node i holds that node's base at its
+place in the sweep's global window of K points (columns 1 .. K), and the
+outer columns 0 and K + 1 of every row are zero padding.  The x-recurrence
+runs once over the frame with u as an (m, 1) column; each y step runs on the
+flattened (m, nx (K + 2)) view.  While every state's support stays inside
+the window (the caller checks it), the padding columns stay zero: the right
+shifts never reach column K + 1 and the left shifts never reach column 0.
+So a left shift across a row boundary reads a zero, as it would at the end
+of a row.  After each y step one (2 x m) . (m x nx (K + 2)) product adds the
+rule's weighted sum into its two accumulators.
+"""
 
 import numpy as np
 
@@ -8,31 +26,47 @@ def convolve(a, b):
     return np.convolve(a, b)
 
 
-def sweep_accumulate(out, base, off0, u, weight):
-    """Accumulate ``weight * (base (*) Bin(x, u) (*) -Bin(y, u))`` over a state grid.
+def stack_bases(bases, offsets, nx, size):
+    """Zero-padded (m, nx, size + 2) frame of m node bases.
 
-    out    : (nx, ny, K) accumulator; entry [x, y, j] holds the value at
-             integer point ``k0_out + j`` for the state (x, y).
-    base   : signed table on a contiguous window whose first point sits at
-             out index ``off0`` for the state (0, 0).
-    u      : survival probability of each initial individual.
-
-    Raising x adds one Bernoulli(u) survival (a right shift taken with
-    probability u) and raising y subtracts one (a left shift), so the grid
-    is built by one two-term recurrence step per x and per y.  The (x, y)
-    contribution occupies out indices off0 - y .. off0 + len(base) + x - 1.
+    Node i's base starts at window index offsets[i], i.e. frame column
+    offsets[i] + 1 of row 0; every other entry is zero.
     """
-    nx, ny, _ = out.shape
-    n = base.shape[0]
+    frame = np.zeros((len(bases), nx, size + 2))
+    for i, (base, off) in enumerate(zip(bases, offsets)):
+        frame[i, 0, off + 1 : off + 1 + base.shape[0]] = base
+    return frame
+
+
+def sweep_accumulate(acc_k, frame, u, coef, acc_d):
+    """Add one rule's state-grid values into its two accumulators.
+
+    acc_k, acc_d : (ny, nx, K) accumulators; entry [y, x, j] holds the value
+                   at window index j for the state (x, y).
+    frame        : (m, nx, K + 2) node bases from stack_bases; overwritten.
+    u            : (m,) survival probability of each node.
+    coef         : (2, m) weight of each node in acc_k and in acc_d.
+
+    Node i at state (x, y) adds coef[:, i] times its base (*) Bin(x, u[i])
+    (*) -Bin(y, u[i]); that occupies window indices off_i - y .. off_i +
+    len(base_i) + x - 1, which must lie in 0 .. K - 1.
+    """
+    m, nx, width = frame.shape
+    ny = acc_k.shape[0]
+    u = np.asarray(u, dtype=np.float64).reshape(m, 1)
     q = 1.0 - u
-    # Column c holds out index off0 - ny + c.  The outer columns stay zero,
-    # so each shift reads a zero where it runs off the support.
-    w = np.zeros((nx, ny + n + nx))
-    w[0, ny : ny + n] = base
     for x in range(1, nx):
-        w[x, 1:] = q * w[x - 1, 1:] + u * w[x - 1, :-1]
-    lo = off0 - ny + 1
+        frame[:, x, 1:] = q * frame[:, x - 1, 1:] + u * frame[:, x - 1, :-1]
+    flat = frame.reshape(m, nx * width)
+    head = flat[:, :-1]
+    shifted = np.empty_like(head)
+    part = np.empty((2, nx * width))
+    rows = part.reshape(2, nx, width)[:, :, 1:-1]
     for y in range(ny):
         if y:
-            w[:, :-1] = q * w[:, :-1] + u * w[:, 1:]
-        out[:, y, lo : lo + w.shape[1] - 2] += weight * w[:, 1:-1]
+            np.multiply(u, flat[:, 1:], out=shifted)
+            head *= q
+            head += shifted
+        np.matmul(coef, flat, out=part)
+        acc_k[y] += rows[0]
+        acc_d[y] += rows[1]

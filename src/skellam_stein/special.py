@@ -310,21 +310,53 @@ def _abs_norm(v) -> float:
     return abs(v)
 
 
+def pointwise_rule(fn: Callable, norm: Callable = _abs_norm) -> Callable:
+    """Rule integrand of a pointwise integrand fn(u) -> float or ndarray.
+
+    Evaluates fn node by node and sums in node order, so the integral and the
+    error estimate are bit for bit those of a node-by-node integrator.  norm
+    maps the defect (a value of fn's shape) to a scalar; it may overwrite it.
+    """
+
+    def rule(points, wk, wd):
+        acc_k = None
+        acc_d = None
+        for i in range(points.shape[0]):
+            v = fn(points[i])
+            if acc_k is None:
+                acc_k = wk[i] * v
+                acc_d = wd[i] * v
+            else:
+                acc_k += wk[i] * v
+                acc_d += wd[i] * v
+        return acc_k, norm(acc_d)
+
+    return rule
+
+
 def adaptive_gauss_kronrod(
     fn: Callable,
     a: float,
     b: float,
     abs_tol: float,
-    norm: Callable = _abs_norm,
     max_depth: int = _MAX_DEPTH,
 ):
-    """Integrate fn over [a, b] to absolute tolerance abs_tol.
+    """Integrate over [a, b] to absolute tolerance abs_tol, one rule per call.
 
-    fn may return floats or ndarrays (one shape throughout); norm maps a
-    value of that shape to a scalar used for the error test.  The worst
-    interval (by the Kronrod-Gauss defect) is bisected until the summed
-    defects meet abs_tol.  Returns (integral, error_estimate).  Raises
-    QuadratureError when the target is still unmet at max_depth.
+    fn is a rule integrand: fn(points, wk, wd) -> (value, defect) is called
+    once per interval with the interval's 15 Kronrod nodes and two (15,)
+    weight vectors, both already scaled by the half-width.  It returns
+    value = sum_i wk[i] f(points[i]), the Kronrod estimate (a float or an
+    ndarray of one shape throughout), and defect, a non-negative scalar size
+    of sum_i wd[i] f(points[i]), the Kronrod-minus-Gauss difference.  How a
+    rule evaluates its nodes is its own affair (the state sweep stacks them);
+    a pointwise f(u) goes through pointwise_rule(f, norm).
+
+    The interval with the largest defect is bisected until the summed
+    defects meet abs_tol.  Returns (integral, error_estimate).  The defect is
+    the error estimate of the 7/15 pair (Piessens et al., QUADPACK, 1983),
+    not a bound.  Raises QuadratureError when the target is still unmet at
+    max_depth.
     """
     if not b > a:
         raise ValueError("need b > a")
@@ -334,19 +366,7 @@ def adaptive_gauss_kronrod(
     def rule(lo: float, hi: float):
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
-        acc_k = None
-        acc_d = None
-        for i in range(15):
-            v = fn(mid + half * _GK_NODES[i])
-            wk = half * _GK_WK[i]
-            wd = half * _GK_WDIFF[i]
-            if acc_k is None:
-                acc_k = wk * v
-                acc_d = wd * v
-            else:
-                acc_k += wk * v
-                acc_d += wd * v
-        return acc_k, norm(acc_d)
+        return fn(mid + half * _GK_NODES, half * _GK_WK, half * _GK_WDIFF)
 
     done_val = None
     done_err = 0.0

@@ -46,6 +46,7 @@ from .special import (
     adaptive_gauss_kronrod,
     bessel_i,
     binomial_thin_dist,
+    pointwise_rule,
     poisson_dist,
 )
 
@@ -75,7 +76,9 @@ __all__ = [
 ]
 
 QUAD_TOL_DEFAULT = 1e-8
-SWEEP_TENSOR_CAP = 10**7   # floats in one node value of a sweep (states x window)
+# Floats in one accumulator of a sweep (states x window).  A rule holds two,
+# and each interval pending on the integrator's heap holds one more.
+SWEEP_TENSOR_CAP = 10**7
 
 _ROOT_2 = math.sqrt(2.0)
 
@@ -266,7 +269,8 @@ def _normalize_coords(order: int, coords) -> tuple[int, ...]:
 
 
 def _max_state_l1(arr: np.ndarray) -> float:
-    return float(np.abs(arr).sum(axis=-1).max())
+    """Largest L1 norm over the state axes of a (..., K) array; overwrites it."""
+    return float(np.abs(arr, out=arr).sum(axis=-1).max())
 
 
 @dataclass(frozen=True)
@@ -297,9 +301,22 @@ def _sweep(
     """Integrate per-state kernels over u on one fixed global window.
 
     With single_state=(x, y) the tensor is a bare (K,) vector for that
-    state; otherwise it covers the product grid 0..nx-1 times 0..ny-1.
-    A node value above SWEEP_TENSOR_CAP floats raises ResourceLimitError
-    before any node is evaluated.
+    state; otherwise it covers the product grid 0..nx-1 times 0..ny-1 as an
+    (nx, ny, K) view of the (ny, nx, K) integral.
+
+    Each Gauss-Kronrod rule is one integrand call.  On the grid the rule's
+    15 node bases are stacked in one frame over the part of the window the
+    rule reaches, and kernels.sweep_accumulate adds the rule straight into
+    its Kronrod and defect accumulators, so no per-node state tensor is
+    built; the stationary row is subtracted once per rule, weighted by the
+    summed node coefficients.  A single state convolves each node's base
+    with its two binomials and sums node by node (special.pointwise_rule).
+
+    SWEEP_TENSOR_CAP bounds one accumulator (states x window floats) and is
+    checked before any node is evaluated (ResourceLimitError).  It is not
+    the sweep's whole footprint: a rule holds two accumulators, and every
+    interval pending on the integrator's heap holds one more.
+
     The reported slack bounds each state's kernel L1 error: quadrature
     defect plus integrated window truncation (the per-node neglected mass
     is below quad_tol/100; differencing amplifies it by at most 4, and
@@ -332,20 +349,22 @@ def _sweep(
     else:
         pi_row = None
 
-    if single_state is not None:
-        sx, sy = single_state
-
-    def node_fn(u: float) -> np.ndarray:
+    def node_base(u) -> tuple[int, np.ndarray]:
+        """(window offset, signed base) of the node at u."""
         grown = 1.0 - u
         pa = _pois_window(l1 * grown, pois_tol)
         pb = _pois_window(l2 * grown, pois_tol)
         base = np.convolve(pa.probabilities, pb.probabilities[::-1])
         k0 = pa.min_support - pb.max_support
         tk0, t_arr = _difference_base(k0, base, order, coords)
-        off0 = tk0 - lo
-        weight = u ** (order - 1)
-        if single_state is not None:
-            v = t_arr
+        return tk0 - lo, t_arr
+
+    if single_state is not None:
+        sx, sy = single_state
+
+        def state_node(u) -> np.ndarray:
+            off0, v = node_base(u)
+            weight = u ** (order - 1)
             if sx:
                 v = np.convolve(v, binomial_thin_dist(sx, u).probabilities)
             if sy:
@@ -355,18 +374,38 @@ def _sweep(
             if start < 0 or start + v.size > size:
                 raise RuntimeError("node window escaped the global window")
             out[start : start + v.size] = weight * v
-        else:
-            if off0 - (ny - 1) < 0 or off0 + t_arr.size + (nx - 1) > size:
-                raise RuntimeError("node window escaped the global window")
-            out = np.zeros((nx, ny, size))
-            kernels.sweep_accumulate(out, t_arr, off0, u, weight)
-        if pi_row is not None:
-            out -= weight * pi_row
-        return out
+            if pi_row is not None:
+                out -= weight * pi_row
+            return out
 
-    tensor, quad_err = adaptive_gauss_kronrod(
-        node_fn, 0.0, 1.0, quad_tol, norm=_max_state_l1
-    )
+        rule_fn = pointwise_rule(state_node, _max_state_l1)
+    else:
+
+        def rule_fn(points, wk, wd):
+            offsets, bases = zip(*(node_base(u) for u in points))
+            # The window indices any node reaches at any state of the grid.
+            start = min(offsets) - (ny - 1)
+            stop = max(o + b.size for o, b in zip(offsets, bases)) + nx - 1
+            if start < 0 or stop > size:
+                raise RuntimeError("node window escaped the global window")
+            weights = points ** (order - 1)
+            coef = np.stack((wk * weights, wd * weights))
+            acc_k = np.zeros((ny, nx, size))
+            acc_d = np.zeros((ny, nx, size))
+            frame = kernels.stack_bases(
+                bases, [o - start for o in offsets], nx, stop - start
+            )
+            kernels.sweep_accumulate(
+                acc_k[:, :, start:stop], frame, points, coef, acc_d[:, :, start:stop]
+            )
+            if pi_row is not None:
+                acc_k -= coef[0].sum() * pi_row
+                acc_d -= coef[1].sum() * pi_row
+            return acc_k, _max_state_l1(acc_d)
+
+    tensor, quad_err = adaptive_gauss_kronrod(rule_fn, 0.0, 1.0, quad_tol)
+    if single_state is None:
+        tensor = tensor.transpose(1, 0, 2)
     slack = quad_err + 50.0 * node_tol
     return _SweepResult(lo, tensor, slack)
 
@@ -626,7 +665,7 @@ def bound_first_diff_integral(
     def g(u: float) -> float:
         return clamp(1.0, bessel_i(0, lam * (1.0 - u), scaled=True))
 
-    value, _ = adaptive_gauss_kronrod(g, 0.0, 1.0, quad_tol)
+    value, _ = adaptive_gauss_kronrod(pointwise_rule(g), 0.0, 1.0, quad_tol)
     asym = math.sqrt(2.0 / (math.pi * lam)) if lam > 0 else math.inf
     return IntegralBound(value=float(value), asymptote=asym)
 

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -194,6 +195,22 @@ def test_fresh_process_byte_identical():
     assert one.returncode == two.returncode == 0
     assert one.stdout == two.stdout
 
+
+
+@pytest.mark.parametrize("rates, order", [(("3.7", "8.3"), "2"), (("20", "20"), "1")])
+def test_stein_factors_independent_of_thread_count(rates, order):
+    """The sweep's stacked-node contraction is a BLAS product; its record
+    must not depend on how many threads the BLAS pool runs.  At (20, 20)
+    the product is large enough for OpenBLAS to split it across threads."""
+    args = [sys.executable, "-m", "skellam_stein.cli", "stein", "factors",
+            "--l1", rates[0], "--l2", rates[1], "--order", order, "--format", "json"]
+    pinned = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    default = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    one = subprocess.run(args, capture_output=True, env=pinned)
+    many = subprocess.run(args, capture_output=True, env=default)
+    assert one.returncode == many.returncode == 0
+    assert one.stdout == many.stdout
 
 def _native_recursive(value):
     """The recursive conversion `cli._native` used before arrays went

@@ -2,6 +2,8 @@ import numpy as np
 
 from skellam_stein import kernels
 
+NODES = 15
+
 
 def _binomial_pmf(n, u):
     row = np.array([1.0])
@@ -21,26 +23,75 @@ def _reference_sweep(out, base, off0, u, weight):
             out[x, y, j0 : j0 + seg.shape[0]] += weight * seg
 
 
+def _per_node_sweep(out, base, off0, u, weight):
+    """The one-node recurrence kernel that preceded the stacked rule kernel."""
+    nx, ny, _ = out.shape
+    n = base.shape[0]
+    q = 1.0 - u
+    # Column c holds out index off0 - ny + c.  The outer columns stay zero,
+    # so each shift reads a zero where it runs off the support.
+    w = np.zeros((nx, ny + n + nx))
+    w[0, ny : ny + n] = base
+    for x in range(1, nx):
+        w[x, 1:] = q * w[x - 1, 1:] + u * w[x - 1, :-1]
+    lo = off0 - ny + 1
+    for y in range(ny):
+        if y:
+            w[:, :-1] = q * w[:, :-1] + u * w[:, 1:]
+        out[:, y, lo : lo + w.shape[1] - 2] += weight * w[:, 1:-1]
+
+
+def _random_rule(rng, us):
+    """Ragged node bases, offsets and weights on a window that is tight on
+    both ends for some rules, so every padding column is exercised."""
+    nx = int(rng.integers(1, 7))
+    ny = int(rng.integers(1, 7))
+    bases = [rng.standard_normal(int(rng.integers(1, 40))) for _ in us]
+    offsets = [int(rng.integers(0, 6)) for _ in us]
+    offsets[int(rng.integers(0, len(us)))] = 0
+    offsets = [ny - 1 + o for o in offsets]
+    end = max(o + b.size for o, b in zip(offsets, bases)) + nx - 1
+    size = end + int(rng.integers(0, 3))
+    coef = rng.standard_normal((2, len(us)))
+    return nx, ny, bases, offsets, size, coef
+
+
+def _run_rule(nx, ny, bases, offsets, size, us, coef, shift=0):
+    """The rule kernel on accumulators that sit `shift` points into a wider
+    array, as the sweep hands it the part of its window a rule reaches."""
+    acc = np.zeros((2, ny, nx, size + shift))
+    frame = kernels.stack_bases(bases, offsets, nx, size)
+    kernels.sweep_accumulate(
+        acc[0, :, :, shift:], frame, np.array(us), coef, acc[1, :, :, shift:]
+    )
+    assert not acc[:, :, :, :shift].any()
+    return acc[:, :, :, shift:].transpose(0, 2, 1, 3)  # [., x, y, j]
+
+
 def test_sweep_accumulate_matches_direct_convolution():
     rng = np.random.default_rng(99)
-    us = [0.0, 1.0] + [float(rng.random()) for _ in range(12)]
-    for u in us:
-        nx = int(rng.integers(1, 7))
-        ny = int(rng.integers(1, 7))
-        base = rng.standard_normal(int(rng.integers(1, 40)))
-        off0 = ny - 1 + int(rng.integers(0, 4))
-        width = off0 + base.size + nx - 1 + int(rng.integers(0, 4))
-        weight = float(rng.standard_normal())
-        got, want = np.zeros((2, nx, ny, width))
-        kernels.sweep_accumulate(got, base, off0, u, weight)
-        _reference_sweep(want, base, off0, u, weight)
-        scale = float(np.max(np.abs(want)))
-        assert np.max(np.abs(got - want)) <= 1e-14 * scale, (u, nx, ny)
+    for rule in range(24):
+        us = list(rng.random(NODES))
+        if rule % 3 == 0:
+            us[:2] = [0.0, 1.0]
+        assert len(set(us)) == NODES
+        nx, ny, bases, offsets, size, coef = _random_rule(rng, us)
+        got = _run_rule(nx, ny, bases, offsets, size, us, coef, shift=rule % 2)
+        direct = np.zeros((2, nx, ny, size))
+        per_node = np.zeros((2, nx, ny, size))
+        for i, (u, base, off0) in enumerate(zip(us, bases, offsets)):
+            for acc in (0, 1):
+                _reference_sweep(direct[acc], base, off0, u, coef[acc, i])
+                _per_node_sweep(per_node[acc], base, off0, u, coef[acc, i])
+        for want in (direct, per_node):
+            for acc in (0, 1):
+                scale = float(np.max(np.abs(want[acc])))
+                err = float(np.max(np.abs(got[acc] - want[acc])))
+                assert err <= 1e-14 * scale, (rule, acc, nx, ny)
 
 
 def test_sweep_accumulate_degenerate_state_grid():
     base = np.array([0.25, 0.5, 0.25])
-    out = np.zeros((1, 1, 6))
-    kernels.sweep_accumulate(out, base, 2, 0.3, 2.0)
-    assert np.allclose(out[0, 0], [0.0, 0.0, 0.5, 1.0, 0.5, 0.0])
-
+    got = _run_rule(1, 1, [base], [2], 6, [0.3], np.array([[2.0], [-1.0]]))
+    assert np.allclose(got[0, 0, 0], [0.0, 0.0, 0.5, 1.0, 0.5, 0.0])
+    assert np.allclose(got[1, 0, 0], [0.0, 0.0, -0.25, -0.5, -0.25, 0.0])

@@ -1,3 +1,4 @@
+import heapq
 import math
 
 import numpy as np
@@ -5,14 +6,20 @@ import pytest
 import scipy.special as sps
 import scipy.stats as sstats
 
+from skellam_stein import SkellamParams
 from skellam_stein.special import (
+    _GK_NODES,
+    _GK_WDIFF,
+    _GK_WK,
     QuadratureError,
     adaptive_gauss_kronrod,
     bessel_i,
     binomial_thin_dist,
     log_scaled_iv_orders,
+    pointwise_rule,
     poisson_dist,
 )
+from skellam_stein.stein import bound_first_diff_integral
 
 BESSEL_ORDERS = [0, 1, 2, 3, 7, 20, 64, 300, 1000]
 BESSEL_ARGS = [1e-12, 1e-3, 0.5, 1.0, 7.0, 29.7, 30.3, 100.0, 1e4, 1e6]
@@ -153,24 +160,28 @@ def test_binomial_degenerate_points():
 
 
 def test_quadrature_polynomial_exact():
-    value, err = adaptive_gauss_kronrod(lambda u: 3.0 * u * u, 0.0, 1.0, 1e-12)
+    value, err = adaptive_gauss_kronrod(pointwise_rule(lambda u: 3.0 * u * u), 0.0, 1.0, 1e-12)
     assert value == pytest.approx(1.0, abs=1e-12)
     assert err <= 1e-12
 
 
 def test_quadrature_oscillatory_error_is_honest():
     truth = math.sin(40.0) / 40.0
-    value, err = adaptive_gauss_kronrod(lambda u: math.cos(40.0 * u), 0.0, 1.0, 1e-10)
+    value, err = adaptive_gauss_kronrod(
+        pointwise_rule(lambda u: math.cos(40.0 * u)), 0.0, 1.0, 1e-10
+    )
     assert abs(value - truth) <= max(err, 1e-10)
 
 
 def test_quadrature_vector_integrand():
     value, err = adaptive_gauss_kronrod(
-        lambda u: np.array([1.0, u, u * u]),
+        pointwise_rule(
+            lambda u: np.array([1.0, u, u * u]),
+            norm=lambda a: float(np.max(np.abs(a))),
+        ),
         0.0,
         1.0,
         1e-12,
-        norm=lambda a: float(np.max(np.abs(a))),
     )
     assert np.allclose(value, [1.0, 0.5, 1.0 / 3.0], atol=1e-12)
     assert err < 1e-10
@@ -178,10 +189,109 @@ def test_quadrature_vector_integrand():
 
 def test_quadrature_unreachable_tolerance_raises():
     with pytest.raises(QuadratureError):
-        adaptive_gauss_kronrod(lambda u: 1.0 / math.sqrt(u), 0.0, 1.0, 1e-13)
+        adaptive_gauss_kronrod(
+            pointwise_rule(lambda u: 1.0 / math.sqrt(u)), 0.0, 1.0, 1e-13
+        )
 
 
 def test_quadrature_rejects_bad_tolerance():
     with pytest.raises(ValueError):
-        adaptive_gauss_kronrod(lambda u: u, 0.0, 1.0, 0.0)
+        adaptive_gauss_kronrod(pointwise_rule(lambda u: u), 0.0, 1.0, 0.0)
 
+
+
+def _node_by_node_gauss_kronrod(fn, a, b, abs_tol, norm, max_depth=60):
+    """The integrator before a rule became one integrand call: fn(u) per
+    node, summed in node order.  Kept as the oracle of pointwise_rule."""
+
+    def rule(lo, hi):
+        mid = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo)
+        acc_k = None
+        acc_d = None
+        for i in range(15):
+            v = fn(mid + half * _GK_NODES[i])
+            wk = half * _GK_WK[i]
+            wd = half * _GK_WDIFF[i]
+            if acc_k is None:
+                acc_k = wk * v
+                acc_d = wd * v
+            else:
+                acc_k += wk * v
+                acc_d += wd * v
+        return acc_k, norm(acc_d)
+
+    done_val = None
+    done_err = 0.0
+    tick = 0
+    val, err = rule(a, b)
+    heap = [(-err, tick, a, b, 0, val, err)]
+    pending_err = err
+    floor = abs_tol / (64.0 * 15.0)
+    while heap:
+        if done_err + pending_err <= abs_tol:
+            break
+        neg, _, lo, hi, depth, val, err = heapq.heappop(heap)
+        pending_err -= err
+        if err <= floor:
+            done_val = val if done_val is None else done_val + val
+            done_err += err
+            continue
+        if depth >= max_depth:
+            raise QuadratureError(f"unmet on [{lo}, {hi}]")
+        mid = 0.5 * (lo + hi)
+        for c_lo, c_hi in ((lo, mid), (mid, hi)):
+            c_val, c_err = rule(c_lo, c_hi)
+            tick += 1
+            heapq.heappush(heap, (-c_err, tick, c_lo, c_hi, depth + 1, c_val, c_err))
+            pending_err += c_err
+    for _, _, _, _, _, val, err in heap:
+        done_val = val if done_val is None else done_val + val
+        done_err += err
+    return done_val, done_err
+
+
+def _abs(v):
+    return abs(v)
+
+
+def _max_abs(a):
+    return float(np.max(np.abs(a)))
+
+
+@pytest.mark.parametrize(
+    "fn, tol, norm",
+    [
+        (lambda u: 3.0 * u * u, 1e-12, _abs),
+        (lambda u: math.cos(40.0 * u), 1e-10, _abs),
+        (lambda u: np.array([1.0, u, u * u]), 1e-12, _max_abs),
+        (lambda u: np.array([math.exp(-30.0 * u), math.sqrt(u)]), 1e-9, _max_abs),
+    ],
+    ids=["polynomial", "oscillatory", "vector", "vector-steep"],
+)
+def test_pointwise_rule_bit_identical_to_node_by_node(fn, tol, norm):
+    value, err = adaptive_gauss_kronrod(pointwise_rule(fn, norm), 0.0, 1.0, tol)
+    want_value, want_err = _node_by_node_gauss_kronrod(fn, 0.0, 1.0, tol, norm)
+    assert type(value) is type(want_value)
+    assert np.array_equal(value, want_value)
+    assert err == want_err
+
+
+def test_pointwise_rule_unreachable_tolerance_raises_alike():
+    def fn(u):
+        return 1.0 / math.sqrt(u)
+
+    with pytest.raises(QuadratureError):
+        _node_by_node_gauss_kronrod(fn, 0.0, 1.0, 1e-13, _abs)
+    with pytest.raises(QuadratureError):
+        adaptive_gauss_kronrod(pointwise_rule(fn), 0.0, 1.0, 1e-13)
+
+
+@pytest.mark.parametrize("lam", [0.3, 12.0, 400.0])
+def test_integral_bound_bit_identical_to_node_by_node(lam):
+    def g(u):
+        return min(1.0, bessel_i(0, lam * (1.0 - u), scaled=True))
+
+    want, _ = _node_by_node_gauss_kronrod(g, 0.0, 1.0, 1e-8, _abs)
+    got = bound_first_diff_integral(SkellamParams(lam / 2, lam / 2), 1e-8)
+    assert got.value == float(want)
