@@ -345,8 +345,10 @@ def _cmd_verify_graph(args):
         params = {"model": args.model}
     else:
         n_text, p_text, r_text, s_text = args.homogeneous
+        n = int(n_text)
+        noisy_graph.check_exact_size(n)
         model = noisy_graph.NoisyGraphModel.homogeneous(
-            int(n_text), float(p_text), float(r_text), float(s_text)
+            n, float(p_text), float(r_text), float(s_text)
         )
         params = {}
     params.update(

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,10 +65,15 @@ class HaarSpilloverModel:
     def n(self) -> int:
         return self.f.size
 
-    @property
-    def shifted_f(self) -> np.ndarray:
-        """The signal one bin up: entry i is f[i+1], zero past the end."""
-        return np.append(self.f[1:], 0.0)
+    @cached_property
+    def window_sums(self) -> tuple[float, float, float, float]:
+        """(pos.f, neg.f, pos.fs, neg.fs): the window rates before and after
+        spillover, with fs the signal one bin up (fs[i] = f[i+1], 0 at the end)."""
+        fs = np.append(self.f[1:], 0.0)
+        return (
+            float(self.pos @ self.f), float(self.neg @ self.f),
+            float(self.pos @ fs), float(self.neg @ fs),
+        )
 
 
 def haar_windows(n: int, scale: int, location: int) -> tuple[np.ndarray, np.ndarray]:
@@ -115,9 +121,8 @@ def load_signal(path) -> np.ndarray:
 
 
 def true_coeff_params(model: HaarSpilloverModel) -> SkellamParams:
-    return SkellamParams(
-        float(model.pos @ model.f), float(model.neg @ model.f), extended=True
-    )
+    pf, nf, _, _ = model.window_sums
+    return SkellamParams(pf, nf, extended=True)
 
 
 def _mix(p: float, a: float, b: float) -> float:
@@ -129,10 +134,8 @@ def _mix(p: float, a: float, b: float) -> float:
 
 def observed_coeff_params(model: HaarSpilloverModel) -> SkellamParams:
     """Rates after spillover: each window rate mixes with its shifted value."""
-    fs = model.shifted_f
-    lam1 = _mix(model.p, float(model.pos @ model.f), float(model.pos @ fs))
-    lam2 = _mix(model.p, float(model.neg @ model.f), float(model.neg @ fs))
-    return SkellamParams(lam1, lam2, extended=True)
+    pf, nf, pfs, nfs = model.window_sums
+    return SkellamParams(_mix(model.p, pf, pfs), _mix(model.p, nf, nfs), extended=True)
 
 
 @dataclass(frozen=True)
@@ -154,11 +157,9 @@ class SpilloverBound:
 
 
 def bound_theorem32(model: HaarSpilloverModel) -> SpilloverBound:
-    fs = model.shifted_f
-    pf = float(model.pos @ model.f)
-    nf = float(model.neg @ model.f)
-    gap_pos = abs(pf - float(model.pos @ fs))
-    gap_neg = abs(nf - float(model.neg @ fs))
+    pf, nf, pfs, nfs = model.window_sums
+    gap_pos = abs(pf - pfs)
+    gap_neg = abs(nf - nfs)
     numerator = gap_pos + gap_neg
     max_rate = max(pf, nf)
     if model.p == 0.0 or numerator == 0.0:

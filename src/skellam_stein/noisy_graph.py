@@ -75,7 +75,9 @@ class NoisyGraphModel:
         if missing:
             raise ValueError(f"model document lacks fields: {sorted(missing)}")
         if "n" in obj:
-            return cls.homogeneous(int(obj["n"]), obj["p"], obj["r"], obj["s"])
+            n = int(obj["n"])
+            check_exact_size(n)
+            return cls.homogeneous(n, obj["p"], obj["r"], obj["s"])
         return cls(obj["p"], obj["r"], obj["s"])
 
     @property
@@ -91,6 +93,15 @@ class NoisyGraphModel:
     def invent_rates(self) -> np.ndarray:
         """Per-pair probability the discrepancy is -1 (missing edge invented)."""
         return (1.0 - self.p) * self.s
+
+
+def check_exact_size(n: int) -> None:
+    """Refuse more than EXACT_EDGE_CAP pairs, the most the exact law takes,
+    before any per-pair array is built (ResourceLimitError)."""
+    if n > EXACT_EDGE_CAP:
+        raise ResourceLimitError(
+            f"exact mode supports n <= {EXACT_EDGE_CAP}, got {n}; use simulate"
+        )
 
 
 def load_model(path) -> NoisyGraphModel:
@@ -144,10 +155,7 @@ def edge_difference_dist(model: NoisyGraphModel) -> IntegerDist:
     (None if every level is shift-and-add) and |1 - window mass|.
     """
     n = model.n
-    if n > EXACT_EDGE_CAP:
-        raise ResourceLimitError(
-            f"exact mode supports n <= {EXACT_EDGE_CAP}, got {n}; use simulate"
-        )
+    check_exact_size(n)
     plus = model.drop_rates
     minus = model.invent_rates
     rows = np.column_stack([minus, 1.0 - plus - minus, plus])

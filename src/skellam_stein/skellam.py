@@ -181,9 +181,11 @@ def cdf(params: SkellamParams, k: int, tail_tol: float = 1e-12) -> float:
 
 
 def sample(params: SkellamParams, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Difference of two independent Poisson draws per sample."""
+    """Difference of two independent Poisson draws per sample; count <= 10^7."""
     if count < 0:
         raise ValueError("count must be non-negative")
+    if count > _WINDOW_CAP:
+        raise ResourceLimitError(f"sample count {count} exceeds cap {_WINDOW_CAP}")
     a = rng.poisson(params.lambda1, count).astype(np.int64)
     b = rng.poisson(params.lambda2, count).astype(np.int64)
     return a - b

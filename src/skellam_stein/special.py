@@ -1,9 +1,10 @@
 """Numeric primitives: modified Bessel functions of integer order, windowed
 Poisson and binomial probability vectors, and adaptive quadrature.
 
-Bessel values are computed in log scale so extreme arguments stay usable.
-Small arguments use the ascending power series; large arguments use backward
-ratio recursion normalized by the scaled-sum identity, which never overflows.
+Bessel values are log-scale floats (-inf for zero), so extreme arguments stay
+usable.  Small arguments use the ascending power series; large arguments read
+one cached table per argument and power-of-two size, built by backward ratio
+recursion normalized by the scaled-sum identity, which never overflows.
 Time integrals over [0, inf) are taken on (0, 1] via u = exp(-t) by an
 adaptive Gauss-Kronrod 7/15 rule whose nodes avoid the endpoints.
 """
@@ -12,7 +13,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
@@ -22,40 +22,15 @@ from .dists import IntegerDist
 
 MAX_EXP = 709.782712893384  # largest x with exp(x) finite in float64
 _SERIES_X_MAX = 30.0
-_NEG_INF = float("-inf")
 
 
 class QuadratureError(RuntimeError):
     """Adaptive quadrature hit maximum depth without meeting tolerance."""
 
 
-@dataclass(frozen=True)
-class LogReal:
-    """Non-negative real carried as log magnitude; -inf encodes zero."""
-
-    log_magnitude: float
-
-    @classmethod
-    def zero(cls) -> "LogReal":
-        return cls(_NEG_INF)
-
-    @classmethod
-    def from_value(cls, v: float) -> "LogReal":
-        if v < 0:
-            raise ValueError("LogReal represents non-negative reals")
-        return cls(math.log(v) if v > 0 else _NEG_INF)
-
-    def value(self) -> float:
-        if self.log_magnitude > MAX_EXP:
-            raise OverflowError("value exceeds float64 range")
-        return math.exp(self.log_magnitude)
-
-    def is_zero(self) -> bool:
-        return self.log_magnitude == _NEG_INF
-
-
-def _log_scaled_iv_table_raw(x: float, kmax: int) -> np.ndarray:
-    """log(exp(-x) * I_k(x)) for k = 0..kmax via backward ratios.
+@lru_cache(maxsize=64)
+def _log_scaled_iv_table_cached(x: float, kmax: int) -> np.ndarray:
+    """Read-only table of log(exp(-x) * I_k(x)), k = 0..kmax, via backward ratios.
 
     Ratios r_m = I_m / I_{m-1} lie in (0, 1) and come from the dominant
     solution of the three-term recurrence, so the continued fraction is
@@ -85,20 +60,8 @@ def _log_scaled_iv_table_raw(x: float, kmax: int) -> np.ndarray:
     out = np.empty(kmax + 1)
     out[0] = float(-log_norm)
     out[1:] = np.subtract(log_t[:kmax], log_norm, out=log_t[:kmax])
+    out.setflags(write=False)
     return out
-
-
-@lru_cache(maxsize=64)
-def _log_scaled_iv_table_cached(x: float, kmax_bucket: int) -> np.ndarray:
-    table = _log_scaled_iv_table_raw(x, kmax_bucket)
-    table.setflags(write=False)
-    return table
-
-
-def log_scaled_iv_table(x: float, kmax: int) -> np.ndarray:
-    """Read-only table of log(exp(-x) * I_k(x)), k = 0..kmax (at least), x > 0."""
-    bucket = max(64, 1 << int(kmax).bit_length())
-    return _log_scaled_iv_table_cached(float(x), bucket)
 
 
 def log_scaled_iv_orders(orders, x: float) -> np.ndarray:
@@ -116,19 +79,21 @@ def log_scaled_iv_orders(orders, x: float) -> np.ndarray:
     if x < 0:
         raise ValueError("argument must be non-negative")
     if x == 0.0:
-        return np.where(k == 0, 0.0, _NEG_INF)
+        return np.where(k == 0, 0.0, -np.inf)
     out = np.empty(k.shape)
     q = 0.25 * x * x
     series = (x <= _SERIES_X_MAX) | (q / (k + 1.0) <= 64.0)
     rest = k[~series]
     if rest.size:
-        # frexp's exponent of k is k.bit_length(), which fixes the bucket.
+        # frexp's exponent b of k is k.bit_length(): the table size bucket
+        # is 1 << b, at least 64.
         bits = np.frexp(rest.astype(np.float64))[1]
         values = np.empty(rest.shape)
         for b in range(int(bits.min()), int(bits.max()) + 1):
             sel = bits == b
             if sel.any():
-                values[sel] = log_scaled_iv_table(x, int(rest[sel].max()))[rest[sel]]
+                table = _log_scaled_iv_table_cached(float(x), max(64, 1 << b))
+                values[sel] = table[rest[sel]]
         out[~series] = values
     ks = k[series]
     if ks.size:
@@ -171,9 +136,9 @@ def log_scaled_iv_orders(orders, x: float) -> np.ndarray:
     return out
 
 
-def log_scaled_iv(order: int, x: float) -> LogReal:
-    """log(exp(-x) * I_order(x)) as a LogReal; order may be negative."""
-    return LogReal(float(log_scaled_iv_orders([int(order)], x)[0]))
+def log_scaled_iv(order: int, x: float) -> float:
+    """log(exp(-x) * I_order(x)); order may be negative, -inf when the value is 0."""
+    return float(log_scaled_iv_orders([int(order)], x)[0])
 
 
 def bessel_i(order: int, x: float, scaled: bool = False) -> float:
@@ -186,11 +151,9 @@ def bessel_i(order: int, x: float, scaled: bool = False) -> float:
     if abs(int(order)) > 10**6:
         raise ValueError("order magnitude above 10^6 is unsupported")
     lv = log_scaled_iv(order, x)
-    if lv.is_zero():
-        return 0.0
     if scaled:
-        return math.exp(lv.log_magnitude)
-    total = lv.log_magnitude + x
+        return math.exp(lv)
+    total = lv + x
     if total > MAX_EXP:
         raise OverflowError(
             f"I_{abs(int(order))}({x}) overflows float64; use scaled=True"
@@ -339,7 +302,6 @@ def adaptive_gauss_kronrod(
     a: float,
     b: float,
     abs_tol: float,
-    max_depth: int = _MAX_DEPTH,
 ):
     """Integrate over [a, b] to absolute tolerance abs_tol, one rule per call.
 
@@ -356,7 +318,7 @@ def adaptive_gauss_kronrod(
     defects meet abs_tol.  Returns (integral, error_estimate).  The defect is
     the error estimate of the 7/15 pair (Piessens et al., QUADPACK, 1983),
     not a bound.  Raises QuadratureError when the target is still unmet at
-    max_depth.
+    depth _MAX_DEPTH.
     """
     if not b > a:
         raise ValueError("need b > a")
@@ -387,7 +349,7 @@ def adaptive_gauss_kronrod(
             done_val = val if done_val is None else done_val + val
             done_err += err
             continue
-        if depth >= max_depth:
+        if depth >= _MAX_DEPTH:
             raise QuadratureError(
                 f"tolerance {abs_tol} unmet on [{lo}, {hi}] at depth {depth}"
             )

@@ -25,7 +25,8 @@ second k-differences of S_u.  Each difference defines a signed kernel g:
 
 and the exact sup over indicator test functions at a state is
 max(sum g+, sum g-).  Orders 0/1/2 change only the k-differencing of the
-base window and the u-weight u^(order-1).
+base window and the u-weight u^(order-1); order 0, the solution itself,
+also subtracts the constant E f, which every difference drops.
 """
 
 from __future__ import annotations
@@ -280,14 +281,6 @@ class _SweepResult:
     slack: float           # L1 error bound for any single state's kernel
 
 
-def _point_mass_window() -> IntegerDist:
-    return IntegerDist.point_mass(0)
-
-
-def _pois_window(lam: float, tol: float) -> IntegerDist:
-    return poisson_dist(lam, tol) if lam > 0.0 else _point_mass_window()
-
-
 def _sweep(
     params: SkellamParams,
     order: int,
@@ -295,7 +288,6 @@ def _sweep(
     nx: int,
     ny: int,
     quad_tol: float,
-    subtract_stationary: bool,
     single_state: tuple[int, int] | None = None,
 ) -> _SweepResult:
     """Integrate per-state kernels over u on one fixed global window.
@@ -308,9 +300,10 @@ def _sweep(
     15 node bases are stacked in one frame over the part of the window the
     rule reaches, and kernels.sweep_accumulate adds the rule straight into
     its Kronrod and defect accumulators, so no per-node state tensor is
-    built; the stationary row is subtracted once per rule, weighted by the
-    summed node coefficients.  A single state convolves each node's base
-    with its two binomials and sums node by node (special.pointwise_rule).
+    built; at order 0 the stationary row is subtracted once per rule,
+    weighted by the summed node coefficients.  A single state convolves
+    each node's base with its two binomials and sums node by node
+    (special.pointwise_rule).
 
     SWEEP_TENSOR_CAP bounds one accumulator (states x window floats) and is
     checked before any node is evaluated (ResourceLimitError).  It is not
@@ -329,8 +322,8 @@ def _sweep(
     pois_tol = node_tol / 8.0
     l1, l2 = params.lambda1, params.lambda2
 
-    pa_full = _pois_window(l1, pois_tol)
-    pb_full = _pois_window(l2, pois_tol)
+    pa_full = poisson_dist(l1, pois_tol)
+    pb_full = poisson_dist(l2, pois_tol)
     margin = 8
     lo = -pb_full.max_support - 2 - (ny - 1) - margin
     hi = pa_full.max_support + 2 + (nx - 1) + margin
@@ -342,7 +335,7 @@ def _sweep(
             f"{SWEEP_TENSOR_CAP} floats"
         )
 
-    if subtract_stationary:
+    if order == 0:
         pi = to_dist(params, pois_tol)
         pi_row = np.zeros(size)
         pi_row[pi.min_support - lo : pi.max_support - lo + 1] = pi.probabilities
@@ -352,8 +345,8 @@ def _sweep(
     def node_base(u) -> tuple[int, np.ndarray]:
         """(window offset, signed base) of the node at u."""
         grown = 1.0 - u
-        pa = _pois_window(l1 * grown, pois_tol)
-        pb = _pois_window(l2 * grown, pois_tol)
+        pa = poisson_dist(l1 * grown, pois_tol)
+        pb = poisson_dist(l2 * grown, pois_tol)
         base = np.convolve(pa.probabilities, pb.probabilities[::-1])
         k0 = pa.min_support - pb.max_support
         tk0, t_arr = _difference_base(k0, base, order, coords)
@@ -417,9 +410,7 @@ def _sweep(
 def _solution_kernel_grid(
     params: SkellamParams, nx: int, ny: int, quad_tol: float
 ) -> _SweepResult:
-    res = _sweep(
-        params, 0, (), nx, ny, quad_tol, subtract_stationary=True
-    )
+    res = _sweep(params, 0, (), nx, ny, quad_tol)
     res.tensor.setflags(write=False)
     return res
 
@@ -427,10 +418,7 @@ def _solution_kernel_grid(
 def stein_solution(params: SkellamParams, f: TestSet, state, quad_tol: float = QUAD_TOL_DEFAULT) -> float:
     """Value of the integral solution h_f at one state; |error| <= quad_tol."""
     x, y = _state_xy(state)
-    res = _sweep(
-        params, 0, (), x + 1, y + 1, quad_tol,
-        subtract_stationary=True, single_state=(x, y),
-    )
+    res = _sweep(params, 0, (), x + 1, y + 1, quad_tol, single_state=(x, y))
     ind = f.indicator(res.lo, res.tensor.size)
     return float(-(ind @ res.tensor))
 
@@ -498,10 +486,7 @@ def difference_kernel(
 ) -> DifferenceKernel:
     coords = _normalize_coords(order, coords)
     x, y = _state_xy(state)
-    res = _sweep(
-        params, order, coords, x + 1, y + 1, quad_tol,
-        subtract_stationary=False, single_state=(x, y),
-    )
+    res = _sweep(params, order, coords, x + 1, y + 1, quad_tol, single_state=(x, y))
     return DifferenceKernel(
         min_support=res.lo,
         kernel=res.tensor,
@@ -550,9 +535,7 @@ def _exact_stein_factor_cached(
 ) -> SteinFactorResult:
     n = grid_max + 1
     coords = (1,) * order
-    res = _sweep(
-        params, order, coords, n, n, quad_tol, subtract_stationary=False
-    )
+    res = _sweep(params, order, coords, n, n, quad_tol)
     pos = np.where(res.tensor > 0, res.tensor, 0.0).sum(axis=2)
     neg = np.where(res.tensor < 0, -res.tensor, 0.0).sum(axis=2)
     per_state = np.maximum(pos, neg)

@@ -183,6 +183,27 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2 and "exceeds cap" in err
 
 
+@pytest.mark.parametrize("source", ["homogeneous", "model"])
+def test_verify_graph_oversized_n_refused(capsys, tmp_path, source):
+    """n = 10^12 is refused before a per-pair array is built, not by MemoryError."""
+    if source == "homogeneous":
+        args = ("--homogeneous", "1000000000000", "0.3", "0.1", "0.05")
+    else:
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"n": 1e12, "p": 0.3, "r": 0.1, "s": 0.05}))
+        args = ("--model", str(path))
+    code, out, err = run_cli(capsys, "verify", "graph", *args)
+    assert (code, out) == (2, "")
+    assert "exact mode supports n <= 100000" in err
+
+
+def test_dist_sample_oversized_n_refused(capsys):
+    code, out, err = run_cli(capsys, "dist", "sample", "--l1", "1", "--l2", "1",
+                             "--n", "1000000000000")
+    assert (code, out) == (2, "")
+    assert "exceeds cap 10000000" in err
+
+
 def test_version_flag(capsys):
     assert run_cli(capsys, "--version")[0] == 0
 

@@ -190,6 +190,27 @@ def test_verify_examples_and_random_models():
         assert verify(model).satisfied
 
 
+def test_sweep_records_match_single_window_reports():
+    f = np.array([2.0, 0.0, 3.5, 7.0, 9.0, 1.0, 4.0, 4.0,
+                  0.5, 12.0, 6.0, 2.5, 8.0, 3.0, 0.0, 5.0])
+    p = 0.3
+    records = sweep_windows(f, p)
+    assert len(records) == 8 + 4 + 2 + 1
+    for r in records:
+        pos, neg = haar_windows(f.size, r["scale"], r["location"])
+        report = verify(HaarSpilloverModel(f, pos, neg, p))
+        expected = {
+            "scale": r["scale"],
+            "location": r["location"],
+            "tv": report.tv.value,
+            "tv_slack": report.tv.slack,
+            "bound": report.bound,
+            "satisfied": report.satisfied,
+            "ratio": report.ratio,
+        }
+        assert r == expected
+
+
 def test_sweep_flags_jump_windows():
     """Spillover distorts coefficients near jumps far more than in flat regions."""
     f = np.array([2.0, 2.0, 2.0, 2.0, 9.0, 9.0, 9.0, 9.0])

@@ -68,6 +68,9 @@ def test_bessel_domain_errors():
 def test_bessel_at_zero_argument():
     assert bessel_i(0, 0.0, scaled=True) == 1.0
     assert bessel_i(3, 0.0, scaled=True) == 0.0
+    assert bessel_i(0, 0.0) == 1.0
+    zero = bessel_i(3, 0.0)
+    assert zero == 0.0 and math.copysign(1.0, zero) == 1.0
 
 
 def _log_scaled_iv_series(k: int, x: float) -> float:
