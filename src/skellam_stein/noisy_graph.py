@@ -75,7 +75,11 @@ class NoisyGraphModel:
         if missing:
             raise ValueError(f"model document lacks fields: {sorted(missing)}")
         if "n" in obj:
-            n = int(obj["n"])
+            n = obj["n"]
+            # JSON's 1e5 is a whole number; 2.7 or true would truncate to another model.
+            if isinstance(n, bool) or (isinstance(n, float) and not n.is_integer()):
+                raise ValueError(f'"n" must be a whole number, got {n!r}')
+            n = int(n)
             check_exact_size(n)
             return cls.homogeneous(n, obj["p"], obj["r"], obj["s"])
         return cls(obj["p"], obj["r"], obj["s"])

@@ -28,7 +28,12 @@ class QuadratureError(RuntimeError):
     """Adaptive quadrature hit maximum depth without meeting tolerance."""
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
+def _iv_tables_at(x: float) -> dict[int, np.ndarray]:
+    """Tables of the latest argument only, by size: windows seldom share an x."""
+    return {}
+
+
 def _log_scaled_iv_table_cached(x: float, kmax: int) -> np.ndarray:
     """Read-only table of log(exp(-x) * I_k(x)), k = 0..kmax, via backward ratios.
 
@@ -39,6 +44,9 @@ def _log_scaled_iv_table_cached(x: float, kmax: int) -> np.ndarray:
     yet must stay usable under large compensating tilts.  Normalization is
     exp(-x) * (I_0 + 2 sum_{m>=1} I_m) = 1.
     """
+    tables = _iv_tables_at(x)
+    if kmax in tables:
+        return tables[kmax]
     # Start high enough that I_{m_top} / I_kmax < 1e-21 seeds an accurate
     # downward pass: m_top^2 - kmax^2 = 100 x gives exp(-50) in the
     # Gaussian order regime, faster decay beyond it.
@@ -61,6 +69,7 @@ def _log_scaled_iv_table_cached(x: float, kmax: int) -> np.ndarray:
     out[0] = float(-log_norm)
     out[1:] = np.subtract(log_t[:kmax], log_norm, out=log_t[:kmax])
     out.setflags(write=False)
+    tables[kmax] = out
     return out
 
 
@@ -267,18 +276,12 @@ for _i, _j in enumerate(_GAUSS_IDX):
 _MAX_DEPTH = 60
 
 
-def _abs_norm(v) -> float:
-    if isinstance(v, np.ndarray):
-        return float(np.abs(v).sum())
-    return abs(v)
-
-
-def pointwise_rule(fn: Callable, norm: Callable = _abs_norm) -> Callable:
+def pointwise_rule(fn: Callable) -> Callable:
     """Rule integrand of a pointwise integrand fn(u) -> float or ndarray.
 
     Evaluates fn node by node and sums in node order, so the integral and the
-    error estimate are bit for bit those of a node-by-node integrator.  norm
-    maps the defect (a value of fn's shape) to a scalar; it may overwrite it.
+    error estimate are bit for bit those of a node-by-node integrator.  The
+    defect is sized by its absolute value, or by its L1 norm for an ndarray.
     """
 
     def rule(points, wk, wd):
@@ -292,7 +295,9 @@ def pointwise_rule(fn: Callable, norm: Callable = _abs_norm) -> Callable:
             else:
                 acc_k += wk[i] * v
                 acc_d += wd[i] * v
-        return acc_k, norm(acc_d)
+        if isinstance(acc_d, np.ndarray):
+            return acc_k, float(np.abs(acc_d).sum())
+        return acc_k, abs(acc_d)
 
     return rule
 
@@ -312,7 +317,7 @@ def adaptive_gauss_kronrod(
     ndarray of one shape throughout), and defect, a non-negative scalar size
     of sum_i wd[i] f(points[i]), the Kronrod-minus-Gauss difference.  How a
     rule evaluates its nodes is its own affair (the state sweep stacks them);
-    a pointwise f(u) goes through pointwise_rule(f, norm).
+    a pointwise f(u) goes through pointwise_rule(f).
 
     The interval with the largest defect is bisected until the summed
     defects meet abs_tol.  Returns (integral, error_estimate).  The defect is

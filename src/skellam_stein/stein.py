@@ -296,14 +296,13 @@ def _sweep(
     state; otherwise it covers the product grid 0..nx-1 times 0..ny-1 as an
     (nx, ny, K) view of the (ny, nx, K) integral.
 
-    Each Gauss-Kronrod rule is one integrand call.  On the grid the rule's
-    15 node bases are stacked in one frame over the part of the window the
-    rule reaches, and kernels.sweep_accumulate adds the rule straight into
-    its Kronrod and defect accumulators, so no per-node state tensor is
-    built; at order 0 the stationary row is subtracted once per rule,
-    weighted by the summed node coefficients.  A single state convolves
-    each node's base with its two binomials and sums node by node
-    (special.pointwise_rule).
+    Each Gauss-Kronrod rule is one integrand call.  The rule's 15 node
+    bases are stacked in one frame over the part of the window the rule
+    reaches, and kernels.sweep_accumulate adds the rule straight into its
+    Kronrod and defect accumulators, so no per-node state tensor is built;
+    at order 0 the stationary row is subtracted once per rule, weighted by
+    the summed node coefficients.  A single state is a 1x1 grid whose node
+    bases already carry its binomials Bin(x, u) and -Bin(y, u).
 
     SWEEP_TENSOR_CAP bounds one accumulator (states x window floats) and is
     checked before any node is evaluated (ResourceLimitError).  It is not
@@ -342,6 +341,10 @@ def _sweep(
     else:
         pi_row = None
 
+    if single_state is not None:
+        sx, sy = single_state
+        nx = ny = 1  # the node bases carry the state; the kernel sees a 1x1 grid
+
     def node_base(u) -> tuple[int, np.ndarray]:
         """(window offset, signed base) of the node at u."""
         grown = 1.0 - u
@@ -350,55 +353,38 @@ def _sweep(
         base = np.convolve(pa.probabilities, pb.probabilities[::-1])
         k0 = pa.min_support - pb.max_support
         tk0, t_arr = _difference_base(k0, base, order, coords)
+        if single_state is not None:
+            if sx:
+                t_arr = np.convolve(t_arr, binomial_thin_dist(sx, u).probabilities)
+            if sy:
+                t_arr = np.convolve(t_arr, binomial_thin_dist(sy, u).probabilities[::-1])
+            tk0 -= sy
         return tk0 - lo, t_arr
 
-    if single_state is not None:
-        sx, sy = single_state
-
-        def state_node(u) -> np.ndarray:
-            off0, v = node_base(u)
-            weight = u ** (order - 1)
-            if sx:
-                v = np.convolve(v, binomial_thin_dist(sx, u).probabilities)
-            if sy:
-                v = np.convolve(v, binomial_thin_dist(sy, u).probabilities[::-1])
-            out = np.zeros(size)
-            start = off0 - sy
-            if start < 0 or start + v.size > size:
-                raise RuntimeError("node window escaped the global window")
-            out[start : start + v.size] = weight * v
-            if pi_row is not None:
-                out -= weight * pi_row
-            return out
-
-        rule_fn = pointwise_rule(state_node, _max_state_l1)
-    else:
-
-        def rule_fn(points, wk, wd):
-            offsets, bases = zip(*(node_base(u) for u in points))
-            # The window indices any node reaches at any state of the grid.
-            start = min(offsets) - (ny - 1)
-            stop = max(o + b.size for o, b in zip(offsets, bases)) + nx - 1
-            if start < 0 or stop > size:
-                raise RuntimeError("node window escaped the global window")
-            weights = points ** (order - 1)
-            coef = np.stack((wk * weights, wd * weights))
-            acc_k = np.zeros((ny, nx, size))
-            acc_d = np.zeros((ny, nx, size))
-            frame = kernels.stack_bases(
-                bases, [o - start for o in offsets], nx, stop - start
-            )
-            kernels.sweep_accumulate(
-                acc_k[:, :, start:stop], frame, points, coef, acc_d[:, :, start:stop]
-            )
-            if pi_row is not None:
-                acc_k -= coef[0].sum() * pi_row
-                acc_d -= coef[1].sum() * pi_row
-            return acc_k, _max_state_l1(acc_d)
+    def rule_fn(points, wk, wd):
+        offsets, bases = zip(*(node_base(u) for u in points))
+        # The window indices any node reaches at any state of the grid.
+        start = min(offsets) - (ny - 1)
+        stop = max(o + b.size for o, b in zip(offsets, bases)) + nx - 1
+        if start < 0 or stop > size:
+            raise RuntimeError("node window escaped the global window")
+        weights = points ** (order - 1)
+        coef = np.stack((wk * weights, wd * weights))
+        acc_k = np.zeros((ny, nx, size))
+        acc_d = np.zeros((ny, nx, size))
+        frame = kernels.stack_bases(
+            bases, [o - start for o in offsets], nx, stop - start
+        )
+        kernels.sweep_accumulate(
+            acc_k[:, :, start:stop], frame, points, coef, acc_d[:, :, start:stop]
+        )
+        if pi_row is not None:
+            acc_k -= coef[0].sum() * pi_row
+            acc_d -= coef[1].sum() * pi_row
+        return acc_k, _max_state_l1(acc_d)
 
     tensor, quad_err = adaptive_gauss_kronrod(rule_fn, 0.0, 1.0, quad_tol)
-    if single_state is None:
-        tensor = tensor.transpose(1, 0, 2)
+    tensor = tensor[0, 0] if single_state is not None else tensor.transpose(1, 0, 2)
     slack = quad_err + 50.0 * node_tol
     return _SweepResult(lo, tensor, slack)
 
@@ -536,8 +522,9 @@ def _exact_stein_factor_cached(
     n = grid_max + 1
     coords = (1,) * order
     res = _sweep(params, order, coords, n, n, quad_tol)
-    pos = np.where(res.tensor > 0, res.tensor, 0.0).sum(axis=2)
-    neg = np.where(res.tensor < 0, -res.tensor, 0.0).sum(axis=2)
+    part = np.maximum(res.tensor, 0.0)  # one scratch tensor serves both signs
+    pos = part.sum(axis=2)
+    neg = np.maximum(np.negative(res.tensor, out=part), 0.0, out=part).sum(axis=2)
     per_state = np.maximum(pos, neg)
     idx = np.unravel_index(int(per_state.argmax()), per_state.shape)
     rim_max = max(float(per_state[-1, :].max()), float(per_state[:, -1].max()))

@@ -197,6 +197,15 @@ def test_verify_graph_oversized_n_refused(capsys, tmp_path, source):
     assert "exact mode supports n <= 100000" in err
 
 
+@pytest.mark.parametrize("n", [2.7, True, float("inf")])
+def test_verify_graph_model_non_integral_n_refused(capsys, tmp_path, n):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"n": n, "p": 0.3, "r": 0.1, "s": 0.05}))
+    code, out, err = run_cli(capsys, "verify", "graph", "--model", str(path))
+    assert (code, out) == (2, "")
+    assert '"n" must be a whole number' in err
+
+
 def test_dist_sample_oversized_n_refused(capsys):
     code, out, err = run_cli(capsys, "dist", "sample", "--l1", "1", "--l2", "1",
                              "--n", "1000000000000")

@@ -7,7 +7,7 @@ import scipy.special as sps
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skellam_stein import stein
+from skellam_stein import kernels, stein
 from skellam_stein.dists import IntegerDist, ResourceLimitError, tv_distance
 from skellam_stein.skellam import SkellamParams, to_dist
 from skellam_stein.special import poisson_dist
@@ -291,6 +291,24 @@ def test_factor_runs_one_sweep_per_order(monkeypatch):
         assert res.value == results[(order, ALL_TUPLES[order][0])].value
     assert exact_stein_factor(params, 2, (2, 1), 6, QUAD_TOL).coords == (1, 2)
     assert len(calls) == 2
+
+
+def test_single_state_sweeps_run_the_rule_kernel(monkeypatch):
+    """A single state is a 1x1 grid of the one stacked-rule kernel."""
+    shapes = []
+    real_kernel = kernels.sweep_accumulate
+
+    def counting_kernel(acc_k, frame, u, coef, acc_d):
+        shapes.append((acc_k.shape[:2], frame.shape[:2]))
+        return real_kernel(acc_k, frame, u, coef, acc_d)
+
+    monkeypatch.setattr(kernels, "sweep_accumulate", counting_kernel)
+    params = SkellamParams(1.5, 2.5)
+    stein_solution(params, TestSet.geq(1), (2, 3), QUAD_TOL)
+    solution_calls = len(shapes)
+    difference_kernel(params, 2, (1, 2), (3, 1), QUAD_TOL)
+    assert 0 < solution_calls < len(shapes)
+    assert set(shapes) == {((1, 1), (15, 1))}
 
 
 def test_factor_grid_saturation_flag():
