@@ -1,5 +1,5 @@
-"""Finite-support integer distributions: exact convolution, negation,
-empirical histograms, and total variation with tracked truncation slack.
+"""Finite-support integer distributions: greedy pmf windows, exact convolution,
+negation, empirical histograms, and total variation with tracked truncation slack.
 
 An :class:`IntegerDist` is the common currency for exact computation: a
 probability vector on a contiguous integer window plus the mass that the
@@ -19,7 +19,7 @@ from . import kernels
 
 MASS_ATOL = 1e-9         # |sum + tail - 1| tolerated on construction
 DIRECT_CONV_LIMIT = 4096  # windows below this convolve by the direct kernel
-CONV_WINDOW_CAP = 10**7   # combined output window cap for convolve
+WINDOW_CAP = 10**7        # points in any pmf span, convolution output or sample batch
 
 
 class ResourceLimitError(RuntimeError):
@@ -115,10 +115,7 @@ def convolve(d1: IntegerDist, d2: IntegerDist) -> IntegerDist:
     """Exact law of the sum of independent draws; tail masses combine."""
     n1, n2 = d1.probabilities.size, d2.probabilities.size
     n_out = n1 + n2 - 1
-    if n_out > CONV_WINDOW_CAP:
-        raise ResourceLimitError(
-            f"convolution window {n_out} exceeds cap {CONV_WINDOW_CAP}"
-        )
+    check_window_size(n_out, "convolution window")
     if max(n1, n2) < DIRECT_CONV_LIMIT:
         probs = kernels.convolve(d1.probabilities, d2.probabilities)
     else:
@@ -126,6 +123,65 @@ def convolve(d1: IntegerDist, d2: IntegerDist) -> IntegerDist:
     # mass not captured: 1 - (1 - t1)(1 - t2)
     tail = d1.tail_mass + d2.tail_mass - d1.tail_mass * d2.tail_mass
     return IntegerDist(d1.min_support + d2.min_support, probs, tail)
+
+
+def unimodal_window(span, center: int, sd: float, tail_tol: float) -> IntegerDist:
+    """Window of a unimodal pmf (standard deviation sd) holding >= 1 - tail_tol.
+
+    span(a, b) returns the pmf on a..b as a list.  Greedy expansion from
+    center takes the larger next value (the left one on a tie), so it ends
+    with a near-minimal window.  The span is evaluated on center +- (8 sd + 12)
+    and extended by sd + 12 on a side only when the expansion runs off it;
+    a span above WINDOW_CAP points raises ResourceLimitError.
+    """
+    # A 1e-12 tail sits within about 7 sd of the mean, or a few points of it.
+    half = int(8.0 * sd) + 12
+    check_window_size(2 * half + 1, "pmf span")
+    a, b = center - half, center + half  # p[i] = P(X = a + i) on [a, b]
+    p = span(a, b)
+    # Short steps: a span costs more the farther it reaches (Bessel table
+    # sizes, ratio steps from the mode).
+    step = int(sd) + 12
+    # Compensated summation: plain accumulation can stall short of targets
+    # near 1 - 1e-12 once windows reach thousands of terms.
+    total, comp = p[half], 0.0
+    lo = hi = center
+    target = 1.0 - tail_tol
+    # Past +-12 sd the true remaining mass is below 1e-30; any further gap
+    # is float64 bias in the window values, so chasing it only widens the
+    # window.  The honest residual is reported as tail mass.
+    width_cap = int(24.0 * sd) + 100
+    while total < target:
+        if hi - lo >= width_cap:
+            break
+        if lo == a:
+            check_window_size(b - a + 1 + step, "pmf span")
+            p[:0] = span(a - step, a - 1)
+            a -= step
+        if hi == b:
+            check_window_size(b - a + 1 + step, "pmf span")
+            p += span(b + 1, b + step)
+            b += step
+        next_lo, next_hi = p[lo - 1 - a], p[hi + 1 - a]
+        if next_lo == 0.0 and next_hi == 0.0:
+            break
+        if next_lo >= next_hi:
+            lo -= 1
+            add = next_lo
+        else:
+            hi += 1
+            add = next_hi
+        y = add - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+    return IntegerDist(lo, np.array(p[lo - a : hi - a + 1]), max(0.0, 1.0 - total))
+
+
+def check_window_size(points: int, what: str) -> None:
+    """Refuse a window, span or batch of more than WINDOW_CAP points."""
+    if points > WINDOW_CAP:
+        raise ResourceLimitError(f"{what} of {points} points exceeds cap {WINDOW_CAP}")
 
 
 def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -15,9 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import special
-from .dists import IntegerDist, ResourceLimitError, negate
-
-_WINDOW_CAP = 10**7
+from .dists import IntegerDist, check_window_size, negate, unimodal_window
 
 
 @dataclass(frozen=True)
@@ -101,73 +99,24 @@ def moments(params: SkellamParams) -> tuple[float, float]:
 def to_dist(params: SkellamParams, tail_tol: float = 1e-12) -> IntegerDist:
     """Window around the mean capturing at least 1 - tail_tol of the mass.
 
-    The pmf is unimodal, so two-sided greedy expansion from round(mean)
-    terminates with a near-minimal window.  The pmf is evaluated as one
-    array on a span around the mean, extended a step at a time only where
-    the expansion runs off it.  Raises ResourceLimitError when the span
-    would exceed the window cap.
+    The pmf is unimodal: dists.unimodal_window expands greedily from
+    round(mean) over pmf_array values, and a zero rate leaves a
+    special.poisson_dist window.  Raises ResourceLimitError when the span
+    would exceed dists.WINDOW_CAP points.
     """
     if not 0.0 < tail_tol < 1.0:
         raise ValueError("tail_tol must lie in (0, 1)")
     l1, l2 = params.lambda1, params.lambda2
     if l1 == 0.0 and l2 == 0.0:
         return IntegerDist.point_mass(0)
-    sd = math.sqrt(params.total)
-    # A 1e-12 tail sits within about 7 sd of the mean, or a few points of it.
-    half = int(8.0 * sd) + 12
-    _check_span(2 * half + 1)
     if l2 == 0.0:
         return special.poisson_dist(l1, tail_tol)
     if l1 == 0.0:
         return negate(special.poisson_dist(l2, tail_tol))
-    center = int(round(l1 - l2))
-    a, b = center - half, center + half  # p[i] = P(X = a + i) on [a, b]
-    p = _pmf_span(params, a, b)
-    # Short steps: the span's far ends decide which Bessel tables get built.
-    step = int(sd) + 12
-    # Compensated summation: plain accumulation can stall short of targets
-    # near 1 - 1e-12 once windows reach thousands of terms.
-    total, comp = p[half], 0.0
-    lo = hi = center
-    target = 1.0 - tail_tol
-    # Past +-12 sd the true remaining mass is below 1e-30; any further gap
-    # is float64 bias in the window values, so chasing it only widens the
-    # window.  The honest residual is reported as tail mass.
-    width_cap = int(24.0 * sd) + 100
-    while total < target:
-        if hi - lo >= width_cap:
-            break
-        if lo == a:
-            _check_span(b - a + 1 + step)
-            p[:0] = _pmf_span(params, a - step, a - 1)
-            a -= step
-        if hi == b:
-            _check_span(b - a + 1 + step)
-            p += _pmf_span(params, b + 1, b + step)
-            b += step
-        next_lo, next_hi = p[lo - 1 - a], p[hi + 1 - a]
-        if next_lo == 0.0 and next_hi == 0.0:
-            break
-        if next_lo >= next_hi:
-            lo -= 1
-            add = next_lo
-        else:
-            hi += 1
-            add = next_hi
-        y = add - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return IntegerDist(lo, np.array(p[lo - a : hi - a + 1]), max(0.0, 1.0 - total))
-
-
-def _pmf_span(params: SkellamParams, lo: int, hi: int) -> list[float]:
-    return pmf_array(params, np.arange(lo, hi + 1)).tolist()
-
-
-def _check_span(points: int) -> None:
-    if points > _WINDOW_CAP:
-        raise ResourceLimitError(f"pmf span of {points} points exceeds cap {_WINDOW_CAP}")
+    return unimodal_window(
+        lambda a, b: pmf_array(params, np.arange(a, b + 1)).tolist(),
+        int(round(l1 - l2)), math.sqrt(params.total), tail_tol,
+    )
 
 
 def cdf(params: SkellamParams, k: int, tail_tol: float = 1e-12) -> float:
@@ -184,8 +133,7 @@ def sample(params: SkellamParams, rng: np.random.Generator, count: int) -> np.nd
     """Difference of two independent Poisson draws per sample; count <= 10^7."""
     if count < 0:
         raise ValueError("count must be non-negative")
-    if count > _WINDOW_CAP:
-        raise ResourceLimitError(f"sample count {count} exceeds cap {_WINDOW_CAP}")
+    check_window_size(count, "sample")
     a = rng.poisson(params.lambda1, count).astype(np.int64)
     b = rng.poisson(params.lambda2, count).astype(np.int64)
     return a - b

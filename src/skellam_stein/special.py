@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dists import IntegerDist
+from .dists import IntegerDist, unimodal_window
 
 MAX_EXP = 709.782712893384  # largest x with exp(x) finite in float64
 _SERIES_X_MAX = 30.0
@@ -173,8 +173,8 @@ def bessel_i(order: int, x: float, scaled: bool = False) -> float:
 def poisson_dist(lam: float, tail_tol: float = 1e-12) -> IntegerDist:
     """Poisson(lam) on a window holding at least 1 - tail_tol of the mass.
 
-    Probabilities follow ratio recursion outward from the mode, so no
-    factorials are formed and relative accuracy is uniform over the window.
+    dists.unimodal_window expands it greedily from the mode over
+    _poisson_span values; lam above about 3.9e11 raises ResourceLimitError.
     """
     if lam < 0:
         raise ValueError("rate must be non-negative")
@@ -182,40 +182,28 @@ def poisson_dist(lam: float, tail_tol: float = 1e-12) -> IntegerDist:
         raise ValueError("tail_tol must lie in (0, 1)")
     if lam == 0.0:
         return IntegerDist.point_mass(0)
+    return unimodal_window(
+        lambda a, b: _poisson_span(lam, a, b), int(lam), math.sqrt(lam), tail_tol
+    )
+
+
+def _poisson_span(lam: float, a: int, b: int) -> list[float]:
+    """Poisson(lam) pmf on a..b by ratio steps outward from the mode.
+
+    No factorials are formed, so relative accuracy is uniform over the span,
+    and a value is bit for bit the same whichever span asks for it.
+    """
     mode = int(lam)
-    log_pm = mode * math.log(lam) - lam - math.lgamma(mode + 1)
-    pm = math.exp(log_pm)
-    left = []   # mode-1, mode-2, ...
-    right = []  # mode+1, mode+2, ...
-    # Kahan summation: the captured-mass target can sit below the plain
-    # float-sum error once windows reach thousands of terms.
-    total, comp = pm, 0.0
-    lo_p, lo_k = pm, mode   # frontier value/index on the left
-    hi_p, hi_k = pm, mode   # frontier value/index on the right
-    target = 1.0 - tail_tol
-    # Past +-12 sd any remaining gap is float64 bias, not real mass.
-    width_cap = int(24.0 * math.sqrt(lam)) + 100
-    while total < target:
-        next_lo = lo_p * lo_k / lam if lo_k > 0 else 0.0
-        next_hi = hi_p * lam / (hi_k + 1)
-        if next_lo == 0.0 and next_hi == 0.0:
-            break
-        if hi_k - lo_k >= width_cap:
-            break
-        if next_lo >= next_hi and lo_k > 0:
-            lo_p, lo_k = next_lo, lo_k - 1
-            left.append(lo_p)
-            add = lo_p
-        else:
-            hi_p, hi_k = next_hi, hi_k + 1
-            right.append(hi_p)
-            add = hi_p
-        y = add - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    probs = np.array(left[::-1] + [pm] + right)
-    return IntegerDist(lo_k, probs, max(0.0, 1.0 - total))
+    p = q = math.exp(mode * math.log(lam) - lam - math.lgamma(mode + 1))
+    left, right = [], [q]  # mode - 1, ..., max(a, 0) and mode, ..., b
+    for k in range(mode, max(a, 0), -1):
+        p = p * k / lam
+        left.append(p)
+    for k in range(mode + 1, b + 1):
+        q = q * lam / k
+        right.append(q)
+    start = min(a, mode)  # where the zeros below 0, left and right begin
+    return ([0.0] * -min(a, 0) + left[::-1] + right)[a - start : b - start + 1]
 
 
 def binomial_thin_dist(n: int, q: float) -> IntegerDist:

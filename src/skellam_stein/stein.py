@@ -321,18 +321,23 @@ def _sweep(
     pois_tol = node_tol / 8.0
     l1, l2 = params.lambda1, params.lambda2
 
+    def check_size(size: int) -> None:
+        cells = size if single_state is not None else nx * ny * size
+        if cells > SWEEP_TENSOR_CAP:
+            raise ResourceLimitError(
+                f"sweep tensor of {nx}x{ny} states by at least {size} points "
+                f"exceeds cap {SWEEP_TENSOR_CAP} floats"
+            )
+
+    # Windows hold their modes: a floor on the size, before any is built.
+    margin = 8
+    check_size(int(l1) + int(l2) + nx + ny + 2 * margin + 3)
     pa_full = poisson_dist(l1, pois_tol)
     pb_full = poisson_dist(l2, pois_tol)
-    margin = 8
     lo = -pb_full.max_support - 2 - (ny - 1) - margin
     hi = pa_full.max_support + 2 + (nx - 1) + margin
     size = hi - lo + 1
-    cells = size if single_state is not None else nx * ny * size
-    if cells > SWEEP_TENSOR_CAP:
-        raise ResourceLimitError(
-            f"sweep tensor of {nx}x{ny} states by {size} points exceeds cap "
-            f"{SWEEP_TENSOR_CAP} floats"
-        )
+    check_size(size)
 
     if order == 0:
         pi = to_dist(params, pois_tol)
@@ -392,7 +397,7 @@ def _sweep(
 # ---------------------------------------------------------------------------
 # Solutions of the Stein equation.
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=1)
 def _solution_kernel_grid(
     params: SkellamParams, nx: int, ny: int, quad_tol: float
 ) -> _SweepResult:
@@ -418,8 +423,9 @@ def stein_solution_grid(
 ) -> np.ndarray:
     """h_f on the grid 0..xmax times 0..ymax as an array; shares one sweep.
 
-    The underlying state kernels are cached per (params, grid, quad_tol),
-    so evaluating many test functions on one grid costs one integration.
+    Only the latest (params, grid, quad_tol)'s state kernels (up to
+    SWEEP_TENSOR_CAP floats) are cached: many test functions on one grid
+    cost one integration.
     """
     res = _solution_kernel_grid(params, xmax + 1, ymax + 1, quad_tol)
     ind = f.indicator(res.lo, res.tensor.shape[-1])

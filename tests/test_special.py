@@ -1,5 +1,6 @@
 import heapq
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -8,6 +9,7 @@ import scipy.special as sps
 import scipy.stats as sstats
 
 from skellam_stein import SkellamParams
+from skellam_stein.dists import ResourceLimitError
 from skellam_stein.special import (
     _GK_NODES,
     _GK_WDIFF,
@@ -151,6 +153,68 @@ def test_poisson_window_against_reference():
         ref = sstats.poisson.pmf(ks, lam)
         assert np.max(np.abs(d.probabilities - ref)) < 1e-13
         assert d.mean() == pytest.approx(lam, abs=1e-9 + 1e-9 * lam)
+
+
+def _poisson_ratio_loop(lam, tail_tol):
+    """Self-contained greedy ratio loop for a Poisson window: the reference
+    poisson_dist must match bit for bit (window, values and tail)."""
+    mode = int(lam)
+    log_pm = mode * math.log(lam) - lam - math.lgamma(mode + 1)
+    pm = math.exp(log_pm)
+    left = []   # mode-1, mode-2, ...
+    right = []  # mode+1, mode+2, ...
+    # Kahan summation: the captured-mass target can sit below the plain
+    # float-sum error once windows reach thousands of terms.
+    total, comp = pm, 0.0
+    lo_p, lo_k = pm, mode   # frontier value/index on the left
+    hi_p, hi_k = pm, mode   # frontier value/index on the right
+    target = 1.0 - tail_tol
+    # Past +-12 sd any remaining gap is float64 bias, not real mass.
+    width_cap = int(24.0 * math.sqrt(lam)) + 100
+    while total < target:
+        next_lo = lo_p * lo_k / lam if lo_k > 0 else 0.0
+        next_hi = hi_p * lam / (hi_k + 1)
+        if next_lo == 0.0 and next_hi == 0.0:
+            break
+        if hi_k - lo_k >= width_cap:
+            break
+        if next_lo >= next_hi and lo_k > 0:
+            lo_p, lo_k = next_lo, lo_k - 1
+            left.append(lo_p)
+            add = lo_p
+        else:
+            hi_p, hi_k = next_hi, hi_k + 1
+            right.append(hi_p)
+            add = hi_p
+        y = add - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+    probs = np.array(left[::-1] + [pm] + right)
+    return lo_k, probs, max(0.0, 1.0 - total)
+
+
+def test_poisson_window_bit_identical_to_ratio_loop():
+    rng = np.random.default_rng(20261018)
+    lams = np.exp(rng.uniform(math.log(1e-4), math.log(2e5), 100))
+    for lam in [float(v) for v in lams] + [1.0, 7.0, 7.5]:
+        for tol in (1e-10, 1.25e-11, 1e-12, 1e-15):
+            d = poisson_dist(lam, tol)
+            lo, probs, tail = _poisson_ratio_loop(lam, tol)
+            assert d.min_support == lo, (lam, tol)
+            assert d.probabilities.tobytes() == probs.tobytes(), (lam, tol)
+            assert d.tail_mass == tail, (lam, tol)
+
+
+def test_poisson_window_above_cap_refused_before_building():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="exceeds cap"):
+            poisson_dist(4e11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_poisson_degenerate():

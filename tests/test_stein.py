@@ -1,5 +1,7 @@
 import math
 import time
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -334,6 +336,28 @@ def test_sweep_tensor_beyond_cap_fails_fast():
     with pytest.raises(ResourceLimitError):
         stein_solution_grid(params, TestSet.geq(0), 2000, 2000)
     assert time.perf_counter() - start < 1.0
+
+
+def test_oversized_sweep_refused_before_windows_are_built():
+    params = SkellamParams(1e10, 1.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            exact_stein_factor(params, 1, (1,))
+        with pytest.raises(ResourceLimitError):
+            stein_solution_grid(params, TestSet.geq(0), 2, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_solution_kernels_of_an_earlier_rate_pair_are_released():
+    tensor = stein._solution_kernel_grid(SkellamParams(1.0, 2.0), 3, 3, QUAD_TOL).tensor
+    released = weakref.ref(tensor)
+    del tensor
+    stein_solution_grid(SkellamParams(2.0, 1.0), TestSet.geq(0), 2, 2, QUAD_TOL)
+    assert released() is None
 
 
 def test_default_state_grid_policy():
