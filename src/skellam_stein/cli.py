@@ -2,6 +2,10 @@
 
 Output formats share one float rendering (shortest round-trip repr), so the
 same table printed as csv and as json carries identical digit strings.
+The json record is byte for byte what ``json.dump(record, out, indent=2)``
+writes, but ``jsonwriter`` streams it: lists and 1-D arrays go out in blocks
+of a few thousand items, never as one whole-record string or one write per
+token.
 Every record echoes the tool version, command, resolved parameters, seed,
 and tolerances; deterministic commands reproduce bit-for-bit from a record.
 """
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__, haar_spillover, noisy_graph
+from . import __version__, haar_spillover, jsonwriter, noisy_graph
 from .dists import ResourceLimitError
 from .skellam import SkellamParams, moments, pmf, sample, to_dist
 from .special import QuadratureError
@@ -82,22 +86,23 @@ def _flat_meta(config: RunConfig) -> list[tuple[str, object]]:
 
 
 def render(config: RunConfig, results: dict, rows, out) -> None:
-    results = _native(results)
-    rows = _native(rows)
     if config.output_format == "json":
         doc = {
             "version": __version__,
             "command": config.command,
-            "params": _native(config.params),
+            "params": config.params,
             "seed": config.seed,
-            "tolerances": _native(config.tolerances),
+            "tolerances": config.tolerances,
             "results": results,
         }
         if rows is not None:
             doc["rows"] = rows
-        json.dump(doc, out, indent=2)
+        jsonwriter.dump(doc, out)
         out.write("\n")
-    elif config.output_format == "csv":
+        return
+    results = _native(results)
+    rows = _native(rows)
+    if config.output_format == "csv":
         for key, value in _flat_meta(config):
             out.write(f"# {key}={_fmt(_native(value))}\n")
         table = rows if rows is not None else [results]
@@ -175,8 +180,8 @@ def _cmd_dist_table(args):
         "variance": variance,
     }
     rows = [
-        {"k": dist.min_support + i, "pmf": float(p)}
-        for i, p in enumerate(dist.probabilities)
+        {"k": k, "pmf": p}
+        for k, p in enumerate(dist.probabilities.tolist(), dist.min_support)
     ]
     return config, results, rows, EXIT_OK
 
@@ -504,7 +509,15 @@ def main(argv=None) -> int:
             json.JSONDecodeError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    render(config, results, rows, sys.stdout)
+    try:
+        render(config, results, rows, sys.stdout)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has closed the pipe (`... | head`): stop writing, and
+        # point stdout at devnull so the flush at interpreter exit succeeds.
+        import os
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

@@ -182,28 +182,41 @@ def poisson_dist(lam: float, tail_tol: float = 1e-12) -> IntegerDist:
         raise ValueError("tail_tol must lie in (0, 1)")
     if lam == 0.0:
         return IntegerDist.point_mass(0)
-    return unimodal_window(
-        lambda a, b: _poisson_span(lam, a, b), int(lam), math.sqrt(lam), tail_tol
-    )
+    return unimodal_window(_poisson_span(lam), int(lam), math.sqrt(lam), tail_tol)
 
 
-def _poisson_span(lam: float, a: int, b: int) -> list[float]:
-    """Poisson(lam) pmf on a..b by ratio steps outward from the mode.
+def _poisson_span(lam: float):
+    """span(a, b) giving the Poisson(lam) pmf on a..b by ratio steps.
 
-    No factorials are formed, so relative accuracy is uniform over the span,
-    and a value is bit for bit the same whichever span asks for it.
+    The first span holds the mode, whose value is walked outward with
+    p * k / lam to the left and q * lam / k to the right; each later span
+    adjoins the ones before and continues the walk from that end's value.
+    So no step is taken twice, and each value is bit for bit the one a
+    single walk from the mode gives.  No factorials are formed, so relative
+    accuracy is uniform over the span.
     """
     mode = int(lam)
     p = q = math.exp(mode * math.log(lam) - lam - math.lgamma(mode + 1))
-    left, right = [], [q]  # mode - 1, ..., max(a, 0) and mode, ..., b
-    for k in range(mode, max(a, 0), -1):
-        p = p * k / lam
-        left.append(p)
-    for k in range(mode + 1, b + 1):
-        q = q * lam / k
-        right.append(q)
-    start = min(a, mode)  # where the zeros below 0, left and right begin
-    return ([0.0] * -min(a, 0) + left[::-1] + right)[a - start : b - start + 1]
+    lo = hi = mode  # walked k range; p = pmf(lo) and q = pmf(hi)
+    middle = [p]  # the mode's value, returned by the first span only
+
+    def span(a: int, b: int) -> list[float]:
+        nonlocal p, q, lo, hi, middle
+        left, right = [], []  # max(a, 0)..lo - 1 reversed, and hi + 1..b
+        for k in range(lo, max(a, 0), -1):
+            p = p * k / lam
+            left.append(p)
+        for k in range(hi + 1, b + 1):
+            q = q * lam / k
+            right.append(q)
+        lo, hi = min(lo, max(a, 0)), max(hi, b)
+        values = [0.0] * max(0, min(b, -1) - a + 1) + left[::-1] + middle + right
+        middle = []
+        if len(values) != b - a + 1:
+            raise ValueError(f"span {a}..{b} does not adjoin the walked {lo}..{hi}")
+        return values
+
+    return span
 
 
 def binomial_thin_dist(n: int, q: float) -> IntegerDist:

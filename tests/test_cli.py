@@ -4,11 +4,15 @@ import math
 import os
 import subprocess
 import sys
+from unittest import mock
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from skellam_stein import cli
+from skellam_stein import cli, jsonwriter
 from skellam_stein.cli import main
 
 
@@ -227,6 +231,24 @@ def test_fresh_process_byte_identical():
 
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_closed_output_pipe_ends_quietly_with_the_command_code(fmt):
+    """`dist table ... | head -2`: the reader closes the pipe long before the
+    record (about 200 KB) ends.  The command stops writing without a
+    traceback and exits with its own code, not the bound-violated 1."""
+    args = [sys.executable, "-m", "skellam_stein.cli", "dist", "table",
+            "--l1", "3e5", "--l2", "2e5", "--format", fmt]
+    proc = subprocess.Popen(args, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    head = [proc.stdout.readline() for _ in range(2)]
+    proc.stdout.close()
+    code = proc.wait(timeout=120)
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert head[0] in (b"# version=" + cli.__version__.encode() + b"\n", b"{\n")
+    assert err == b""
+    assert code == 0
+
+
 @pytest.mark.parametrize("rates, order", [(("3.7", "8.3"), "2"), (("20", "20"), "1")])
 def test_stein_factors_independent_of_thread_count(rates, order):
     """The sweep's stacked-node contraction is a BLAS product; its record
@@ -244,16 +266,34 @@ def test_stein_factors_independent_of_thread_count(rates, order):
 
 def _native_recursive(value):
     """The recursive conversion `cli._native` used before arrays went
-    straight through `tolist`, kept as the oracle."""
+    straight through `tolist`, kept as the oracle; a 0-d array converts to
+    its scalar."""
     if isinstance(value, np.generic):
         return value.item()
     if isinstance(value, np.ndarray):
-        return [_native_recursive(v) for v in value.tolist()]
+        return _native_recursive(value.tolist())
     if isinstance(value, (list, tuple)):
         return [_native_recursive(v) for v in value]
     if isinstance(value, dict):
         return {k: _native_recursive(v) for k, v in value.items()}
     return value
+
+
+def _json_oracle(config, results, rows) -> str:
+    """The json record as json.dump(..., indent=2) writes it."""
+    doc = {
+        "version": cli.__version__,
+        "command": config.command,
+        "params": config.params,
+        "seed": config.seed,
+        "tolerances": config.tolerances,
+        "results": results,
+    }
+    if rows is not None:
+        doc["rows"] = rows
+    out = io.StringIO()
+    json.dump(_native_recursive(doc), out, indent=2)
+    return out.getvalue() + "\n"
 
 
 def _render_text(monkeypatch, native, fmt, params, results, rows):
@@ -273,16 +313,103 @@ def test_render_arrays_byte_identical_to_recursive_conversion(monkeypatch, fmt):
     params = {"p": floats, "k": ints, "mask": bools, "grid": grid, "n": np.int64(6)}
     results = {"tv": np.float64(0.125), "ok": np.bool_(True), "values": floats}
     rows = [{"k": np.int64(i), "pmf": floats[i], "pair": grid[i % 2]} for i in range(4)]
-    native = cli._native
-    for rows_arg in (rows, None):
-        new = _render_text(monkeypatch, native, fmt, params, results, rows_arg)
-        old = _render_text(monkeypatch, _native_recursive, fmt, params, results, rows_arg)
-        assert new == old
+    for case in [(params, results, rows), (params, results, None)]:
+        new = _render_text(monkeypatch, cli._native, fmt, *case)
+        if fmt == "json":
+            # The json writer does not go through _native: compare with
+            # json.dump of the recursively converted record.
+            config = cli.RunConfig("render check", case[0], 7, {"tol": np.float64(1e-10)}, fmt)
+            assert new == _json_oracle(config, *case[1:])
+        else:
+            assert new == _render_text(monkeypatch, _native_recursive, fmt, *case)
 
     # The recursion failed on 0-d arrays (it iterated a scalar); tolist now
     # returns their scalar, which renders as the recursive conversion of it.
     zero_d = {"x": np.array(0.1), "i": np.array(3), "b": np.array(False)}
-    new = _render_text(monkeypatch, native, fmt, zero_d, zero_d, None)
     items = {k: v.item() for k, v in zero_d.items()}
-    old = _render_text(monkeypatch, _native_recursive, fmt, items, items, None)
-    assert new == old
+    new = _render_text(monkeypatch, cli._native, fmt, zero_d, zero_d, None)
+    assert new == _render_text(monkeypatch, _native_recursive, fmt, items, items, None)
+
+
+_KEYS = st.one_of(st.text(max_size=4), st.sampled_from(["%s", "%", 'a"b', "\u00e9\n", "k"]))
+_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1, 1e16]),
+)
+_SCALARS = st.one_of(
+    _FLOATS,
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.booleans(),
+    st.none(),
+    st.text(alphabet=st.characters(codec="utf-8"), max_size=6),
+    st.sampled_from(['"q"', "a\nb", "\\", "\u00e9\u4e2d", "%d"]),
+    st.builds(np.float64, _FLOATS),
+    st.builds(np.float32, st.floats(width=32)),
+    st.builds(np.int64, st.integers(min_value=-(2**63), max_value=2**63 - 1)),
+    st.builds(np.bool_, st.booleans()),
+)
+_ARRAYS = hnp.arrays(
+    st.sampled_from([np.float64, np.int64, np.bool_]),
+    hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=5),
+)
+_VALUES = st.recursive(
+    st.one_of(_SCALARS, _ARRAYS, st.lists(_FLOATS, max_size=12)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.dictionaries(_KEYS, inner, max_size=4),
+        st.dictionaries(st.integers(-3, 3), inner, max_size=3),
+    ),
+    max_leaves=12,
+)
+
+
+def _rows_for(keys):
+    flat = st.tuples(*[_SCALARS] * len(keys)).map(lambda vs: dict(zip(keys, vs)))
+    odd = st.one_of(
+        st.tuples(*[_SCALARS] * len(keys)).map(lambda vs: dict(zip(keys[::-1], vs))),
+        st.dictionaries(_KEYS, _VALUES, max_size=3),  # other keys or nested values
+    )
+    return st.lists(st.one_of(flat, flat, odd), max_size=8)
+
+
+_ROWS = st.one_of(
+    st.none(),
+    st.lists(_KEYS, min_size=1, max_size=4, unique=True).flatmap(_rows_for),
+    st.lists(_VALUES, max_size=4),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    params=st.dictionaries(_KEYS, _VALUES, max_size=5),
+    results=st.dictionaries(_KEYS, _VALUES, max_size=5),
+    rows=_ROWS,
+    command=st.text(max_size=8),
+    block=st.sampled_from([1, 3, jsonwriter._BLOCK]),
+)
+def test_render_json_byte_identical_to_json_dump(params, results, rows, command, block):
+    config = cli.RunConfig(command, params, 7, {"tol": np.float64(1e-10)}, "json")
+    out = io.StringIO()
+    with mock.patch.object(jsonwriter, "_BLOCK", block):
+        cli.render(config, results, rows, out)
+    assert out.getvalue() == _json_oracle(config, results, rows)
+
+
+class _WriteSizes(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+def test_render_json_streams_large_arrays_in_bounded_writes():
+    p = np.random.default_rng(3).uniform(0.0, 1.0, 10**5)
+    config = cli.RunConfig("verify graph", {"n": p.size, "p": p}, 0, {}, "json")
+    out = _WriteSizes()
+    cli.render(config, {"tv": 0.5}, None, out)
+    assert sum(out.sizes) > 2 * 10**6  # the whole array went out
+    assert max(out.sizes) <= 2**20
+    assert out.getvalue() == _json_oracle(config, {"tv": 0.5}, None)

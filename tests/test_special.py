@@ -8,8 +8,8 @@ import pytest
 import scipy.special as sps
 import scipy.stats as sstats
 
-from skellam_stein import SkellamParams
-from skellam_stein.dists import ResourceLimitError
+from skellam_stein import SkellamParams, special
+from skellam_stein.dists import ResourceLimitError, unimodal_window
 from skellam_stein.special import (
     _GK_NODES,
     _GK_WDIFF,
@@ -197,13 +197,52 @@ def _poisson_ratio_loop(lam, tail_tol):
 def test_poisson_window_bit_identical_to_ratio_loop():
     rng = np.random.default_rng(20261018)
     lams = np.exp(rng.uniform(math.log(1e-4), math.log(2e5), 100))
-    for lam in [float(v) for v in lams] + [1.0, 7.0, 7.5]:
+    # 2e4 and 1e5 run past the first span, so their windows are walked in
+    # several spans.
+    for lam in [float(v) for v in lams] + [1.0, 7.0, 7.5, 2e4, 1e5]:
         for tol in (1e-10, 1.25e-11, 1e-12, 1e-15):
             d = poisson_dist(lam, tol)
             lo, probs, tail = _poisson_ratio_loop(lam, tol)
             assert d.min_support == lo, (lam, tol)
             assert d.probabilities.tobytes() == probs.tobytes(), (lam, tol)
             assert d.tail_mass == tail, (lam, tol)
+
+
+class _StepCountingRate(float):
+    """A rate that counts the ratio steps p * k / lam and q * lam / k."""
+
+    steps = 0
+
+    def __rtruediv__(self, other):
+        _StepCountingRate.steps += 1
+        return other / float(self)
+
+    def __rmul__(self, other):
+        _StepCountingRate.steps += 1
+        return other * float(self)
+
+
+@pytest.mark.parametrize("lam", [0.3, 40.0, 2e4, 1e5])
+def test_poisson_window_takes_one_ratio_step_per_walked_point(monkeypatch, lam):
+    """Each span extension continues from the walked ends: the ratio steps
+    of a window are the points of its spans at k >= 0, less the mode."""
+    spans = []
+
+    def recording_window(span, center, sd, tail_tol):
+        def recorded(a, b):
+            spans.append((a, b))
+            return span(a, b)
+        return unimodal_window(recorded, center, sd, tail_tol)
+
+    expected = poisson_dist(lam, 1e-12).probabilities.tobytes()
+    monkeypatch.setattr(special, "unimodal_window", recording_window)
+    _StepCountingRate.steps = 0
+    d = special.poisson_dist(_StepCountingRate(lam), 1e-12)
+    assert d.probabilities.tobytes() == expected
+    walked = sum(max(0, b - max(a, 0) + 1) for a, b in spans)
+    assert _StepCountingRate.steps == walked - 1
+    if lam >= 2e4:
+        assert len(spans) > 2  # the window was extended
 
 
 def test_poisson_window_above_cap_refused_before_building():
