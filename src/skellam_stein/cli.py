@@ -4,7 +4,7 @@ Output formats share one float rendering (shortest round-trip repr), so the
 same table printed as csv and as json carries identical digit strings.
 The json record is byte for byte what ``json.dump(record, out, indent=2)``
 writes, but ``jsonwriter`` streams it: lists and 1-D arrays go out in blocks
-of a few thousand items, never as one whole-record string or one write per
+of a few hundred items, never as one whole-record string or one write per
 token.
 Every record echoes the tool version, command, resolved parameters, seed,
 and tolerances; deterministic commands reproduce bit-for-bit from a record.
