@@ -182,7 +182,8 @@ def poisson_dist(lam: float, tail_tol: float = 1e-12) -> IntegerDist:
         raise ValueError("tail_tol must lie in (0, 1)")
     if lam == 0.0:
         return IntegerDist.point_mass(0)
-    return unimodal_window(_poisson_span(lam), int(lam), math.sqrt(lam), tail_tol)
+    # A Python float steps faster than a numpy scalar, to the same bits.
+    return unimodal_window(_poisson_span(float(lam)), int(lam), math.sqrt(lam), tail_tol)
 
 
 def _poisson_span(lam: float):

@@ -223,22 +223,19 @@ class _StepCountingRate(float):
 
 
 @pytest.mark.parametrize("lam", [0.3, 40.0, 2e4, 1e5])
-def test_poisson_window_takes_one_ratio_step_per_walked_point(monkeypatch, lam):
+def test_poisson_window_takes_one_ratio_step_per_walked_point(lam):
     """Each span extension continues from the walked ends: the ratio steps
     of a window are the points of its spans at k >= 0, less the mode."""
     spans = []
+    span = special._poisson_span(_StepCountingRate(lam))
 
-    def recording_window(span, center, sd, tail_tol):
-        def recorded(a, b):
-            spans.append((a, b))
-            return span(a, b)
-        return unimodal_window(recorded, center, sd, tail_tol)
+    def recorded(a, b):
+        spans.append((a, b))
+        return span(a, b)
 
-    expected = poisson_dist(lam, 1e-12).probabilities.tobytes()
-    monkeypatch.setattr(special, "unimodal_window", recording_window)
     _StepCountingRate.steps = 0
-    d = special.poisson_dist(_StepCountingRate(lam), 1e-12)
-    assert d.probabilities.tobytes() == expected
+    d = unimodal_window(recorded, int(lam), math.sqrt(lam), 1e-12)
+    assert d.probabilities.tobytes() == poisson_dist(lam, 1e-12).probabilities.tobytes()
     walked = sum(max(0, b - max(a, 0) + 1) for a, b in spans)
     assert _StepCountingRate.steps == walked - 1
     if lam >= 2e4:
