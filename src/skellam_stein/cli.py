@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import logging
 import math
 import sys
 from dataclasses import dataclass
@@ -41,6 +42,7 @@ from .stein import (
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 @dataclass(frozen=True)
@@ -509,6 +511,11 @@ def main(argv=None) -> int:
             json.JSONDecodeError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        # A defect, not a verdict: exit 1 would read as "bound violated".
+        logging.getLogger("skellam_stein").debug("internal error", exc_info=True)
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     try:
         render(config, results, rows, sys.stdout)
         sys.stdout.flush()

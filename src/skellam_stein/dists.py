@@ -100,14 +100,23 @@ class TVInterval:
 
 def tv_distance(d1: IntegerDist, d2: IntegerDist) -> TVInterval:
     """Total variation over the union window, with slack from the tails."""
-    lo = min(d1.min_support, d2.min_support)
-    hi = max(d1.max_support, d2.max_support)
-    p = np.zeros(hi - lo + 1)
-    q = np.zeros(hi - lo + 1)
-    p[d1.min_support - lo : d1.max_support - lo + 1] = d1.probabilities
-    q[d2.min_support - lo : d2.max_support - lo + 1] = d2.probabilities
+    return tv_interval(
+        d1.min_support, d1.probabilities, d1.tail_mass,
+        d2.min_support, d2.probabilities, d2.tail_mass,
+    )
+
+
+def tv_interval(lo1: int, p1: np.ndarray, tail1: float,
+                lo2: int, p2: np.ndarray, tail2: float) -> TVInterval:
+    """tv_distance of the windows p1 on lo1.. and p2 on lo2.. with those tails."""
+    lo = min(lo1, lo2)
+    hi = max(lo1 + p1.size, lo2 + p2.size)
+    p = np.zeros(hi - lo)
+    q = np.zeros(hi - lo)
+    p[lo1 - lo : lo1 - lo + p1.size] = p1
+    q[lo2 - lo : lo2 - lo + p2.size] = p2
     value = 0.5 * float(np.abs(p - q).sum())
-    slack = 0.5 * (d1.tail_mass + d2.tail_mass)
+    slack = 0.5 * (tail1 + tail2)
     return TVInterval(value, slack)
 
 
@@ -126,7 +135,13 @@ def convolve(d1: IntegerDist, d2: IntegerDist) -> IntegerDist:
 
 
 def unimodal_window(span, center: int, sd: float, tail_tol: float) -> IntegerDist:
-    """Window of a unimodal pmf (standard deviation sd) holding >= 1 - tail_tol.
+    """greedy_window's window as an IntegerDist."""
+    return IntegerDist(*greedy_window(span, center, sd, tail_tol))
+
+
+def greedy_window(span, center: int, sd: float, tail_tol: float) -> tuple[int, np.ndarray, float]:
+    """(lo, p, tail): a window of a unimodal pmf (standard deviation sd)
+    holding >= 1 - tail_tol, p[i] = P(X = lo + i).
 
     span(a, b) returns the pmf on a..b as a list.  Greedy expansion from
     center takes the larger next value (the left one on a tie), so it ends
@@ -134,14 +149,10 @@ def unimodal_window(span, center: int, sd: float, tail_tol: float) -> IntegerDis
     and extended by sd + 12 on a side only when the expansion runs off it;
     a span above WINDOW_CAP points raises ResourceLimitError.
     """
-    # A 1e-12 tail sits within about 7 sd of the mean, or a few points of it.
-    half = int(8.0 * sd) + 12
+    half, step = _span_sizes(sd)
     check_window_size(2 * half + 1, "pmf span")
     a, b = center - half, center + half  # p[i] = P(X = a + i) on [a, b]
     p = span(a, b)
-    # Short steps: a span costs more the farther it reaches (Bessel table
-    # sizes, ratio steps from the mode).
-    step = int(sd) + 12
     # Compensated summation: plain accumulation can stall short of targets
     # near 1 - 1e-12 once windows reach thousands of terms.
     total, comp = p[half], 0.0
@@ -175,7 +186,37 @@ def unimodal_window(span, center: int, sd: float, tail_tol: float) -> IntegerDis
         t = total + y
         comp = (t - total) - y
         total = t
-    return IntegerDist(lo, np.array(p[lo - a : hi - a + 1]), max(0.0, 1.0 - total))
+    return lo, np.array(p[lo - a : hi - a + 1]), max(0.0, 1.0 - total)
+
+
+def span_values(span, center: int, sd: float, lo: int, hi: int) -> np.ndarray:
+    """span's values on lo..hi, taken in greedy_window's spans: first
+    center +- (8 sd + 12), then sd + 12 more points on a side at a time.
+
+    So wherever greedy_window's window over the same span source reaches,
+    the values are its values bit for bit.
+    """
+    half, step = _span_sizes(sd)
+    a, b = center - half, center + half
+    a_end = a - max(0, -((lo - a) // step)) * step
+    b_end = b + max(0, -((b - hi) // step)) * step
+    check_window_size(b_end - a_end + 1, "pmf span")
+    p = span(a, b)
+    while a > lo:
+        p[:0] = span(a - step, a - 1)
+        a -= step
+    while b < hi:
+        p += span(b + 1, b + step)
+        b += step
+    return np.array(p[lo - a : hi - a + 1])
+
+
+def _span_sizes(sd: float) -> tuple[int, int]:
+    """(half, step): the first span is center +- half, each extension step points."""
+    # A 1e-12 tail sits within about 7 sd of the mean, or a few points of it.
+    # Short steps: a span costs more the farther it reaches (ratio
+    # recurrences start above the span's highest order).
+    return int(8.0 * sd) + 12, int(sd) + 12
 
 
 def check_window_size(points: int, what: str) -> None:

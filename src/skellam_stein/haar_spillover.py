@@ -7,6 +7,12 @@ coefficient pos.X - neg.X and its observed counterpart are each a
 difference of two independent Poisson sums, so both are Skellam with
 closed-form rates.  This module computes both laws, the exact TV between
 them, the closed-form bound on that TV, and simulation cross-checks.
+
+A model's four window sums are correctly rounded (math.fsum), so they do
+not depend on the order a BLAS build sums in.  The sweep over every dyadic
+window runs scale by scale: window sums over slices, bounds as arrays, and
+the Skellam windows of up to 256 windows from one skellam.windows batch;
+each of its records equals the single-window verify report bit for bit.
 """
 
 from __future__ import annotations
@@ -17,11 +23,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .dists import TVInterval, tv_distance
-from .skellam import SkellamParams, to_dist
+from .dists import TVInterval, tv_distance, tv_interval
+from .skellam import SkellamParams, to_dist, windows
 from .verification import VerificationReport, make_report
 
 _SIM_BLOCK_CELLS = 10**7
+_SWEEP_BLOCK = 256  # windows per skellam.windows call in sweep_windows
 
 
 def _indicator_vector(name: str, values) -> np.ndarray:
@@ -44,22 +51,14 @@ class HaarSpilloverModel:
     p: float
 
     def __post_init__(self):
-        f = np.asarray(self.f, dtype=np.float64)
-        if f.ndim != 1 or f.size == 0:
-            raise ValueError("f must be a non-empty 1-D vector")
-        if not np.all(np.isfinite(f)) or np.any(f < 0.0):
-            raise ValueError("intensities must be finite and nonnegative")
-        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "f", _check_signal(self.f))
         object.__setattr__(self, "pos", _indicator_vector("pos", self.pos))
         object.__setattr__(self, "neg", _indicator_vector("neg", self.neg))
         if not (self.f.size == self.pos.size == self.neg.size):
             raise ValueError("f, pos, neg must share one length")
         if np.any(self.pos * self.neg != 0):
             raise ValueError("pos and neg windows must be disjoint")
-        p = float(self.p)
-        if not 0.0 <= p <= 1.0:
-            raise ValueError("spillover probability must lie in [0, 1]")
-        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "p", _check_p(self.p))
 
     @property
     def n(self) -> int:
@@ -68,12 +67,55 @@ class HaarSpilloverModel:
     @cached_property
     def window_sums(self) -> tuple[float, float, float, float]:
         """(pos.f, neg.f, pos.fs, neg.fs): the window rates before and after
-        spillover, with fs the signal one bin up (fs[i] = f[i+1], 0 at the end)."""
+        spillover, with fs the signal one bin up (fs[i] = f[i+1], 0 at the end).
+
+        Each is math.fsum over the selected entries.  Raises ValueError when
+        the total rate of the true or the observed coefficient is not finite.
+        """
         fs = np.append(self.f[1:], 0.0)
-        return (
-            float(self.pos @ self.f), float(self.neg @ self.f),
-            float(self.pos @ fs), float(self.neg @ fs),
-        )
+        pos, neg = self.pos != 0, self.neg != 0
+        sums = (_fsum(self.f[pos]), _fsum(self.f[neg]), _fsum(fs[pos]), _fsum(fs[neg]))
+        _check_rates(f"window (pos bins {_bins(pos)}, neg bins {_bins(neg)})", self.p, *sums)
+        return sums
+
+
+def _check_signal(f) -> np.ndarray:
+    f = np.asarray(f, dtype=np.float64)
+    if f.ndim != 1 or f.size == 0:
+        raise ValueError("f must be a non-empty 1-D vector")
+    if not np.all(np.isfinite(f)) or np.any(f < 0.0):
+        raise ValueError("intensities must be finite and nonnegative")
+    return f
+
+
+def _check_p(p) -> float:
+    p = float(p)
+    if not 0.0 <= p <= 1.0:
+        raise ValueError("spillover probability must lie in [0, 1]")
+    return p
+
+
+def _fsum(values) -> float:
+    """Correctly rounded sum; inf where it leaves the float range."""
+    try:
+        return math.fsum(values.tolist() if isinstance(values, np.ndarray) else values)
+    except OverflowError:
+        return math.inf
+
+
+def _bins(selected: np.ndarray) -> str:
+    """Indices of the selected bins as runs, e.g. '0-3,8'."""
+    idx = np.flatnonzero(selected)
+    cut = np.flatnonzero(np.diff(idx) != 1)
+    starts, ends = idx[np.r_[0, cut + 1]], idx[np.r_[cut, idx.size - 1]]
+    return ",".join(str(a) if a == b else f"{a}-{b}" for a, b in zip(starts, ends))
+
+
+def _check_rates(window: str, p: float, pf: float, nf: float, pfs: float, nfs: float) -> None:
+    """Refuse a window whose true or observed coefficient has no finite total rate."""
+    for l1, l2 in ((pf, nf), (_mix(p, pf, pfs), _mix(p, nf, nfs))):
+        if not math.isfinite(l1 + l2):
+            raise ValueError(f"{window}: total rate {l1!r} + {l2!r} is not finite")
 
 
 def haar_windows(n: int, scale: int, location: int) -> tuple[np.ndarray, np.ndarray]:
@@ -158,17 +200,24 @@ class SpilloverBound:
 
 def bound_theorem32(model: HaarSpilloverModel) -> SpilloverBound:
     pf, nf, pfs, nfs = model.window_sums
-    gap_pos = abs(pf - pfs)
-    gap_neg = abs(nf - nfs)
+    arrays = _bounds(model.p, *(np.array([v]) for v in (pf, nf, pfs, nfs)))
+    return SpilloverBound(*(float(a[0]) for a in arrays))
+
+
+def _bounds(p: float, pf, nf, pfs, nfs):
+    """(value, shift_gap_pos, shift_gap_neg, max_rate) of SpilloverBound for
+    arrays of window sums: sqrt(2 p^2 / (e max_rate)) (gap_pos + gap_neg)."""
+    gap_pos = np.abs(pf - pfs)
+    gap_neg = np.abs(nf - nfs)
     numerator = gap_pos + gap_neg
-    max_rate = max(pf, nf)
-    if model.p == 0.0 or numerator == 0.0:
-        value = 0.0
-    elif max_rate == 0.0:
-        value = math.inf
-    else:
-        value = math.sqrt(2.0 * model.p**2 / (math.e * max_rate)) * numerator
-    return SpilloverBound(value, gap_pos, gap_neg, max_rate)
+    max_rate = np.maximum(pf, nf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value = np.sqrt(2.0 * p**2 / (math.e * max_rate)) * numerator
+    value[max_rate == 0.0] = math.inf
+    if p == 0.0:
+        value[:] = 0.0
+    value[numerator == 0.0] = 0.0
+    return value, gap_pos, gap_neg, max_rate
 
 
 def tv_observed_vs_true(model: HaarSpilloverModel, tail_tol: float = 1e-10) -> TVInterval:
@@ -228,26 +277,67 @@ def sweep_windows(
 
     Returns one record per (scale, location) with the TV, bound and ratio;
     useful for mapping where spillover distorts coefficients the most.
+    Each record is the verify() report of HaarSpilloverModel(f,
+    *haar_windows(n, scale, location), p), computed a scale at a time.
     """
-    f = np.asarray(model_f, dtype=np.float64)
-    n = f.size
+    f = _check_signal(model_f).tolist()
+    p = _check_p(p)
+    fs = f[1:] + [0.0]
+    n = len(f)
     records = []
     scale = 1
     while (1 << scale) <= n:
         width = 1 << scale
-        for location in range(n // width):
-            pos, neg = haar_windows(n, scale, location)
-            report = verify(HaarSpilloverModel(f, pos, neg, p), tail_tol)
-            records.append(
-                {
-                    "scale": scale,
-                    "location": location,
-                    "tv": report.tv.value,
-                    "tv_slack": report.tv.slack,
-                    "bound": report.bound,
-                    "satisfied": report.satisfied,
-                    "ratio": report.ratio,
-                }
-            )
+        half = width // 2
+        count = n // width
+        # A block of windows at a time keeps the live Skellam windows few.
+        for first in range(0, count, _SWEEP_BLOCK):
+            sums = []
+            for location in range(first, min(count, first + _SWEEP_BLOCK)):
+                start = location * width
+                mid, end = start + half, start + width
+                row = (_fsum(f[start:mid]), _fsum(f[mid:end]),
+                       _fsum(fs[start:mid]), _fsum(fs[mid:end]))
+                _check_rates(f"window (scale {scale}, location {location})", p, *row)
+                sums.append(row)
+            pf, nf, pfs, nfs = np.array(sums).T
+            bounds = _bounds(p, pf, nf, pfs, nfs)[0].tolist()
+            true = list(zip(pf.tolist(), nf.tolist()))
+            obs = [(_mix(p, a, a_s), _mix(p, b, b_s)) for a, b, a_s, b_s in sums]
+            for location, tv, bound in zip(
+                range(first, count), _tv_pairs(obs, true, tail_tol), bounds
+            ):
+                report = make_report(tv, bound)
+                records.append(
+                    {
+                        "scale": scale,
+                        "location": location,
+                        "tv": report.tv.value,
+                        "tv_slack": report.tv.slack,
+                        "bound": report.bound,
+                        "satisfied": report.satisfied,
+                        "ratio": report.ratio,
+                    }
+                )
         scale += 1
     return records
+
+
+def _tv_pairs(obs: list, true: list, tail_tol: float) -> list[TVInterval]:
+    """tv_observed_vs_true of each (observed, true) pair of rate pairs, with
+    the windows of all positive rate pairs from one skellam.windows call.
+    The windows of one block stay live until its TVs are taken."""
+    differ = [j for j, (o, t) in enumerate(zip(obs, true)) if o != t]
+    pairs = [obs[j] for j in differ] + [true[j] for j in differ]
+    positive = [i for i, (l1, l2) in enumerate(pairs) if l1 > 0.0 and l2 > 0.0]
+    built = dict(zip(positive, windows(
+        [pairs[i][0] for i in positive], [pairs[i][1] for i in positive], tail_tol
+    )))
+    for i, (l1, l2) in enumerate(pairs):
+        if i not in built:  # a zero rate: a Poisson window or a point mass
+            d = to_dist(SkellamParams(l1, l2, extended=True), tail_tol)
+            built[i] = (d.min_support, d.probabilities, d.tail_mass)
+    out = [TVInterval(0.0, 0.0)] * len(obs)
+    for i, j in enumerate(differ):
+        out[j] = tv_interval(*built[i], *built[len(differ) + i])
+    return out

@@ -5,6 +5,8 @@ Bessel values are log-scale floats (-inf for zero), so extreme arguments stay
 usable.  Small arguments use the ascending power series; large arguments read
 one cached table per argument and power-of-two size, built by backward ratio
 recursion normalized by the scaled-sum identity, which never overflows.
+log_scaled_iv_pairs gives the same values for many (order, argument) pairs
+at once, its tables built in lockstep and not cached.
 Time integrals over [0, inf) are taken on (0, 1] via u = exp(-t) by an
 adaptive Gauss-Kronrod 7/15 rule whose nodes avoid the endpoints.
 """
@@ -18,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dists import IntegerDist, unimodal_window
+from .dists import IntegerDist, span_values, unimodal_window
 
 MAX_EXP = 709.782712893384  # largest x with exp(x) finite in float64
 _SERIES_X_MAX = 30.0
@@ -34,37 +36,85 @@ def _iv_tables_at(x: float) -> dict[int, np.ndarray]:
     return {}
 
 
+def ratio_start(kmax, x):
+    """Order from which backward_ratios starts, for orders up to kmax.
+
+    High enough that I_top / I_kmax < 1e-21 seeds an accurate downward
+    pass: top^2 - kmax^2 = 100 x gives exp(-50) in the Gaussian order
+    regime, faster decay beyond it.  kmax and x may be arrays.
+    """
+    if isinstance(kmax, np.ndarray):
+        return np.sqrt(kmax * kmax + 100.0 * x).astype(np.int64) + 20
+    return int(math.sqrt(kmax * kmax + 100.0 * x)) + 20
+
+
+def backward_ratios(x: float, top: int, low: int, out):
+    """Fill out[m - low - 1] = r_m = I_m(x) / I_{m-1}(x) for low < m <= top,
+    x > 0; out is a list or a float64 array; returns out.
+
+    Miller's backward recurrence r_m = 1 / (2m/x + r_{m+1}), from r = 0
+    above top (Gautschi, SIAM Review 9, 1967).  The ratios lie in (0, 1)
+    and come from the dominant solution of the three-term recurrence, so
+    the continued fraction is forward stable.  A table's 10^5-10^6 ratios
+    go in an array: as float objects in a list they would hold 4x the
+    memory.
+    """
+    r = 0.0
+    for m in range(top, low, -1):
+        r = 1.0 / (2.0 * m / x + r)
+        out[m - low - 1] = r
+    return out
+
+
+def backward_ratios_lockstep(x: np.ndarray, top: np.ndarray, low: int, high: int) -> np.ndarray:
+    """ratios[m - low - 1, i] = the r_m of backward_ratios(x[i], top[i], low)
+    for low < m <= high, and 0 where m > top[i]: every row a step at a time."""
+    order = np.argsort(top, kind="stable")
+    xs, tops = x[order], top[order].tolist()
+    n = x.size
+    ratios = np.zeros((high - low, n))
+    r, tmp = np.zeros(n), np.empty(n)
+    first = n  # rows first.. have started: their top is at least m
+    with np.errstate(over="ignore"):  # 2m/x = inf at subnormal x gives r = 0, as on floats
+        for m in range(tops[-1] if n else low, low, -1):
+            while first and tops[first - 1] >= m:
+                first -= 1
+            np.divide(2.0 * m, xs[first:], out=tmp[first:])
+            tmp[first:] += r[first:]
+            np.divide(1.0, tmp[first:], out=r[first:])
+            if m <= high:
+                ratios[m - low - 1] = r
+    out = np.empty_like(ratios)
+    out[:, order] = ratios
+    return out
+
+
+def _log_norm(log_t: np.ndarray):
+    """log((I_0 + 2 sum_{m>=1} I_m) / I_0) from log_t[m - 1] = log(I_m / I_0),
+    in extended precision."""
+    peak = max(0.0, float(log_t.max()))
+    rel = log_t - peak
+    return peak + np.log(np.exp(np.longdouble(-peak)) + 2.0 * np.exp(rel, out=rel).sum())
+
+
 def _log_scaled_iv_table_cached(x: float, kmax: int) -> np.ndarray:
     """Read-only table of log(exp(-x) * I_k(x)), k = 0..kmax, via backward ratios.
 
-    Ratios r_m = I_m / I_{m-1} lie in (0, 1) and come from the dominant
-    solution of the three-term recurrence, so the continued fraction is
-    forward stable.  Products are accumulated as logs in extended
-    precision: deep-tail orders underflow float64 by thousands of decades
-    yet must stay usable under large compensating tilts.  Normalization is
+    Products of the ratios are accumulated as logs in extended precision:
+    deep-tail orders underflow float64 by thousands of decades yet must
+    stay usable under large compensating tilts.  Normalization is
     exp(-x) * (I_0 + 2 sum_{m>=1} I_m) = 1.
     """
     tables = _iv_tables_at(x)
     if kmax in tables:
         return tables[kmax]
-    # Start high enough that I_{m_top} / I_kmax < 1e-21 seeds an accurate
-    # downward pass: m_top^2 - kmax^2 = 100 x gives exp(-50) in the
-    # Gaussian order regime, faster decay beyond it.
-    m_top = int(math.sqrt(kmax * kmax + 100.0 * x)) + 20
-    ratios = np.empty(m_top)
-    r = 0.0
-    for m in range(m_top, 0, -1):
-        r = 1.0 / (2.0 * m / x + r)
-        ratios[m - 1] = r
+    top = ratio_start(kmax, x)
+    ratios = backward_ratios(x, top, 0, np.empty(top))
     # In place where possible: at large kmax or x these arrays hold
     # millions of entries, and the transient peak sets the process's RSS.
     log_t = np.cumsum(np.log(ratios, out=ratios), dtype=np.longdouble)  # log(I_m / I_0)
     del ratios
-    peak = max(0.0, float(log_t.max()))
-    rel = log_t - peak
-    norm = np.exp(np.longdouble(-peak)) + 2.0 * np.exp(rel, out=rel).sum()
-    del rel
-    log_norm = peak + np.log(norm)
+    log_norm = _log_norm(log_t)
     out = np.empty(kmax + 1)
     out[0] = float(-log_norm)
     out[1:] = np.subtract(log_t[:kmax], log_norm, out=log_t[:kmax])
@@ -106,42 +156,95 @@ def log_scaled_iv_orders(orders, x: float) -> np.ndarray:
         out[~series] = values
     ks = k[series]
     if ks.size:
-        # Terms and partial sums for every order, a block of terms at a time.
-        # cumprod and cumsum accumulate in sequence, exactly as summing term
-        # by term would; each order stops at its first term from m = 2 on
-        # below 1e-18 of its sum.  The lowest order needs the most terms:
-        # about x + 10 for x <= 30 and at most about 150 beyond, so the first
-        # block nearly always suffices.  Products m (k + m) are exact in
-        # float64 here.
-        kf = ks.astype(np.float64)
-        term = q / (kf + 1.0)  # m = 1
-        s = 1.0 + term
-        sums = np.empty(ks.shape)
-        live = np.arange(ks.size)
-        m0, rows = 2.0, min(16 + int(x), 160)
-        while live.size:
-            m = np.arange(m0, m0 + rows)[:, None]
-            terms = q / (m * (kf[live] + m))
-            terms[0] *= term
-            np.cumprod(terms, axis=0, out=terms)
-            part = terms.copy()
-            part[0] += s
-            np.cumsum(part, axis=0, out=part)
-            stop = terms <= part * 1e-18
-            first = stop.argmax(axis=0)
-            cols = np.arange(live.size)
-            hit = stop[first, cols]
-            sums[live[hit]] = part[first[hit], cols[hit]]
-            live, term, s = live[~hit], terms[-1, ~hit], part[-1, ~hit]
-            m0, rows = m0 + rows, 2 * rows
-        # math.log/math.lgamma (libm) rather than numpy's SIMD loops, whose
-        # last bit varies with the CPU: records stay the same across machines.
-        log_t0 = (
-            ks * math.log(0.5 * x)
-            - np.fromiter(map(math.lgamma, (ks + 1).tolist()), float, ks.size)
-            - x
-        )
-        out[series] = log_t0 + np.fromiter(map(math.log, sums.tolist()), float, ks.size)
+        out[series] = _log_scaled_iv_series(ks, np.full(ks.shape, float(x)))
+    return out
+
+
+def _log_scaled_iv_series(ks: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """log(exp(-x) * I_k(x)) by the ascending series, for each order ks[i] >= 0
+    at its own argument x[i] > 0.
+
+    Terms and partial sums for every order, a block of terms at a time.
+    cumprod and cumsum accumulate in sequence, exactly as summing term by
+    term would; each order stops at its first term from m = 2 on below
+    1e-18 of its sum.  So an order's value depends on its own (k, x) alone,
+    not on the block size or on the other orders.  The lowest order needs
+    the most terms: about x + 10 for x <= 30 and at most about 150 beyond, so
+    the first block nearly always suffices.  Products m (k + m) are exact in
+    float64 here.
+    """
+    kf = ks.astype(np.float64)
+    q = 0.25 * x * x
+    term = q / (kf + 1.0)  # m = 1
+    s = 1.0 + term
+    sums = np.empty(ks.shape)
+    live = np.arange(ks.size)
+    m0, rows = 2.0, min(16 + int(x.max()), 160)
+    while live.size:
+        m = np.arange(m0, m0 + rows)[:, None]
+        terms = q[live] / (m * (kf[live] + m))
+        terms[0] *= term
+        np.cumprod(terms, axis=0, out=terms)
+        part = terms.copy()
+        part[0] += s
+        np.cumsum(part, axis=0, out=part)
+        stop = terms <= part * 1e-18
+        first = stop.argmax(axis=0)
+        cols = np.arange(live.size)
+        hit = stop[first, cols]
+        sums[live[hit]] = part[first[hit], cols[hit]]
+        live, term, s = live[~hit], terms[-1, ~hit], part[-1, ~hit]
+        m0, rows = m0 + rows, 2 * rows
+    # math.log/math.lgamma (libm) rather than numpy's SIMD loops, whose
+    # last bit varies with the CPU: records stay the same across machines.
+    log_t0 = (
+        ks * np.fromiter(map(math.log, (0.5 * x).tolist()), float, ks.size)
+        - np.fromiter(map(math.lgamma, (ks + 1).tolist()), float, ks.size)
+        - x
+    )
+    return log_t0 + np.fromiter(map(math.log, sums.tolist()), float, ks.size)
+
+
+def log_scaled_iv_pairs(orders, xs) -> np.ndarray:
+    """log(exp(-x) * I_k(x)) for each pair (orders[i], xs[i]); xs > 0.
+
+    Each value is bit for bit log_scaled_iv(orders[i], xs[i]): the pairs on
+    the series path are summed together, the others read their own table.
+    """
+    k = np.abs(np.asarray(orders, dtype=np.int64))
+    xs = np.asarray(xs, dtype=np.float64)
+    if k.size and int(k.max()) > 4 * 10**6:
+        raise ValueError("order magnitude above 4e6 is unsupported")
+    if not np.all(xs > 0.0):
+        raise ValueError("arguments must be positive")
+    series = (xs <= _SERIES_X_MAX) | (0.25 * xs * xs / (k + 1.0) <= 64.0)
+    out = np.empty(k.shape)
+    if series.any():
+        out[series] = _log_scaled_iv_series(k[series], xs[series])
+    if not series.all():
+        out[~series] = _log_scaled_iv_table_pairs(k[~series], xs[~series])
+    return out
+
+
+def _log_scaled_iv_table_pairs(k: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """_log_scaled_iv_table_cached(x[i], size)[k[i]] of each pair, size the
+    table size bucket of k[i], bit for bit and without the cache.
+
+    The backward ratios of all tables run in lockstep (padded with ratio 1,
+    whose log adds nothing) and take np.log over one contiguous array, as a
+    table does; the normalizing sum, which numpy takes pairwise, runs over
+    each table's own length.
+    """
+    size = np.maximum(64, 1 << np.frexp(k.astype(np.float64))[1])
+    top = ratio_start(size, x)
+    ratios = backward_ratios_lockstep(x, top, 0, int(top.max()))
+    ratios[np.arange(ratios.shape[0])[:, None] >= top] = 1.0
+    log_t = np.cumsum(np.log(ratios, out=ratios), axis=0, dtype=np.longdouble).T.copy()
+    del ratios
+    out = np.empty(k.size)
+    for i, (n, order) in enumerate(zip(top.tolist(), k.tolist())):
+        value = log_t[i, order - 1] if order else np.longdouble(0.0)
+        out[i] = float(value - _log_norm(log_t[i, :n]))
     return out
 
 
@@ -184,6 +287,13 @@ def poisson_dist(lam: float, tail_tol: float = 1e-12) -> IntegerDist:
         return IntegerDist.point_mass(0)
     # A Python float steps faster than a numpy scalar, to the same bits.
     return unimodal_window(_poisson_span(float(lam)), int(lam), math.sqrt(lam), tail_tol)
+
+
+def poisson_values(lam: float, lo: int, hi: int) -> np.ndarray:
+    """Poisson(lam > 0) pmf on lo..hi from poisson_dist's source: wherever
+    its window reaches, bit for bit its values."""
+    lam = float(lam)
+    return span_values(_poisson_span(lam), int(lam), math.sqrt(lam), lo, hi)
 
 
 def _poisson_span(lam: float):

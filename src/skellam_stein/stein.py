@@ -41,7 +41,7 @@ import numpy as np
 
 from . import kernels
 from .dists import IntegerDist, ResourceLimitError, convolve, negate
-from .skellam import SkellamParams, pmf_array, to_dist
+from .skellam import SkellamParams, pmf_window, to_dist
 from .special import (
     QuadratureError,
     adaptive_gauss_kronrod,
@@ -686,7 +686,7 @@ def skellam_second_diff_sum(
         lo_k, hi_k = int(window[0]), int(window[1])
         if hi_k < lo_k:
             raise ValueError("window upper end below lower end")
-        probs = pmf_array(params, np.arange(lo_k, hi_k + 1))
+        probs = pmf_window(params, lo_k, hi_k)
         tail = max(0.0, 1.0 - float(probs.sum()))
     second = np.convolve(probs, np.array([1.0, -2.0, 1.0]))
     value = float(np.abs(second).sum())

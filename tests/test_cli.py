@@ -1,5 +1,6 @@
 import io
 import json
+import logging
 import math
 import os
 import subprocess
@@ -413,3 +414,35 @@ def test_render_json_streams_large_arrays_in_bounded_writes():
     assert sum(out.sizes) > 2 * 10**6  # the whole array went out
     assert max(out.sizes) <= 2**20
     assert out.getvalue() == _json_oracle(config, {"tv": 0.5}, None)
+
+
+def test_verify_haar_non_finite_window_rate_exits_2(capsys, tmp_path):
+    path = tmp_path / "huge.txt"
+    path.write_text("1e308\n" * 4)
+    for window in (("--sweep",), ("--scale", "2", "--loc", "0")):
+        code, out, err = run_cli(capsys, "verify", "haar", "--signal", str(path),
+                                 "--p", "0.1", *window)
+        assert code == cli.EXIT_USAGE and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: window ("), err
+
+
+def test_unexpected_handler_error_exits_3(capsys):
+    def broken(args):
+        raise RuntimeError("simulated defect")
+
+    with mock.patch.object(cli, "_cmd_dist_pmf", broken), \
+            mock.patch.object(logging.getLogger("skellam_stein"), "debug") as debug:
+        code, out, err = run_cli(capsys, "dist", "pmf", "--l1", "1", "--l2", "1", "--k", "0")
+    assert code == cli.EXIT_INTERNAL == 3 and out == ""
+    assert err == "error: internal error: RuntimeError: simulated defect\n"
+    assert debug.call_args.kwargs == {"exc_info": True}  # the traceback, for DEBUG logging
+
+
+def test_node_window_escape_exits_3_not_1(capsys):
+    # A known defect (ROADMAP item 7): the sweep's node windows escape the
+    # global window.  Once that is mended this command should exit 0.
+    code, out, err = run_cli(capsys, "stein", "factors", "--l1", "3", "--l2", "4",
+                             "--order", "1", "--quad-tol", "1e-13")
+    assert code == cli.EXIT_INTERNAL and out == ""
+    assert err.startswith("error: internal error: ") and len(err.splitlines()) == 1

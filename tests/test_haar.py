@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats as sstats
 
 from skellam_stein.dists import empirical_dist, tv_distance
 from skellam_stein.haar_spillover import (
@@ -220,3 +221,47 @@ def test_sweep_flags_jump_windows():
     smooth = max(by_window[(1, 0)], by_window[(1, 2)])
     jump = by_window[(1, 1)]
     assert jump > smooth
+
+
+def test_window_sums_are_correctly_rounded():
+    rng = np.random.default_rng(314)
+    f = 10.0 ** rng.uniform(-8.0, 16.0, 64)
+    fs = np.append(f[1:], 0.0)
+    for scale in range(1, 7):
+        for location in range(64 >> scale):
+            pos, neg = haar_windows(64, scale, location)
+            model = HaarSpilloverModel(f, pos, neg, 0.3)
+            expected = tuple(
+                math.fsum(v[w == 1].tolist()) for v, w in ((f, pos), (f, neg), (fs, pos), (fs, neg))
+            )
+            assert model.window_sums == expected
+
+
+def test_non_finite_window_rates_are_refused():
+    f = np.full(4, 1e308)
+    with pytest.raises(ValueError, match=r"window \(scale 1, location 0\): total rate"):
+        sweep_windows(f, 0.1)
+    model = HaarSpilloverModel(f, *haar_windows(4, 2, 0), 0.1)
+    with pytest.raises(ValueError, match=r"window \(pos bins 0-1, neg bins 2-3\): total rate"):
+        verify(model)
+    pos, neg = np.array([1, 0, 1, 1]), np.array([0, 1, 0, 0])
+    with pytest.raises(ValueError, match=r"pos bins 0,2-3, neg bins 1\)"):
+        HaarSpilloverModel(f, pos, neg, 0.1).window_sums
+
+
+def _scipy_tv(a, b):
+    """TV between Skellam(a) and Skellam(b) from scipy's pmf over +-20 sd."""
+    sd = math.sqrt(max(sum(a), sum(b)))
+    centre = 0.5 * ((a[0] - a[1]) + (b[0] - b[1]))
+    ks = np.arange(int(centre - 20 * sd - 30), int(centre + 20 * sd + 30) + 1)
+    return 0.5 * float(np.abs(sstats.skellam.pmf(ks, *a) - sstats.skellam.pmf(ks, *b)).sum())
+
+
+def test_sweep_tv_within_slack_of_scipy():
+    f = np.random.default_rng(2718).gamma(2.0, 2.5, 256)
+    p = 0.2
+    for r in sweep_windows(f, p):
+        model = HaarSpilloverModel(f, *haar_windows(f.size, r["scale"], r["location"]), p)
+        t, o = true_coeff_params(model), observed_coeff_params(model)
+        ref = _scipy_tv((o.lambda1, o.lambda2), (t.lambda1, t.lambda2))
+        assert abs(r["tv"] - ref) <= r["tv_slack"] + 1e-12, (r, ref)

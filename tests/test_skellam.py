@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 import scipy.stats as sstats
 
-from skellam_stein.dists import ResourceLimitError, convolve, negate, tv_distance
+from skellam_stein import skellam
+from skellam_stein.dists import ResourceLimitError, convolve, greedy_window, negate, tv_distance
 from skellam_stein.skellam import (
     SkellamParams,
     cdf,
@@ -15,6 +16,7 @@ from skellam_stein.skellam import (
     pmf,
     sample,
     to_dist,
+    windows,
 )
 from skellam_stein.special import poisson_dist
 
@@ -78,15 +80,15 @@ def test_skew_symmetry_is_bit_exact():
             assert log_pmf(a, k) == log_pmf(b, -k)
 
 
-def _greedy_oracle(params, tail_tol):
-    """(lo, hi, tail) of the two-sided greedy window over scalar pmf calls."""
+def _greedy_oracle(params, tail_tol, value):
+    """(lo, hi, tail) of the two-sided greedy window over value(k) calls."""
     center = int(round(params.lambda1 - params.lambda2))
-    total, comp = pmf(params, center), 0.0
+    total, comp = value(center), 0.0
     lo_k = hi_k = center
     width_cap = int(24.0 * math.sqrt(params.total)) + 100
     while total < 1.0 - tail_tol:
-        next_lo = pmf(params, lo_k - 1)
-        next_hi = pmf(params, hi_k + 1)
+        next_lo = value(lo_k - 1)
+        next_hi = value(hi_k + 1)
         if next_lo == 0.0 and next_hi == 0.0:
             break
         if hi_k - lo_k >= width_cap:
@@ -104,6 +106,22 @@ def _greedy_oracle(params, tail_tol):
     return lo_k, hi_k, max(0.0, 1.0 - total)
 
 
+def _span_values(params, tail_tol):
+    """{k: value} of every point the window builder's span source gave."""
+    l1, l2 = params.lambda1, params.lambda2
+    center = int(round(l1 - l2))
+    span = skellam._skellam_span(l1, l2, center)
+    seen = {}
+
+    def recording(a, b):
+        values = span(a, b)
+        seen.update(zip(range(a, b + 1), values))
+        return values
+
+    greedy_window(recording, center, math.sqrt(params.total), tail_tol)
+    return seen
+
+
 def _window_rates():
     rng = np.random.default_rng(20261018)
     grid = [tuple(10.0 ** rng.uniform(-3, 4, 2)) for _ in range(12)]
@@ -113,15 +131,67 @@ def _window_rates():
 
 
 def test_window_matches_scalar_greedy_oracle():
+    # Ratio-stepped values cannot equal the direct formula bit for bit, so the
+    # greedy is checked over the builder's own values, and the centre, the
+    # one value not stepped to, against pmf exactly.
     for l1, l2 in _window_rates():
         params = SkellamParams(l1, l2)
+        center = int(round(l1 - l2))
         for tail_tol in (1e-10, 1e-12):
             d = to_dist(params, tail_tol)
-            lo, hi, tail = _greedy_oracle(params, tail_tol)
+            seen = _span_values(params, tail_tol)
+            lo, hi, tail = _greedy_oracle(params, tail_tol, seen.__getitem__)
             assert (d.min_support, d.max_support) == (lo, hi), (l1, l2, tail_tol)
             assert d.tail_mass == tail, (l1, l2, tail_tol)
-            for k in range(lo, hi + 1):
-                assert d.prob(k) == pmf(params, k), (l1, l2, k)
+            assert d.probabilities.tolist() == [seen[k] for k in range(lo, hi + 1)]
+            assert d.prob(center) == pmf(params, center), (l1, l2)
+
+
+def test_window_values_match_scipy():
+    for l1, l2 in _window_rates():
+        for tail_tol in (1e-10, 1e-12):
+            d = to_dist(SkellamParams(l1, l2), tail_tol)
+            ref = sstats.skellam.pmf(d.support(), l1, l2)
+            sel = ref > 1e-290
+            rel = np.abs(d.probabilities[sel] - ref[sel]) / ref[sel]
+            assert rel.max() <= 5e-12, (l1, l2, tail_tol, rel.max())
+
+
+def test_batch_rows_match_single_windows():
+    rng = np.random.default_rng(7)
+    rates = [tuple(10.0 ** rng.uniform(-3, 2.5, 2)) for _ in range(2 * skellam._LOCKSTEP_ROWS)]
+    rates += [(0.01, 5.0), (3.0, 3.0), (1e-6, 1e-6)]  # (0.01, 5.0) extends its span
+    rng.shuffle(rates)
+    l1, l2 = np.array(rates).T
+    tail_tol = 1e-15
+    c = int(round(0.01 - 5.0))
+    assert len(_span_values(SkellamParams(0.01, 5.0), tail_tol)) > 2 * (int(8 * math.sqrt(5.01)) + 12) + 1
+    for (a, b), (lo, p, tail) in zip(rates, windows(l1, l2, tail_tol)):
+        d = to_dist(SkellamParams(a, b), tail_tol)
+        assert (lo, tail) == (d.min_support, d.tail_mass), (a, b)
+        assert p.tolist() == d.probabilities.tolist(), (a, b)
+    assert windows([], [], tail_tol) == []
+    with pytest.raises(ValueError):
+        windows([1.0, 0.0], [1.0, 1.0])
+
+
+def test_lockstep_leaves_rows_it_cannot_sort_to_python_floats():
+    # The lockstep greedy takes a row's values in sorted order, which is the
+    # greedy order only where they fall away from the centre on both sides.
+    l1 = np.linspace(1.0, 9.0, 30)
+    rows = skellam._Rows(l1, 10.0 - l1)
+    big = int(rows.half.max())
+    values = np.empty((30, 2 * big + 1))
+    for i, (a, b) in enumerate(zip(rows.l1, rows.l2)):
+        c = int(rows.center[i])
+        values[i] = skellam.pmf_window(SkellamParams(a, b), c - big, c + big)
+    anchor = values[:, big].copy()
+    values[3, big + 2] = values[3, big + 1] * 1.5  # rises away from the centre
+    out = skellam._greedy_lockstep(rows, values, big, anchor, 1e-12)
+    assert out[3] is None
+    for i in (0, 4, 29):
+        lo, p, tail = skellam._window(float(rows.l1[i]), float(rows.l2[i]), 1e-12)
+        assert (out[i][0], out[i][1].tolist(), out[i][2]) == (lo, p.tolist(), tail)
 
 
 def test_window_beyond_cap_fails_fast():
