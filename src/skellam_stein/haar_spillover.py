@@ -75,7 +75,9 @@ class HaarSpilloverModel:
         fs = np.append(self.f[1:], 0.0)
         pos, neg = self.pos != 0, self.neg != 0
         sums = (_fsum(self.f[pos]), _fsum(self.f[neg]), _fsum(fs[pos]), _fsum(fs[neg]))
-        _check_rates(f"window (pos bins {_bins(pos)}, neg bins {_bins(neg)})", self.p, *sums)
+        _check_rates(
+            lambda: f"window (pos bins {_bins(pos)}, neg bins {_bins(neg)})", self.p, *sums
+        )
         return sums
 
 
@@ -104,18 +106,21 @@ def _fsum(values) -> float:
 
 
 def _bins(selected: np.ndarray) -> str:
-    """Indices of the selected bins as runs, e.g. '0-3,8'."""
+    """Indices of the selected bins as runs, e.g. '0-3,8'; 'none' if none."""
     idx = np.flatnonzero(selected)
+    if idx.size == 0:
+        return "none"
     cut = np.flatnonzero(np.diff(idx) != 1)
     starts, ends = idx[np.r_[0, cut + 1]], idx[np.r_[cut, idx.size - 1]]
     return ",".join(str(a) if a == b else f"{a}-{b}" for a, b in zip(starts, ends))
 
 
-def _check_rates(window: str, p: float, pf: float, nf: float, pfs: float, nfs: float) -> None:
-    """Refuse a window whose true or observed coefficient has no finite total rate."""
+def _check_rates(window, p: float, pf: float, nf: float, pfs: float, nfs: float) -> None:
+    """Refuse a window whose true or observed coefficient has no finite total
+    rate; window() names it, and is called only then."""
     for l1, l2 in ((pf, nf), (_mix(p, pf, pfs), _mix(p, nf, nfs))):
         if not math.isfinite(l1 + l2):
-            raise ValueError(f"{window}: total rate {l1!r} + {l2!r} is not finite")
+            raise ValueError(f"{window()}: total rate {l1!r} + {l2!r} is not finite")
 
 
 def haar_windows(n: int, scale: int, location: int) -> tuple[np.ndarray, np.ndarray]:
@@ -298,7 +303,7 @@ def sweep_windows(
                 mid, end = start + half, start + width
                 row = (_fsum(f[start:mid]), _fsum(f[mid:end]),
                        _fsum(fs[start:mid]), _fsum(fs[mid:end]))
-                _check_rates(f"window (scale {scale}, location {location})", p, *row)
+                _check_rates(lambda: f"window (scale {scale}, location {location})", p, *row)
                 sums.append(row)
             pf, nf, pfs, nfs = np.array(sums).T
             bounds = _bounds(p, pf, nf, pfs, nfs)[0].tolist()

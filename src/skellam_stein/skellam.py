@@ -108,7 +108,8 @@ def moments(params: SkellamParams) -> tuple[float, float]:
 
 # Rows of a windows() batch step in lockstep chunks of at most _CHUNK_CELLS
 # span points; a chunk of fewer than _LOCKSTEP_ROWS rows steps row by row on
-# Python floats, which is faster there than numpy calls on short arrays.
+# Python floats.  On the Haar sweep's windows (scales 1-9) the two break even
+# near 16-20 rows; at 24 the lockstep costs 0.3-0.8 of the per-row time.
 _CHUNK_CELLS = 1 << 15
 _LOCKSTEP_ROWS = 24
 

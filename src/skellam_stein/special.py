@@ -6,7 +6,7 @@ usable.  Small arguments use the ascending power series; large arguments read
 one cached table per argument and power-of-two size, built by backward ratio
 recursion normalized by the scaled-sum identity, which never overflows.
 log_scaled_iv_pairs gives the same values for many (order, argument) pairs
-at once, its tables built in lockstep and not cached.
+at once, the series ones summed together.
 Time integrals over [0, inf) are taken on (0, 1] via u = exp(-t) by an
 adaptive Gauss-Kronrod 7/15 rule whose nodes avoid the endpoints.
 """
@@ -44,6 +44,7 @@ def ratio_start(kmax, x):
     regime, faster decay beyond it.  kmax and x may be arrays.
     """
     if isinstance(kmax, np.ndarray):
+        kmax = kmax.astype(np.int64)  # kmax * kmax wraps round in int32
         return np.sqrt(kmax * kmax + 100.0 * x).astype(np.int64) + 20
     return int(math.sqrt(kmax * kmax + 100.0 * x)) + 20
 
@@ -89,14 +90,6 @@ def backward_ratios_lockstep(x: np.ndarray, top: np.ndarray, low: int, high: int
     return out
 
 
-def _log_norm(log_t: np.ndarray):
-    """log((I_0 + 2 sum_{m>=1} I_m) / I_0) from log_t[m - 1] = log(I_m / I_0),
-    in extended precision."""
-    peak = max(0.0, float(log_t.max()))
-    rel = log_t - peak
-    return peak + np.log(np.exp(np.longdouble(-peak)) + 2.0 * np.exp(rel, out=rel).sum())
-
-
 def _log_scaled_iv_table_cached(x: float, kmax: int) -> np.ndarray:
     """Read-only table of log(exp(-x) * I_k(x)), k = 0..kmax, via backward ratios.
 
@@ -114,7 +107,11 @@ def _log_scaled_iv_table_cached(x: float, kmax: int) -> np.ndarray:
     # millions of entries, and the transient peak sets the process's RSS.
     log_t = np.cumsum(np.log(ratios, out=ratios), dtype=np.longdouble)  # log(I_m / I_0)
     del ratios
-    log_norm = _log_norm(log_t)
+    peak = max(0.0, float(log_t.max()))
+    rel = log_t - peak
+    norm = np.exp(np.longdouble(-peak)) + 2.0 * np.exp(rel, out=rel).sum()
+    del rel
+    log_norm = peak + np.log(norm)
     out = np.empty(kmax + 1)
     out[0] = float(-log_norm)
     out[1:] = np.subtract(log_t[:kmax], log_norm, out=log_t[:kmax])
@@ -209,7 +206,8 @@ def log_scaled_iv_pairs(orders, xs) -> np.ndarray:
     """log(exp(-x) * I_k(x)) for each pair (orders[i], xs[i]); xs > 0.
 
     Each value is bit for bit log_scaled_iv(orders[i], xs[i]): the pairs on
-    the series path are summed together, the others read their own table.
+    the series path are summed together, the others read the cached table
+    of their own argument and size bucket, one pair at a time.
     """
     k = np.abs(np.asarray(orders, dtype=np.int64))
     xs = np.asarray(xs, dtype=np.float64)
@@ -221,30 +219,13 @@ def log_scaled_iv_pairs(orders, xs) -> np.ndarray:
     out = np.empty(k.shape)
     if series.any():
         out[series] = _log_scaled_iv_series(k[series], xs[series])
-    if not series.all():
-        out[~series] = _log_scaled_iv_table_pairs(k[~series], xs[~series])
-    return out
-
-
-def _log_scaled_iv_table_pairs(k: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """_log_scaled_iv_table_cached(x[i], size)[k[i]] of each pair, size the
-    table size bucket of k[i], bit for bit and without the cache.
-
-    The backward ratios of all tables run in lockstep (padded with ratio 1,
-    whose log adds nothing) and take np.log over one contiguous array, as a
-    table does; the normalizing sum, which numpy takes pairwise, runs over
-    each table's own length.
-    """
-    size = np.maximum(64, 1 << np.frexp(k.astype(np.float64))[1])
-    top = ratio_start(size, x)
-    ratios = backward_ratios_lockstep(x, top, 0, int(top.max()))
-    ratios[np.arange(ratios.shape[0])[:, None] >= top] = 1.0
-    log_t = np.cumsum(np.log(ratios, out=ratios), axis=0, dtype=np.longdouble).T.copy()
-    del ratios
-    out = np.empty(k.size)
-    for i, (n, order) in enumerate(zip(top.tolist(), k.tolist())):
-        value = log_t[i, order - 1] if order else np.longdouble(0.0)
-        out[i] = float(value - _log_norm(log_t[i, :n]))
+    rest = np.flatnonzero(~series)
+    # The size bucket is 1 << k.bit_length(), at least 64, as in
+    # log_scaled_iv_orders.
+    out[rest] = [
+        _log_scaled_iv_table_cached(x, max(64, 1 << order.bit_length()))[order]
+        for order, x in zip(k[rest].tolist(), xs[rest].tolist())
+    ]
     return out
 
 

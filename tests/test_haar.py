@@ -247,6 +247,20 @@ def test_non_finite_window_rates_are_refused():
     pos, neg = np.array([1, 0, 1, 1]), np.array([0, 1, 0, 0])
     with pytest.raises(ValueError, match=r"pos bins 0,2-3, neg bins 1\)"):
         HaarSpilloverModel(f, pos, neg, 0.1).window_sums
+    with pytest.raises(ValueError, match=r"pos bins 0-3, neg bins none\)"):
+        HaarSpilloverModel(f, np.ones(4), np.zeros(4), 0.1).window_sums
+
+
+def test_empty_half_window_is_a_poisson_coefficient():
+    pos, neg = np.array([1, 1, 0, 0]), np.zeros(4, dtype=np.int64)
+    for a, b in ((pos, neg), (neg, pos)):
+        model = HaarSpilloverModel(RAMP, a, b, 0.3)
+        t, o = true_coeff_params(model), observed_coeff_params(model)
+        assert sorted((t.lambda1, t.lambda2)) == [0.0, 3.0]
+        assert sorted((o.lambda1, o.lambda2)) == [0.0, 0.7 * 3.0 + 0.3 * 5.0]
+        report = verify(model)
+        assert 0.0 < report.tv.value < 1.0 and report.satisfied
+        assert bound_theorem32(model).value == report.bound
 
 
 def _scipy_tv(a, b):

@@ -19,7 +19,9 @@ from skellam_stein.special import (
     adaptive_gauss_kronrod,
     bessel_i,
     binomial_thin_dist,
+    log_scaled_iv,
     log_scaled_iv_orders,
+    log_scaled_iv_pairs,
     pointwise_rule,
     poisson_dist,
 )
@@ -128,6 +130,22 @@ def test_log_scaled_iv_orders_across_switches():
         ), x
         for i in (0, ks.size // 2, ks.size - 1):  # one order alone, bit for bit
             assert log_scaled_iv_orders(ks[i : i + 1], x)[0] == got[i]
+
+
+def test_log_scaled_iv_pairs_match_single_values():
+    orders = [0, 3, 40, 40000, 65535, 65536, 10**5, -70000, 5]
+    xs = [0.5, 29.9, 200.0, 1e5, 1e5, 3e4, 2e5, 1e5, 1e6]
+    got = log_scaled_iv_pairs(orders, xs)
+    for i, (k, x) in enumerate(zip(orders, xs)):
+        assert got[i] == log_scaled_iv(k, x), (k, x)
+    assert log_scaled_iv_pairs([40000], [1e5])[0] == log_scaled_iv(40000, 1e5)
+
+
+def test_ratio_start_of_arrays_matches_scalars():
+    kmax = np.array([0, 64, 1 << 15, 1 << 16, 1 << 20], dtype=np.int32)
+    x = np.array([1.0, 500.0, 1e5, 1e5, 1e6])
+    got = special.ratio_start(kmax, x)
+    assert got.tolist() == [special.ratio_start(int(k), float(v)) for k, v in zip(kmax, x)]
 
 
 def test_ratio_tables_of_an_earlier_argument_are_released():
