@@ -1,8 +1,12 @@
 """The integer-valued law of a difference of two independent Poisson counts.
 
 A pmf value at one point runs in log scale with a single final
-exponentiation, so rates up to 10^6 stay inside float64.  A window takes
-one such value at its centre and steps outward by ratios
+exponentiation, so large rates stay inside float64.  Below |k| = 64 it is
+the tilt (k/2) log(l1/l2) plus special's log Bessel value, from the series
+or the 64-order table; from |k| = 64 on it is Olver's uniform expansion with
+the tilt folded in (special.log_skellam_debye), O(1) work with no
+cancellation between terms of the size of the rates.  A window takes one
+such value at its centre and steps outward by ratios
 p(k +- 1) / p(k) = (l1/l2)^(+-1/2) I_|k+-1|(x) / I_|k|(x), x = 2 sqrt(l1 l2),
 with the Bessel ratios from Miller's backward recurrence
 (special.backward_ratios).  `windows` builds the windows of many rate pairs
@@ -50,15 +54,28 @@ class SkellamParams:
         return self.lambda1 + self.lambda2
 
 
+# pmf's domain.  Orders up to 2**53 are exact as floats, as Olver's
+# expansion takes them.  Below order 64 a pmf value reads a Bessel table of
+# about sqrt(100 x) backward steps, x = 2 sqrt(l1 l2) <= 2 MAX_RATE: at
+# most 1.4e6 steps, under a second.
+MAX_ABS_K = 2**53
+MAX_RATE = 1e10
+
+
 def _log_poisson_pmf(lam: float, ks: np.ndarray) -> np.ndarray:
+    """log Poisson(lam) pmf at each k in ks: from order 64 on by
+    special.log_skellam_debye, the source of special.poisson_dist's mode."""
     out = np.full(ks.shape, float("-inf"))
     if lam == 0.0:
         out[ks == 0] = 0.0
         return out
-    pos = ks >= 0
-    kp = ks[pos]
+    near = (ks >= 0) & (ks < special.DEBYE_MIN_ORDER)
+    kp = ks[near]
     lgam = np.fromiter(map(math.lgamma, (kp + 1).tolist()), float, kp.size)
-    out[pos] = kp * math.log(lam) - lam - lgam
+    out[near] = kp * math.log(lam) - lam - lgam
+    far = ks >= special.DEBYE_MIN_ORDER
+    if far.any():
+        out[far] = special.log_skellam_debye(ks[far], lam, 0.0)
     return out
 
 
@@ -70,31 +87,49 @@ def _log_pmf_array(params: SkellamParams, ks) -> np.ndarray:
         return _log_poisson_pmf(l1, ks)
     if l1 == 0.0:
         return _log_poisson_pmf(l2, -ks)
-    # log pmf = (k/2) log(l1/l2) - (sqrt(l1) - sqrt(l2))^2 + log ive_|k|(2 sqrt(l1 l2))
-    x = 2.0 * math.sqrt(l1) * math.sqrt(l2)
-    tilt = 0.5 * ks * (math.log(l1) - math.log(l2))
-    root_gap = math.sqrt(l1) - math.sqrt(l2)
-    # Bessel values once per order: a span across 0 holds most |k| twice.
-    orders = np.abs(ks)
-    first = int(orders.min()) if orders.size else 0
-    iv = special.log_scaled_iv_orders(np.arange(first, int(orders.max(initial=first)) + 1), x)
-    return tilt - root_gap * root_gap + iv[orders - first]
+    return _log_pmf_centres(np.full(ks.shape, l1), np.full(ks.shape, l2), ks)
 
 
 def _log_pmf_centres(l1: np.ndarray, l2: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """_log_pmf_array of each positive rate pair (l1[i], l2[i]) at ks[i], bit for bit."""
-    s1, s2 = np.sqrt(l1), np.sqrt(l2)
-    x = 2.0 * s1 * s2
-    log_l1 = np.fromiter(map(math.log, l1.tolist()), float, l1.size)
-    log_l2 = np.fromiter(map(math.log, l2.tolist()), float, l2.size)
-    tilt = 0.5 * ks * (log_l1 - log_l2)
-    root_gap = s1 - s2
-    return tilt - root_gap * root_gap + special.log_scaled_iv_pairs(ks, x)
+    """log P(X = ks[i]) of each positive rate pair (l1[i], l2[i]); each value
+    depends on its own row alone.
+
+    Below |k| = 64, the tilt plus special's log Bessel value (series or
+    64-order table); from 64 on, Olver's expansion with the tilt folded in.
+    """
+    out = np.empty(ks.shape)
+    far = np.abs(ks) >= special.DEBYE_MIN_ORDER
+    if far.any():
+        # P(X = k) for k < 0 is the Skellam(l2, l1) pmf at -k.
+        kf, a, b = ks[far], l1[far], l2[far]
+        pos = kf >= 0
+        out[far] = special.log_skellam_debye(np.abs(kf), np.where(pos, a, b), np.where(pos, b, a))
+    near = ~far
+    if near.any():
+        # log pmf = (k/2) log(l1/l2) - (sqrt(l1) - sqrt(l2))^2 + log ive_|k|(2 sqrt(l1 l2))
+        l1, l2, ks = l1[near], l2[near], ks[near]
+        s1, s2 = np.sqrt(l1), np.sqrt(l2)
+        x = 2.0 * s1 * s2
+        log_l1 = np.fromiter(map(math.log, l1.tolist()), float, l1.size)
+        log_l2 = np.fromiter(map(math.log, l2.tolist()), float, l2.size)
+        tilt = 0.5 * ks * (log_l1 - log_l2)
+        root_gap = s1 - s2
+        out[near] = tilt - root_gap * root_gap + special.log_scaled_iv_pairs(ks, x)
+    return out
 
 
 def log_pmf(params: SkellamParams, k: int) -> float:
-    """log P(X = k); -inf where the mass is exactly zero."""
-    return float(_log_pmf_array(params, [int(k)])[0])
+    """log P(X = k); -inf where the mass is exactly zero.
+
+    Takes |k| <= MAX_ABS_K and rates up to MAX_RATE; ValueError beyond.
+    """
+    k = int(k)
+    if abs(k) > MAX_ABS_K:
+        raise ValueError(f"|k| = {abs(k)} is above the largest supported |k|, 2**53")
+    for name, rate in (("lambda1", params.lambda1), ("lambda2", params.lambda2)):
+        if rate > MAX_RATE:
+            raise ValueError(f"{name} = {rate:g} is above the largest supported pmf rate, {MAX_RATE:g}")
+    return float(_log_pmf_array(params, [k])[0])
 
 
 def pmf(params: SkellamParams, k: int) -> float:

@@ -2,11 +2,15 @@
 Poisson and binomial probability vectors, and adaptive quadrature.
 
 Bessel values are log-scale floats (-inf for zero), so extreme arguments stay
-usable.  Small arguments use the ascending power series; large arguments read
-one cached table per argument and power-of-two size, built by backward ratio
-recursion normalized by the scaled-sum identity, which never overflows.
-log_scaled_iv_pairs gives the same values for many (order, argument) pairs
-at once, the series ones summed together.
+usable.  An order takes one of three regimes: the ascending power series
+where it converges in few terms; below order 64, otherwise, one cached
+64-order table per argument, built by backward ratio recursion normalized
+by the scaled-sum identity, which never overflows; from order 64 on, Olver's
+uniform asymptotic expansion, whose O(1) work does not grow with the order
+or the argument.  log_skellam_debye gives the Skellam and Poisson pmf at
+orders from 64 on by the same expansion with the tilt folded in.
+log_scaled_iv_pairs gives the Bessel values for many (order, argument)
+pairs at once, each regime's pairs together.
 Time integrals over [0, inf) are taken on (0, 1] via u = exp(-t) by an
 adaptive Gauss-Kronrod 7/15 rule whose nodes avoid the endpoints.
 """
@@ -15,6 +19,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from functools import lru_cache
 from typing import Callable
 
@@ -24,16 +29,11 @@ from .dists import IntegerDist, span_values, unimodal_window
 
 MAX_EXP = 709.782712893384  # largest x with exp(x) finite in float64
 _SERIES_X_MAX = 30.0
+DEBYE_MIN_ORDER = 64  # orders from here on off the series take Olver's expansion
 
 
 class QuadratureError(RuntimeError):
     """Adaptive quadrature hit maximum depth without meeting tolerance."""
-
-
-@lru_cache(maxsize=1)
-def _iv_tables_at(x: float) -> dict[int, np.ndarray]:
-    """Tables of the latest argument only, by size: windows seldom share an x."""
-    return {}
 
 
 def ratio_start(kmax, x):
@@ -90,21 +90,18 @@ def backward_ratios_lockstep(x: np.ndarray, top: np.ndarray, low: int, high: int
     return out
 
 
-def _log_scaled_iv_table_cached(x: float, kmax: int) -> np.ndarray:
-    """Read-only table of log(exp(-x) * I_k(x)), k = 0..kmax, via backward ratios.
+@lru_cache(maxsize=1)
+def _log_scaled_iv_table(x: float) -> np.ndarray:
+    """Read-only table of log(exp(-x) * I_k(x)), k = 0..63, via backward
+    ratios; the latest argument only, as windows seldom share an x.
 
-    Products of the ratios are accumulated as logs in extended precision:
-    deep-tail orders underflow float64 by thousands of decades yet must
-    stay usable under large compensating tilts.  Normalization is
-    exp(-x) * (I_0 + 2 sum_{m>=1} I_m) = 1.
+    Products of the ratios are accumulated as logs in extended precision,
+    and normalized by exp(-x) * (I_0 + 2 sum_{m>=1} I_m) = 1.
     """
-    tables = _iv_tables_at(x)
-    if kmax in tables:
-        return tables[kmax]
-    top = ratio_start(kmax, x)
+    top = ratio_start(DEBYE_MIN_ORDER, x)
     ratios = backward_ratios(x, top, 0, np.empty(top))
-    # In place where possible: at large kmax or x these arrays hold
-    # millions of entries, and the transient peak sets the process's RSS.
+    # In place where possible: at large x these arrays hold millions of
+    # entries, and the transient peak sets the process's RSS.
     log_t = np.cumsum(np.log(ratios, out=ratios), dtype=np.longdouble)  # log(I_m / I_0)
     del ratios
     peak = max(0.0, float(log_t.max()))
@@ -112,12 +109,100 @@ def _log_scaled_iv_table_cached(x: float, kmax: int) -> np.ndarray:
     norm = np.exp(np.longdouble(-peak)) + 2.0 * np.exp(rel, out=rel).sum()
     del rel
     log_norm = peak + np.log(norm)
-    out = np.empty(kmax + 1)
+    out = np.empty(DEBYE_MIN_ORDER)
     out[0] = float(-log_norm)
-    out[1:] = np.subtract(log_t[:kmax], log_norm, out=log_t[:kmax])
+    out[1:] = np.subtract(log_t[: DEBYE_MIN_ORDER - 1], log_norm)
     out.setflags(write=False)
-    tables[kmax] = out
     return out
+
+
+# Olver's uniform expansion (DLMF 10.41.3): with s = sqrt(nu^2 + x^2) and
+# t = nu / s,  I_nu(x) ~ exp(s + nu log(x / (nu + s))) / sqrt(2 pi s)
+# * sum_j u_j(t) / nu^j.  Row j - 1 holds the coefficients of u_j(t) / t^j
+# in powers of t^2, from u_{j+1}(t) = t^2 (1 - t^2) u_j'(t) / 2
+# + int_0^t (1 - 5 v^2) u_j(v) dv / 8, u_0 = 1 (DLMF 10.41.9).  At
+# nu >= 64 the first omitted term, u_10(t) / nu^10, is below 1.1e-18.
+_DEBYE_U = (
+    (0.125, -0.20833333333333334),
+    (0.0703125, -0.4010416666666667, 0.3342013888888889),
+    (0.0732421875, -0.8912109375, 1.8464626736111112, -1.0258125964506173),
+    (0.112152099609375, -2.3640869140625, 8.78912353515625, -11.207002616222994,
+     4.669584423426247),
+    (0.22710800170898438, -7.368794359479632, 42.53499874538846, -91.81824154324002,
+     84.63621767460073, -28.212072558200244),
+    (0.5725014209747314, -26.491430486951554, 218.1905117442116, -699.5796273761325,
+     1059.9904525279999, -765.2524681411817, 212.57013003921713),
+    (1.7277275025844574, -108.09091978839466, 1200.9029132163525, -5305.646978613403,
+     11655.393336864534, -13586.550006434138, 8061.722181737309, -1919.457662318407),
+    (6.074042001273483, -493.915304773088, 7109.514302489364, -41192.65496889755,
+     122200.46498301746, -203400.17728041555, 192547.00123253153, -96980.59838863752,
+     20204.29133096615),
+    (24.380529699556064, -2499.8304818112097, 45218.76898136273, -331645.1724845636,
+     1268365.2733216248, -2813563.226586534, 3763271.297656404, -2998015.9185381066,
+     1311763.6146629772, -242919.18790055133),
+)
+
+
+def _libm(fn, values: np.ndarray) -> np.ndarray:
+    """fn (math.log, math.log1p, ...) of each value on libm, not numpy's
+    SIMD loops, whose last bit varies with the CPU."""
+    return np.fromiter(map(fn, values.tolist()), float, values.size)
+
+
+def _debye_log(nu: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """-log(2 pi s) / 2 + log sum_j u_j(nu / s) / nu^j, the part of log I_nu
+    in Olver's expansion beside the exponent; float orders nu >= 64."""
+    t = nu / s
+    y, w = t * t, t / nu
+    acc = np.zeros(nu.shape)
+    for row in reversed(_DEBYE_U):  # sum_j w^j P_j(y), both by Horner
+        p = np.full(nu.shape, row[-1])
+        for c in row[-2::-1]:
+            p = p * y + c
+        acc = (acc + p) * w
+    return _libm(math.log1p, acc) - 0.5 * _libm(math.log, 2.0 * math.pi * s)
+
+
+def _log_scaled_iv_debye(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """log(exp(-x) * I_nu(x)) by Olver's expansion, float orders nu >= 64,
+    x > 0: the exponent s - x + nu log(x / (nu + s)) is
+    nu^2 / (s + x) - nu log1p((nu + nu^2 / (s + x)) / x)."""
+    s = np.sqrt(nu * nu + x * x)
+    e = nu * nu / (s + x)
+    return e - nu * _libm(math.log1p, (nu + e) / x) + _debye_log(nu, s)
+
+
+def log_skellam_debye(nu, la, lb) -> np.ndarray:
+    """log P(X = nu) for X ~ Skellam(la, lb) by Olver's expansion of I_nu,
+    at integer nu >= 64, la > 0 and lb >= 0 (arrays of one shape); lb = 0
+    gives the Poisson(la) pmf.
+
+    The tilt is folded into the exponent, so nothing of the size of the
+    rates cancels: with T = la + lb, d = la - lb, s = sqrt(nu^2 + 4 la lb)
+    and delta = nu - d (by fsum, exact to rounding),
+      log p = nu log(2 la / (nu + s)) + (s - T) + _debye_log(nu, s),
+      s - T = delta (nu + d) / (s + T),
+      2 la / (nu + s) - 1 = -delta (s + T + nu + d) / ((s + T) (nu + s)).
+    The log takes log1p of the last line where it lies in [-1/2, 1/2], near
+    the mode; in the tails log1p would lose what 1 + z rounds away.
+    """
+    nu, la, lb = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=np.float64)) for v in (nu, la, lb)))
+    total, d = la + lb, la - lb
+    x = 2.0 * np.sqrt(la) * np.sqrt(lb)
+    s = np.sqrt(nu * nu + x * x)
+    delta = np.fromiter(
+        map(math.fsum, zip(nu.tolist(), (-la).tolist(), lb.tolist())), float, nu.size
+    )
+    st, ns = s + total, nu + s
+    z = -delta * (st + nu + d) / (st * ns)
+    ratio = 2.0 * la / ns
+    log_ratio = [
+        math.log1p(zi) if abs(zi) <= 0.5
+        else math.log(qi) if qi >= sys.float_info.min
+        else math.log(2.0 * lai) - math.log(nsi)  # the ratio underflows
+        for zi, qi, lai, nsi in zip(z.tolist(), ratio.tolist(), la.tolist(), ns.tolist())
+    ]
+    return nu * np.array(log_ratio) + delta * (nu + d) / st + _debye_log(nu, s)
 
 
 def log_scaled_iv_orders(orders, x: float) -> np.ndarray:
@@ -125,36 +210,17 @@ def log_scaled_iv_orders(orders, x: float) -> np.ndarray:
 
     An order takes the ascending series when it converges in few terms
     (x <= 30 or 0.25 x^2 / (k + 1) <= 64), summed for all such orders at
-    once; every other order is read from the cached ratio table of its own
-    size bucket.  So an order's value never depends on the orders asked for
+    once; every other order below 64 is read from the cached 64-order ratio
+    table of x, and every other order from 64 on is Olver's uniform
+    expansion.  So an order's value never depends on the orders asked for
     with it, and a one-order call agrees bit for bit with a window.
     """
     k = np.abs(np.asarray(orders, dtype=np.int64))
-    if k.size and int(k.max()) > 4 * 10**6:
-        raise ValueError("order magnitude above 4e6 is unsupported")
     if x < 0:
         raise ValueError("argument must be non-negative")
     if x == 0.0:
         return np.where(k == 0, 0.0, -np.inf)
-    out = np.empty(k.shape)
-    q = 0.25 * x * x
-    series = (x <= _SERIES_X_MAX) | (q / (k + 1.0) <= 64.0)
-    rest = k[~series]
-    if rest.size:
-        # frexp's exponent b of k is k.bit_length(): the table size bucket
-        # is 1 << b, at least 64.
-        bits = np.frexp(rest.astype(np.float64))[1]
-        values = np.empty(rest.shape)
-        for b in range(int(bits.min()), int(bits.max()) + 1):
-            sel = bits == b
-            if sel.any():
-                table = _log_scaled_iv_table_cached(float(x), max(64, 1 << b))
-                values[sel] = table[rest[sel]]
-        out[~series] = values
-    ks = k[series]
-    if ks.size:
-        out[series] = _log_scaled_iv_series(ks, np.full(ks.shape, float(x)))
-    return out
+    return log_scaled_iv_pairs(k, np.full(k.shape, float(x)))
 
 
 def _log_scaled_iv_series(ks: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -192,39 +258,32 @@ def _log_scaled_iv_series(ks: np.ndarray, x: np.ndarray) -> np.ndarray:
         sums[live[hit]] = part[first[hit], cols[hit]]
         live, term, s = live[~hit], terms[-1, ~hit], part[-1, ~hit]
         m0, rows = m0 + rows, 2 * rows
-    # math.log/math.lgamma (libm) rather than numpy's SIMD loops, whose
-    # last bit varies with the CPU: records stay the same across machines.
-    log_t0 = (
-        ks * np.fromiter(map(math.log, (0.5 * x).tolist()), float, ks.size)
-        - np.fromiter(map(math.lgamma, (ks + 1).tolist()), float, ks.size)
-        - x
-    )
-    return log_t0 + np.fromiter(map(math.log, sums.tolist()), float, ks.size)
+    log_t0 = ks * _libm(math.log, 0.5 * x) - _libm(math.lgamma, ks + 1) - x
+    return log_t0 + _libm(math.log, sums)
 
 
 def log_scaled_iv_pairs(orders, xs) -> np.ndarray:
     """log(exp(-x) * I_k(x)) for each pair (orders[i], xs[i]); xs > 0.
 
-    Each value is bit for bit log_scaled_iv(orders[i], xs[i]): the pairs on
-    the series path are summed together, the others read the cached table
-    of their own argument and size bucket, one pair at a time.
+    Each value is bit for bit log_scaled_iv(orders[i], xs[i]), by the rule
+    of log_scaled_iv_orders: the pairs on the series path are summed
+    together, those of Olver's expansion taken together, and the others
+    read the cached table of their own argument, one pair at a time.
     """
     k = np.abs(np.asarray(orders, dtype=np.int64))
     xs = np.asarray(xs, dtype=np.float64)
-    if k.size and int(k.max()) > 4 * 10**6:
-        raise ValueError("order magnitude above 4e6 is unsupported")
     if not np.all(xs > 0.0):
         raise ValueError("arguments must be positive")
     series = (xs <= _SERIES_X_MAX) | (0.25 * xs * xs / (k + 1.0) <= 64.0)
+    debye = ~series & (k >= DEBYE_MIN_ORDER)
     out = np.empty(k.shape)
     if series.any():
         out[series] = _log_scaled_iv_series(k[series], xs[series])
-    rest = np.flatnonzero(~series)
-    # The size bucket is 1 << k.bit_length(), at least 64, as in
-    # log_scaled_iv_orders.
-    out[rest] = [
-        _log_scaled_iv_table_cached(x, max(64, 1 << order.bit_length()))[order]
-        for order, x in zip(k[rest].tolist(), xs[rest].tolist())
+    if debye.any():
+        out[debye] = _log_scaled_iv_debye(k[debye].astype(np.float64), xs[debye])
+    table = ~series & ~debye
+    out[table] = [
+        _log_scaled_iv_table(x)[order] for order, x in zip(k[table].tolist(), xs[table].tolist())
     ]
     return out
 
@@ -281,14 +340,20 @@ def _poisson_span(lam: float):
     """span(a, b) giving the Poisson(lam) pmf on a..b by ratio steps.
 
     The first span holds the mode, whose value is walked outward with
-    p * k / lam to the left and q * lam / k to the right; each later span
+    p * k / lam to the left and q * lam / k to the right.  The mode's value
+    is log_skellam_debye's (lb = 0) from 64 on, so it equals skellam.pmf's
+    there bit for bit, and k log lam - lam - lgamma(k + 1) below, whose
+    cancellation is small at small lam.  Each later span
     adjoins the ones before and continues the walk from that end's value.
     So no step is taken twice, and each value is bit for bit the one a
     single walk from the mode gives.  No factorials are formed, so relative
     accuracy is uniform over the span.
     """
     mode = int(lam)
-    p = q = math.exp(mode * math.log(lam) - lam - math.lgamma(mode + 1))
+    p = q = math.exp(
+        float(log_skellam_debye(mode, lam, 0.0)[0]) if mode >= DEBYE_MIN_ORDER
+        else mode * math.log(lam) - lam - math.lgamma(mode + 1)
+    )
     lo = hi = mode  # walked k range; p = pmf(lo) and q = pmf(hi)
     middle = [p]  # the mode's value, returned by the first span only
 

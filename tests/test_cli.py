@@ -10,6 +10,7 @@ from unittest import mock
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+import scipy.stats as sstats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -446,3 +447,26 @@ def test_node_window_escape_exits_3_not_1(capsys):
                              "--order", "1", "--quad-tol", "1e-13")
     assert code == cli.EXIT_INTERNAL and out == ""
     assert err.startswith("error: internal error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("args, message", [
+    (("--l1", "1e300", "--l2", "1", "--k", "0"), "error: lambda1 = 1e+300 is above the largest supported pmf rate"),
+    (("--l1", "3", "--l2", "1", "--k", "100000000000000000000"), "error: |k| = 100000000000000000000 is above"),
+])
+def test_dist_pmf_out_of_domain_exits_2_with_the_library_message(capsys, args, message):
+    code, out, err = run_cli(capsys, "dist", "pmf", *args)
+    assert code == cli.EXIT_USAGE and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(message), err
+
+
+def test_dist_pmf_at_large_orders(capsys):
+    # Olver's expansion: a Skellam centre at total rate 1e6 and a Poisson
+    # pmf at 1e5, against scipy.
+    for args, ref in (
+        (("--l1", "7e5", "--l2", "3e5", "--k", "400000"), sstats.skellam.pmf(400000, 7e5, 3e5)),
+        (("--l1", "1e5", "--l2", "0", "--extended", "--k", "99000"), sstats.poisson.pmf(99000, 1e5)),
+    ):
+        code, out, _ = run_cli(capsys, "dist", "pmf", *args, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["results"]["pmf"] == pytest.approx(ref, rel=1e-12)

@@ -263,3 +263,113 @@ def test_max_pmf_bound_dominates_window():
             params = SkellamParams(l1, l2)
             d = to_dist(params, 1e-14)
             assert float(d.probabilities.max()) <= max_pmf_bound(params) + 1e-15
+
+
+def _large_rate_pairs():
+    """A seeded log-uniform grid of rate pairs in [1e-3, 1e6], with the
+    skewed pairs whose centre values once cancelled the tilt."""
+    rng = np.random.default_rng(20261019)
+    grid = [tuple(10.0 ** rng.uniform(-3, 6, 2)) for _ in range(12)]
+    return grid + [(7e5, 3e5), (6e5, 4e5), (3e5, 1e-200), (1e6, 0.5), (649212.0, 350788.0)]
+
+
+def test_windows_at_large_rates_match_scipy_in_l1():
+    for l1, l2 in _large_rate_pairs():
+        params = SkellamParams(l1, l2)
+        d = to_dist(params, 1e-12)
+        ref = sstats.skellam.pmf(d.support(), l1, l2)
+        assert np.abs(d.probabilities - ref).sum() <= 1e-12, (l1, l2)
+        # The greedy stops on its target, not at the 24-sd width cap.
+        assert d.max_support - d.min_support < int(24.0 * math.sqrt(params.total)) + 100, (l1, l2)
+        center = int(round(l1 - l2))
+        assert d.prob(center) == pmf(params, center), (l1, l2)
+
+
+def test_log_pmf_from_order_64_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    # Centres at orders up to about 2000, then tails: (64.3, 0.001) at
+    # k = -236 is where log1p in place of log loses digits, and a rate of
+    # 1e-320 makes 2 la / (nu + s) underflow.
+    pairs = [(70.0, 5.0), (300.0, 1e-3), (0.5, 130.0), (1000.0, 300.0), (2500.0, 500.0),
+             (2000.0, 1e-200), (1.0, 1950.0), (1500.0, 1400.0), (900.0, 1000.0)]
+    cases = [(l1, l2, int(round(l1 - l2))) for l1, l2 in pairs]
+    cases += [(64.3, 0.001, -236), (64.3, 0.001, 200), (1000.0, 300.0, 1100),
+              (1000.0, 300.0, 64), (1e-320, 5.0, 100), (5.0, 1e-300, -70)]
+    with mpmath.workdps(30):
+        for l1, l2, k in cases:
+            a, b = mpmath.mpf(l1), mpmath.mpf(l2)
+            ref = float(
+                -(a + b) + k * (mpmath.log(a) - mpmath.log(b)) / 2
+                + mpmath.log(mpmath.besseli(abs(k), 2 * mpmath.sqrt(a * b)))
+            )
+            got = log_pmf(SkellamParams(l1, l2), k)
+            assert abs(got - ref) <= 1e-15 * abs(ref), (l1, l2, k, got, ref)
+
+
+def test_skew_symmetry_and_centres_are_bit_exact_past_order_64():
+    pairs = [(64.3, 0.001), (1000.0, 300.0), (7e5, 3e5), (3e5, 1e-200)]
+    for l1, l2 in pairs:
+        a, b = SkellamParams(l1, l2), SkellamParams(l2, l1)
+        c = int(round(l1 - l2))
+        for k in list(range(-300, 301, 7)) + [c - 1000, c, c + 1000]:
+            assert log_pmf(a, k) == log_pmf(b, -k), (l1, l2, k)
+    # The lockstep centres equal log_pmf bit for bit, on either side of 64.
+    l1 = np.array([64.3, 1000.0, 7e5, 3e5, 50.0, 5.0, 100.0])
+    l2 = np.array([0.001, 300.0, 3e5, 1e-200, 20.0, 69.0, 36.5])
+    ks = np.array([64, 700, 400000, -300000, 30, -64, 63])
+    got = skellam._log_pmf_centres(l1, l2, ks)
+    want = [log_pmf(SkellamParams(a, b), int(k)) for a, b, k in zip(l1, l2, ks)]
+    assert got.tolist() == want
+
+
+def test_large_rate_window_takes_few_backward_ratio_steps(monkeypatch):
+    # The centre value is O(1) work: only the walk's own orders, about
+    # 16k at (7e5, 3e5), are stepped (a whole ratio table took 5.2e5).
+    steps = []
+    real = skellam.special.backward_ratios
+
+    def counting(x, top, low, out):
+        steps.append(top - low)
+        return real(x, top, low, out)
+
+    monkeypatch.setattr(skellam.special, "backward_ratios", counting)
+    to_dist(SkellamParams(7e5, 3e5), 1e-12)
+    assert 0 < sum(steps) < 5 * 10**4
+
+
+def test_poisson_pmf_and_window_share_the_mode_value():
+    for lam in (100.0, 1e4, 1e5, 2e6):
+        mode = int(lam)
+        params = SkellamParams(lam, 0.0, extended=True)
+        d = to_dist(params, 1e-12)
+        assert d.prob(mode) == pmf(params, mode), lam
+        assert negate(d).prob(-mode) == pmf(SkellamParams(0.0, lam, extended=True), -mode)
+        # Away from the mode they differ by the walk's rounding, two
+        # roundings a step (below 64 pmf takes lgamma, with its own error).
+        ks = np.arange(max(d.min_support, 64), d.max_support + 1)
+        got = np.exp(skellam._log_pmf_array(params, ks))
+        walked = d.probabilities[ks - d.min_support]
+        rel = np.abs(got - walked) / walked
+        assert np.all(rel <= 2e-15 + 4.5e-16 * np.abs(ks - mode)), lam
+
+
+def test_poisson_mode_value_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        for lam in (64.5, 1e5, 2e6, 1e10):
+            mode = int(lam)
+            ref = float(mode * mpmath.log(lam) - lam - mpmath.loggamma(mode + 1))
+            got = log_pmf(SkellamParams(lam, 0.0, extended=True), mode)
+            assert abs(got - ref) <= 1e-15 * abs(ref), (lam, got, ref)
+
+
+def test_pmf_domain_limits_are_typed():
+    params = SkellamParams(3.0, 1.0)
+    assert pmf(params, skellam.MAX_ABS_K) == 0.0
+    with pytest.raises(ValueError, match="largest supported"):
+        pmf(params, 10**20)
+    with pytest.raises(ValueError, match="largest supported"):
+        pmf(params, -(skellam.MAX_ABS_K + 1))
+    with pytest.raises(ValueError, match="largest supported pmf rate"):
+        pmf(SkellamParams(1e300, 1.0), 0)
+    assert math.isfinite(log_pmf(SkellamParams(skellam.MAX_RATE, 1.0), 0))

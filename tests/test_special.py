@@ -2,6 +2,7 @@ import heapq
 import math
 import tracemalloc
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,13 +10,13 @@ import scipy.special as sps
 import scipy.stats as sstats
 
 from skellam_stein import SkellamParams, special
-from skellam_stein.dists import ResourceLimitError, unimodal_window
+from skellam_stein.dists import ResourceLimitError, span_values, unimodal_window
 from skellam_stein.special import (
     _GK_NODES,
     _GK_WDIFF,
     _GK_WK,
     QuadratureError,
-    _log_scaled_iv_table_cached,
+    _log_scaled_iv_table,
     adaptive_gauss_kronrod,
     bessel_i,
     binomial_thin_dist,
@@ -149,11 +150,11 @@ def test_ratio_start_of_arrays_matches_scalars():
 
 
 def test_ratio_tables_of_an_earlier_argument_are_released():
-    table = _log_scaled_iv_table_cached(1234.5, 64)
-    assert _log_scaled_iv_table_cached(1234.5, 64) is table  # reused at one x
+    table = _log_scaled_iv_table(1234.5)
+    assert _log_scaled_iv_table(1234.5) is table  # reused at one x
     released = weakref.ref(table)
     del table
-    _log_scaled_iv_table_cached(2345.5, 64)
+    _log_scaled_iv_table(2345.5)
     assert released() is None
 
 
@@ -177,7 +178,10 @@ def _poisson_ratio_loop(lam, tail_tol):
     """Self-contained greedy ratio loop for a Poisson window: the reference
     poisson_dist must match bit for bit (window, values and tail)."""
     mode = int(lam)
-    log_pm = mode * math.log(lam) - lam - math.lgamma(mode + 1)
+    if mode >= special.DEBYE_MIN_ORDER:  # the skellam.pmf source, lb = 0
+        log_pm = float(special.log_skellam_debye(mode, lam, 0.0)[0])
+    else:
+        log_pm = mode * math.log(lam) - lam - math.lgamma(mode + 1)
     pm = math.exp(log_pm)
     left = []   # mode-1, mode-2, ...
     right = []  # mode+1, mode+2, ...
@@ -257,7 +261,16 @@ def test_poisson_window_takes_one_ratio_step_per_walked_point(lam):
     walked = sum(max(0, b - max(a, 0) + 1) for a, b in spans)
     assert _StepCountingRate.steps == walked - 1
     if lam >= 2e4:
-        assert len(spans) > 2  # the window was extended
+        # A 1e-12 window stays in its first span; +-12 sd runs past it.
+        spans.clear()
+        span = special._poisson_span(_StepCountingRate(lam))
+        _StepCountingRate.steps = 0
+        lo, hi = int(lam - 12 * math.sqrt(lam)), int(lam + 12 * math.sqrt(lam))
+        got = span_values(recorded, int(lam), math.sqrt(lam), lo, hi)
+        assert len(spans) > 2  # the span was extended
+        assert got.tobytes() == special.poisson_values(lam, lo, hi).tobytes()
+        walked = sum(max(0, b - max(a, 0) + 1) for a, b in spans)
+        assert _StepCountingRate.steps == walked - 1
 
 
 def test_poisson_window_above_cap_refused_before_building():
@@ -422,3 +435,55 @@ def test_integral_bound_bit_identical_to_node_by_node(lam):
     want, _ = _node_by_node_gauss_kronrod(g, 0.0, 1.0, 1e-8)
     got = bound_first_diff_integral(SkellamParams(lam / 2, lam / 2), 1e-8)
     assert got.value == float(want)
+
+
+def _debye_u_fractions(count):
+    """u_1..u_count of DLMF 10.41.9 in exact rationals, each as its
+    coefficients of t^j, t^(j+2), ..., t^(3j)."""
+    u = {0: Fraction(1)}
+    rows = []
+    for j in range(1, count + 1):
+        nxt = {}
+        for p, c in u.items():
+            if p:  # t^2 (1 - t^2) u'(t) / 2
+                nxt[p + 1] = nxt.get(p + 1, 0) + c * p / 2
+                nxt[p + 3] = nxt.get(p + 3, 0) - c * p / 2
+            # int_0^t (1 - 5 v^2) u(v) dv / 8
+            nxt[p + 1] = nxt.get(p + 1, 0) + c / (8 * (p + 1))
+            nxt[p + 3] = nxt.get(p + 3, 0) - 5 * c / (8 * (p + 3))
+        u = nxt
+        rows.append([u[j + 2 * i] for i in range(j + 1)])
+    return rows
+
+
+def test_debye_coefficients_equal_the_exact_recurrence():
+    exact = _debye_u_fractions(len(special._DEBYE_U) + 1)
+    assert exact[0] == [Fraction(1, 8), Fraction(-5, 24)]  # u_1 = (3t - 5t^3) / 24
+    for row, want in zip(special._DEBYE_U, exact):
+        assert list(row) == [float(c) for c in want]
+    # The first omitted term is far below rounding at the lowest order.
+    t = np.linspace(0.0, 1.0, 1001)
+    omitted = sum(float(c) * t ** (len(exact) + 2 * i) for i, c in enumerate(exact[-1]))
+    assert np.abs(omitted).max() / special.DEBYE_MIN_ORDER ** len(exact) < 2e-18
+
+
+def test_debye_orders_match_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    cases = [(x, k) for x in (200.0, 1500.0, 4000.0) for k in range(58, 72)]
+    cases += [(3000.0, 300), (4000.0, 700), (2500.0, 2000), (1e4, 4000)]
+    with mpmath.workdps(30):
+        for x, k in cases:
+            if 0.25 * x * x / (k + 1.0) <= 64.0:
+                continue  # on the series
+            ref = float(mpmath.log(mpmath.besseli(k, x)) - x)
+            got = log_scaled_iv(k, x)
+            assert abs(got - ref) <= 2e-15 * max(1.0, abs(ref)), (k, x, got, ref)
+
+
+def test_poisson_window_tail_is_the_mass_outside():
+    # The mode value from order 64 on is the skellam.pmf source, so values
+    # sum to 1 to rounding and the reported tail is what lies outside.
+    for lam in (7300.0, 1e5, 2e6):
+        d = poisson_dist(lam, 1e-12)
+        outside = sstats.poisson.cdf(d.min_support - 1, lam) + sstats.poisson.sf(d.max_support, lam)
+        assert abs(d.tail_mass - outside) <= 1e-14, (lam, d.tail_mass, outside)
