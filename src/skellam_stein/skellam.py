@@ -87,10 +87,10 @@ def _log_pmf_array(params: SkellamParams, ks) -> np.ndarray:
         return _log_poisson_pmf(l1, ks)
     if l1 == 0.0:
         return _log_poisson_pmf(l2, -ks)
-    return _log_pmf_centres(np.full(ks.shape, l1), np.full(ks.shape, l2), ks)
+    return _log_pmf_rows(np.full(ks.shape, l1), np.full(ks.shape, l2), ks)
 
 
-def _log_pmf_centres(l1: np.ndarray, l2: np.ndarray, ks: np.ndarray) -> np.ndarray:
+def _log_pmf_rows(l1: np.ndarray, l2: np.ndarray, ks: np.ndarray) -> np.ndarray:
     """log P(X = ks[i]) of each positive rate pair (l1[i], l2[i]); each value
     depends on its own row alone.
 
@@ -281,7 +281,7 @@ def _lockstep(rows: _Rows, tail_tol: float) -> list:
     # never read.
     big = int(rows.half.max())
     anchor = np.fromiter(
-        map(math.exp, _log_pmf_centres(rows.l1, rows.l2, rows.center).tolist()), float, n
+        map(math.exp, _log_pmf_rows(rows.l1, rows.l2, rows.center).tolist()), float, n
     )
     values = np.empty((n, 2 * big + 1))
     factors = np.empty((n, big + 1))  # the anchor, then one factor per step

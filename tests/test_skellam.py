@@ -317,7 +317,7 @@ def test_skew_symmetry_and_centres_are_bit_exact_past_order_64():
     l1 = np.array([64.3, 1000.0, 7e5, 3e5, 50.0, 5.0, 100.0])
     l2 = np.array([0.001, 300.0, 3e5, 1e-200, 20.0, 69.0, 36.5])
     ks = np.array([64, 700, 400000, -300000, 30, -64, 63])
-    got = skellam._log_pmf_centres(l1, l2, ks)
+    got = skellam._log_pmf_rows(l1, l2, ks)
     want = [log_pmf(SkellamParams(a, b), int(k)) for a, b, k in zip(l1, l2, ks)]
     assert got.tolist() == want
 
