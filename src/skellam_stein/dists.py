@@ -134,11 +134,6 @@ def convolve(d1: IntegerDist, d2: IntegerDist) -> IntegerDist:
     return IntegerDist(d1.min_support + d2.min_support, probs, tail)
 
 
-def unimodal_window(span, center: int, sd: float, tail_tol: float) -> IntegerDist:
-    """greedy_window's window as an IntegerDist."""
-    return IntegerDist(*greedy_window(span, center, sd, tail_tol))
-
-
 def greedy_window(span, center: int, sd: float, tail_tol: float) -> tuple[int, np.ndarray, float]:
     """(lo, p, tail): a window of a unimodal pmf (standard deviation sd)
     holding >= 1 - tail_tol, p[i] = P(X = lo + i).

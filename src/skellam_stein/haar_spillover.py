@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dists import TVInterval, tv_distance, tv_interval
+from .dists import TVInterval, tv_interval
 from .skellam import SkellamParams, to_dist, windows
 from .verification import VerificationReport, make_report
 
@@ -226,18 +226,10 @@ def _bounds(p: float, pf, nf, pfs, nfs):
 
 
 def tv_observed_vs_true(model: HaarSpilloverModel, tail_tol: float = 1e-10) -> TVInterval:
-    """Exact truncated TV between the observed and true coefficient laws.
-
-    Coinciding parameters short-circuit to an exact zero.
-    """
-    true_params = true_coeff_params(model)
-    obs_params = observed_coeff_params(model)
-    if (
-        true_params.lambda1 == obs_params.lambda1
-        and true_params.lambda2 == obs_params.lambda2
-    ):
-        return TVInterval(0.0, 0.0)
-    return tv_distance(to_dist(obs_params, tail_tol), to_dist(true_params, tail_tol))
+    """Exact truncated TV between the observed and true coefficient laws,
+    by _tv_pairs: coinciding parameters give an exact zero."""
+    obs, true = observed_coeff_params(model), true_coeff_params(model)
+    return _tv_pairs([(obs.lambda1, obs.lambda2)], [(true.lambda1, true.lambda2)], tail_tol)[0]
 
 
 def simulate_spillover(

@@ -2,11 +2,11 @@
 
 A pmf value at one point runs in log scale with a single final
 exponentiation, so large rates stay inside float64.  Below |k| = 64 it is
-the tilt (k/2) log(l1/l2) plus special's log Bessel value, from the series
-or the 64-order table; from |k| = 64 on it is Olver's uniform expansion with
-the tilt folded in (special.log_skellam_debye), O(1) work with no
-cancellation between terms of the size of the rates.  A window takes one
-such value at its centre and steps outward by ratios
+the tilt (k/2) log(l1/l2) plus special's log Bessel value; from |k| = 64 on
+it is Olver's uniform expansion with the tilt folded in
+(special.log_skellam_debye).  Both are O(1) work at any rate, and the
+second has no cancellation between terms of the size of the rates.  A
+window takes one such value at its centre and steps outward by ratios
 p(k +- 1) / p(k) = (l1/l2)^(+-1/2) I_|k+-1|(x) / I_|k|(x), x = 2 sqrt(l1 l2),
 with the Bessel ratios from Miller's backward recurrence
 (special.backward_ratios).  `windows` builds the windows of many rate pairs
@@ -55,28 +55,13 @@ class SkellamParams:
 
 
 # pmf's domain.  Orders up to 2**53 are exact as floats, as Olver's
-# expansion takes them.  Below order 64 a pmf value reads a Bessel table of
-# about sqrt(100 x) backward steps, x = 2 sqrt(l1 l2) <= 2 MAX_RATE: at
-# most 1.4e6 steps, under a second.
+# expansion takes them.  A value costs O(1) at any rate, but below |k| = 64
+# it subtracts (sqrt(l1) - sqrt(l2))^2, whose square roots round in
+# proportion to sqrt of the rates: far-tail values (near 1e-270) lose about
+# 3e-11 relative at rates 1e8 and 2.3e-10 at 1e10 against mpmath.  MAX_RATE
+# holds that loss at its size at 1e10.
 MAX_ABS_K = 2**53
 MAX_RATE = 1e10
-
-
-def _log_poisson_pmf(lam: float, ks: np.ndarray) -> np.ndarray:
-    """log Poisson(lam) pmf at each k in ks: from order 64 on by
-    special.log_skellam_debye, the source of special.poisson_dist's mode."""
-    out = np.full(ks.shape, float("-inf"))
-    if lam == 0.0:
-        out[ks == 0] = 0.0
-        return out
-    near = (ks >= 0) & (ks < special.DEBYE_MIN_ORDER)
-    kp = ks[near]
-    lgam = np.fromiter(map(math.lgamma, (kp + 1).tolist()), float, kp.size)
-    out[near] = kp * math.log(lam) - lam - lgam
-    far = ks >= special.DEBYE_MIN_ORDER
-    if far.any():
-        out[far] = special.log_skellam_debye(ks[far], lam, 0.0)
-    return out
 
 
 def _log_pmf_array(params: SkellamParams, ks) -> np.ndarray:
@@ -84,9 +69,9 @@ def _log_pmf_array(params: SkellamParams, ks) -> np.ndarray:
     ks = np.asarray(ks, dtype=np.int64)
     l1, l2 = params.lambda1, params.lambda2
     if l2 == 0.0:
-        return _log_poisson_pmf(l1, ks)
+        return special.log_poisson_pmf(l1, ks)
     if l1 == 0.0:
-        return _log_poisson_pmf(l2, -ks)
+        return special.log_poisson_pmf(l2, -ks)
     return _log_pmf_rows(np.full(ks.shape, l1), np.full(ks.shape, l2), ks)
 
 
@@ -95,7 +80,7 @@ def _log_pmf_rows(l1: np.ndarray, l2: np.ndarray, ks: np.ndarray) -> np.ndarray:
     depends on its own row alone.
 
     Below |k| = 64, the tilt plus special's log Bessel value (series or
-    64-order table); from 64 on, Olver's expansion with the tilt folded in.
+    seeded ratios); from 64 on, Olver's expansion with the tilt folded in.
     """
     out = np.empty(ks.shape)
     far = np.abs(ks) >= special.DEBYE_MIN_ORDER
@@ -379,7 +364,7 @@ def _bessel_ratios(x: float, a: int, b: int) -> tuple[int, list[float]]:
     recurrence runs from special.ratio_start(hi, x) down to lo + 1 only."""
     lo = 0 if a <= 0 <= b else min(abs(a), abs(b))
     top = special.ratio_start(max(abs(a), abs(b)), x)
-    return lo, special.backward_ratios(x, top, lo, [0.0] * (top - lo))
+    return lo, special.backward_ratios(x, top, lo, 0.0)
 
 
 def _skellam_span(l1: float, l2: float, center: int):

@@ -3,12 +3,14 @@ Poisson and binomial probability vectors, and adaptive quadrature.
 
 Bessel values are log-scale floats (-inf for zero), so extreme arguments stay
 usable.  An order takes one of three regimes: the ascending power series
-where it converges in few terms; below order 64, otherwise, one cached
-64-order table per argument, built by backward ratio recursion normalized
-by the scaled-sum identity, which never overflows; from order 64 on, Olver's
+where it converges in few terms; from order 64 on, otherwise, Olver's
 uniform asymptotic expansion, whose O(1) work does not grow with the order
-or the argument.  log_skellam_debye gives the Skellam and Poisson pmf at
-orders from 64 on by the same expansion with the tilt folded in.
+or the argument; below order 64, otherwise, the expansion's ratio
+I_65 / I_64 seeds 64 backward ratio steps down to order 1, and Hankel's
+expansion of I_0 anchors them.  No regime keeps state between calls.
+log_skellam_debye gives the Skellam and Poisson pmf at orders from 64 on by
+the same expansion with the tilt folded in, and log_poisson_pmf the Poisson
+pmf at every order.
 log_scaled_iv_pairs gives the Bessel values for many (order, argument)
 pairs at once, each regime's pairs together.
 Time integrals over [0, inf) are taken on (0, 1] via u = exp(-t) by an
@@ -20,12 +22,11 @@ from __future__ import annotations
 import heapq
 import math
 import sys
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .dists import IntegerDist, span_values, unimodal_window
+from .dists import IntegerDist, greedy_window, span_values
 
 MAX_EXP = 709.782712893384  # largest x with exp(x) finite in float64
 _SERIES_X_MAX = 30.0
@@ -49,18 +50,18 @@ def ratio_start(kmax, x):
     return int(math.sqrt(kmax * kmax + 100.0 * x)) + 20
 
 
-def backward_ratios(x: float, top: int, low: int, out):
-    """Fill out[m - low - 1] = r_m = I_m(x) / I_{m-1}(x) for low < m <= top,
-    x > 0; out is a list or a float64 array; returns out.
+def backward_ratios(x: float, top: int, low: int, seed: float) -> list[float]:
+    """r[m - low - 1] = r_m = I_m(x) / I_{m-1}(x) for low < m <= top, x > 0,
+    from r_{top + 1} = seed.
 
-    Miller's backward recurrence r_m = 1 / (2m/x + r_{m+1}), from r = 0
-    above top (Gautschi, SIAM Review 9, 1967).  The ratios lie in (0, 1)
-    and come from the dominant solution of the three-term recurrence, so
-    the continued fraction is forward stable.  A table's 10^5-10^6 ratios
-    go in an array: as float objects in a list they would hold 4x the
-    memory.
+    Miller's backward recurrence r_m = 1 / (2m/x + r_{m+1}) (Gautschi, SIAM
+    Review 9, 1967), seeded by 0 from ratio_start's order or by the true
+    ratio from any order.
+    The ratios lie in (0, 1) and come from the dominant solution of the
+    three-term recurrence, so the continued fraction is forward stable.
     """
-    r = 0.0
+    out = [0.0] * (top - low)
+    r = seed
     for m in range(top, low, -1):
         r = 1.0 / (2.0 * m / x + r)
         out[m - low - 1] = r
@@ -87,32 +88,6 @@ def backward_ratios_lockstep(x: np.ndarray, top: np.ndarray, low: int, high: int
                 ratios[m - low - 1] = r
     out = np.empty_like(ratios)
     out[:, order] = ratios
-    return out
-
-
-@lru_cache(maxsize=1)
-def _log_scaled_iv_table(x: float) -> np.ndarray:
-    """Read-only table of log(exp(-x) * I_k(x)), k = 0..63, via backward
-    ratios; the latest argument only, as windows seldom share an x.
-
-    Products of the ratios are accumulated as logs in extended precision,
-    and normalized by exp(-x) * (I_0 + 2 sum_{m>=1} I_m) = 1.
-    """
-    top = ratio_start(DEBYE_MIN_ORDER, x)
-    ratios = backward_ratios(x, top, 0, np.empty(top))
-    # In place where possible: at large x these arrays hold millions of
-    # entries, and the transient peak sets the process's RSS.
-    log_t = np.cumsum(np.log(ratios, out=ratios), dtype=np.longdouble)  # log(I_m / I_0)
-    del ratios
-    peak = max(0.0, float(log_t.max()))
-    rel = log_t - peak
-    norm = np.exp(np.longdouble(-peak)) + 2.0 * np.exp(rel, out=rel).sum()
-    del rel
-    log_norm = peak + np.log(norm)
-    out = np.empty(DEBYE_MIN_ORDER)
-    out[0] = float(-log_norm)
-    out[1:] = np.subtract(log_t[: DEBYE_MIN_ORDER - 1], log_norm)
-    out.setflags(write=False)
     return out
 
 
@@ -172,6 +147,36 @@ def _log_scaled_iv_debye(nu: np.ndarray, x: np.ndarray) -> np.ndarray:
     return e - nu * _libm(math.log1p, (nu + e) / x) + _debye_log(nu, s)
 
 
+def _log_scaled_iv_seeded(ks: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """log(exp(-x) * I_k(x)) for each order ks[i] < 64 at its own x[i] > 30.
+
+    Olver's expansion at orders 64 and 65 gives the ratio I_65 / I_64, which
+    seeds backward_ratios down to order 1; downward, a seed error alternates
+    in sign from step to step and does not grow.  The value is log I_0 plus
+    the log of the product of r_m over 0 < m <= k, with log I_0 from Hankel's
+    expansion.  Anchored at order 64 instead, it would carry the rounding of
+    log I_64, a log of size 47 at x = 40: up to 1.4e-14 relative.
+    """
+    n, top = ks.size, DEBYE_MIN_ORDER
+    logs = _log_scaled_iv_debye(np.repeat([top, top + 1.0], n), np.concatenate([x, x]))
+    seeds = _libm(math.exp, logs[n:] - logs[:n])
+    return _log_scaled_i0_hankel(x) + np.array([
+        math.log(math.prod(backward_ratios(xi, top, 0, seed)[:ki]))
+        for ki, xi, seed in zip(ks.tolist(), x.tolist(), seeds.tolist())
+    ])
+
+
+def _log_scaled_i0_hankel(x: np.ndarray) -> np.ndarray:
+    """log(exp(-x) * I_0(x)) at x > 30 by Hankel's expansion (DLMF 10.40.1):
+    sqrt(2 pi x) exp(-x) I_0(x) = 1 + sum_j prod_{i <= j} (2i - 1)^2 / (8 i x)
+    to a relative exp(-2x).  Its terms fall until j = 2x; at x > 30 the
+    20th is below 1e-19, so 19 are summed."""
+    acc = np.zeros(x.shape)
+    for i in range(19, 0, -1):  # by Horner
+        acc = (2 * i - 1) ** 2 / (8.0 * i * x) * (1.0 + acc)
+    return _libm(math.log1p, acc) - 0.5 * _libm(math.log, 2.0 * math.pi * x)
+
+
 def log_skellam_debye(nu, la, lb) -> np.ndarray:
     """log P(X = nu) for X ~ Skellam(la, lb) by Olver's expansion of I_nu,
     at integer nu >= 64, la > 0 and lb >= 0 (arrays of one shape); lb = 0
@@ -210,10 +215,11 @@ def log_scaled_iv_orders(orders, x: float) -> np.ndarray:
 
     An order takes the ascending series when it converges in few terms
     (x <= 30 or 0.25 x^2 / (k + 1) <= 64), summed for all such orders at
-    once; every other order below 64 is read from the cached 64-order ratio
-    table of x, and every other order from 64 on is Olver's uniform
-    expansion.  So an order's value never depends on the orders asked for
-    with it, and a one-order call agrees bit for bit with a window.
+    once; every other order from 64 on is Olver's uniform expansion, and
+    every other order below 64 is I_0 times backward ratios seeded by that
+    expansion's orders 64 and 65.  So an order's value never depends on the
+    orders asked for with it, and a one-order call agrees bit for bit with a
+    window.
     """
     k = np.abs(np.asarray(orders, dtype=np.int64))
     if x < 0:
@@ -263,17 +269,17 @@ def _log_scaled_iv_series(ks: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def log_scaled_iv_pairs(orders, xs) -> np.ndarray:
-    """log(exp(-x) * I_k(x)) for each pair (orders[i], xs[i]); xs > 0.
+    """log(exp(-x) * I_k(x)) for each pair (orders[i], xs[i]); finite xs > 0.
 
     Each value is bit for bit log_scaled_iv(orders[i], xs[i]), by the rule
     of log_scaled_iv_orders: the pairs on the series path are summed
     together, those of Olver's expansion taken together, and the others
-    read the cached table of their own argument, one pair at a time.
+    seeded and anchored together, then stepped down a pair at a time.
     """
     k = np.abs(np.asarray(orders, dtype=np.int64))
     xs = np.asarray(xs, dtype=np.float64)
-    if not np.all(xs > 0.0):
-        raise ValueError("arguments must be positive")
+    if not np.all((xs > 0.0) & (xs < np.inf)):
+        raise ValueError("arguments must be positive and finite")
     series = (xs <= _SERIES_X_MAX) | (0.25 * xs * xs / (k + 1.0) <= 64.0)
     debye = ~series & (k >= DEBYE_MIN_ORDER)
     out = np.empty(k.shape)
@@ -281,10 +287,9 @@ def log_scaled_iv_pairs(orders, xs) -> np.ndarray:
         out[series] = _log_scaled_iv_series(k[series], xs[series])
     if debye.any():
         out[debye] = _log_scaled_iv_debye(k[debye].astype(np.float64), xs[debye])
-    table = ~series & ~debye
-    out[table] = [
-        _log_scaled_iv_table(x)[order] for order, x in zip(k[table].tolist(), xs[table].tolist())
-    ]
+    seeded = ~series & ~debye
+    if seeded.any():
+        out[seeded] = _log_scaled_iv_seeded(k[seeded], xs[seeded])
     return out
 
 
@@ -316,8 +321,8 @@ def bessel_i(order: int, x: float, scaled: bool = False) -> float:
 def poisson_dist(lam: float, tail_tol: float = 1e-12) -> IntegerDist:
     """Poisson(lam) on a window holding at least 1 - tail_tol of the mass.
 
-    dists.unimodal_window expands it greedily from the mode over
-    _poisson_span values; lam above about 3.9e11 raises ResourceLimitError.
+    dists.greedy_window expands it from the mode over _poisson_span
+    values; lam above about 3.9e11 raises ResourceLimitError.
     """
     if lam < 0:
         raise ValueError("rate must be non-negative")
@@ -326,7 +331,7 @@ def poisson_dist(lam: float, tail_tol: float = 1e-12) -> IntegerDist:
     if lam == 0.0:
         return IntegerDist.point_mass(0)
     # A Python float steps faster than a numpy scalar, to the same bits.
-    return unimodal_window(_poisson_span(float(lam)), int(lam), math.sqrt(lam), tail_tol)
+    return IntegerDist(*greedy_window(_poisson_span(float(lam)), int(lam), math.sqrt(lam), tail_tol))
 
 
 def poisson_values(lam: float, lo: int, hi: int) -> np.ndarray:
@@ -336,24 +341,38 @@ def poisson_values(lam: float, lo: int, hi: int) -> np.ndarray:
     return span_values(_poisson_span(lam), int(lam), math.sqrt(lam), lo, hi)
 
 
+def log_poisson_pmf(lam: float, ks: np.ndarray) -> np.ndarray:
+    """log Poisson(lam) pmf at each integer k in ks: from order 64 on
+    log_skellam_debye's (lb = 0), below it k log lam - lam - lgamma(k + 1),
+    whose cancellation is small at small lam."""
+    if lam == 0.0:
+        return np.where(ks == 0, 0.0, -np.inf)
+    # On Python floats: a Poisson window asks for one k, its mode, and
+    # numpy calls would cost it several times the formula.
+    log_lam, klist = math.log(lam), ks.tolist()
+    out = np.array([
+        k * log_lam - lam - math.lgamma(k + 1) if 0 <= k < DEBYE_MIN_ORDER else -math.inf
+        for k in klist
+    ])
+    if max(klist, default=0) >= DEBYE_MIN_ORDER:
+        far = ks >= DEBYE_MIN_ORDER
+        out[far] = log_skellam_debye(ks[far], lam, 0.0)
+    return out
+
+
 def _poisson_span(lam: float):
     """span(a, b) giving the Poisson(lam) pmf on a..b by ratio steps.
 
-    The first span holds the mode, whose value is walked outward with
-    p * k / lam to the left and q * lam / k to the right.  The mode's value
-    is log_skellam_debye's (lb = 0) from 64 on, so it equals skellam.pmf's
-    there bit for bit, and k log lam - lam - lgamma(k + 1) below, whose
-    cancellation is small at small lam.  Each later span
+    The first span holds the mode, whose value is log_poisson_pmf's, so it
+    equals skellam.pmf's bit for bit; it is walked outward with
+    p * k / lam to the left and q * lam / k to the right.  Each later span
     adjoins the ones before and continues the walk from that end's value.
     So no step is taken twice, and each value is bit for bit the one a
     single walk from the mode gives.  No factorials are formed, so relative
     accuracy is uniform over the span.
     """
     mode = int(lam)
-    p = q = math.exp(
-        float(log_skellam_debye(mode, lam, 0.0)[0]) if mode >= DEBYE_MIN_ORDER
-        else mode * math.log(lam) - lam - math.lgamma(mode + 1)
-    )
+    p = q = math.exp(float(log_poisson_pmf(lam, np.array([mode]))[0]))
     lo = hi = mode  # walked k range; p = pmf(lo) and q = pmf(hi)
     middle = [p]  # the mode's value, returned by the first span only
 

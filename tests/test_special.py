@@ -1,7 +1,6 @@
 import heapq
 import math
 import tracemalloc
-import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -10,13 +9,12 @@ import scipy.special as sps
 import scipy.stats as sstats
 
 from skellam_stein import SkellamParams, special
-from skellam_stein.dists import ResourceLimitError, span_values, unimodal_window
+from skellam_stein.dists import ResourceLimitError, greedy_window, span_values
 from skellam_stein.special import (
     _GK_NODES,
     _GK_WDIFF,
     _GK_WK,
     QuadratureError,
-    _log_scaled_iv_table,
     adaptive_gauss_kronrod,
     bessel_i,
     binomial_thin_dist,
@@ -70,6 +68,9 @@ def test_bessel_domain_errors():
         bessel_i(10**6 + 1, 5.0)
     with pytest.raises(ValueError):
         bessel_i(0, -1.0)
+    for k in (0, 63, 64):  # an infinite argument is refused, not a nan
+        with pytest.raises(ValueError):
+            bessel_i(k, math.inf, scaled=True)
 
 
 def test_bessel_at_zero_argument():
@@ -149,13 +150,42 @@ def test_ratio_start_of_arrays_matches_scalars():
     assert got.tolist() == [special.ratio_start(int(k), float(v)) for k, v in zip(kmax, x)]
 
 
-def test_ratio_tables_of_an_earlier_argument_are_released():
-    table = _log_scaled_iv_table(1234.5)
-    assert _log_scaled_iv_table(1234.5) is table  # reused at one x
-    released = weakref.ref(table)
-    del table
-    _log_scaled_iv_table(2345.5)
-    assert released() is None
+@pytest.mark.parametrize("x", [1e3, 1e6, 2e10])
+def test_orders_below_64_take_at_most_64_backward_ratio_steps(monkeypatch, x):
+    # Olver's orders 64 and 65 seed the recurrence: no step depends on x
+    # (a ratio table from order sqrt(100 x) took 1.4e6 steps at 2e10).
+    steps = []
+    real = special.backward_ratios
+
+    def counting(x, top, low, seed):
+        steps.append(top - low)
+        return real(x, top, low, seed)
+
+    monkeypatch.setattr(special, "backward_ratios", counting)
+    for k in (0, 17, 63):
+        steps.clear()
+        assert math.isfinite(log_scaled_iv(k, x))
+        assert 0 < sum(steps) <= 64, (k, x, steps)
+
+
+def test_orders_below_64_match_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(20261019)
+    cases = list(zip(rng.integers(0, 64, 120).tolist(),
+                     np.exp(rng.uniform(math.log(30.0), math.log(2e10), 120)).tolist()))
+    # Small x, where exp(-x) I_64(x) is far below 1 (its log is -47 at x = 40).
+    cases += list(zip(rng.integers(0, 64, 40).tolist(), rng.uniform(30.0, 130.0, 40).tolist()))
+    # The series switch: x just above 30, and x just above 16 sqrt(k + 1).
+    cases += [(k, 30.1) for k in (0, 1, 2)]
+    cases += [(k, math.nextafter(16.0 * math.sqrt(k + 1.0), math.inf)) for k in (3, 20, 47, 63)]
+    cases += [(k, 16.0 * math.sqrt(k + 1.0) * 1.01) for k in (3, 20, 47, 63)]
+    with mpmath.workdps(40):
+        for k, x in cases:
+            if 0.25 * x * x / (k + 1.0) <= 64.0:
+                continue  # on the series
+            ref = mpmath.log(mpmath.besseli(k, x)) - x
+            got = log_scaled_iv(k, x)
+            assert abs(math.expm1(got - float(ref))) <= 1e-14, (k, x, got, float(ref))
 
 
 def test_log_scaled_iv_orders_at_zero_argument():
@@ -256,8 +286,8 @@ def test_poisson_window_takes_one_ratio_step_per_walked_point(lam):
         return span(a, b)
 
     _StepCountingRate.steps = 0
-    d = unimodal_window(recorded, int(lam), math.sqrt(lam), 1e-12)
-    assert d.probabilities.tobytes() == poisson_dist(lam, 1e-12).probabilities.tobytes()
+    _, probs, _ = greedy_window(recorded, int(lam), math.sqrt(lam), 1e-12)
+    assert probs.tobytes() == poisson_dist(lam, 1e-12).probabilities.tobytes()
     walked = sum(max(0, b - max(a, 0) + 1) for a, b in spans)
     assert _StepCountingRate.steps == walked - 1
     if lam >= 2e4:
