@@ -5,7 +5,10 @@ same table printed as csv and as json carries identical digit strings.
 The json record is byte for byte what ``json.dump(record, out, indent=2)``
 writes, but ``jsonwriter`` streams it: lists and 1-D arrays go out in blocks
 of a few hundred items, never as one whole-record string or one write per
-token.
+token, and row tables column by column.  csv and human records format rows
+the same way, a block at a time under the first row's keys: a column, or a
+block of an array or list value, of floats or of exact ints takes one repr
+map.
 Every record echoes the tool version, command, resolved parameters, seed,
 and tolerances; deterministic commands reproduce bit-for-bit from a record.
 """
@@ -18,7 +21,9 @@ import json
 import logging
 import math
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -57,26 +62,43 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 # Rendering.
 
-def _native(value):
-    if isinstance(value, np.generic):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return value.tolist()  # already Python scalars and nested lists
-    if isinstance(value, (list, tuple)):
-        return [_native(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _native(v) for k, v in value.items()}
-    return value
-
-
 def _fmt(value) -> str:
+    if isinstance(value, (np.generic, np.ndarray)):
+        value = value.tolist()
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, (list, tuple)):
-        return " ".join(_fmt(v) for v in value)
+        # A block at a time, as jsonwriter streams lists: the texts of a
+        # whole 10^5-float list at once left csv and human slower than json.
+        step = jsonwriter._BLOCK
+        return " ".join([
+            " ".join(_fmt_column(value[i : i + step])) for i in range(0, len(value), step)
+        ])
     return str(value)
+
+
+def _fmt_column(values) -> list[str]:
+    """_fmt of each value: one float.__repr__ map when every value is a
+    float, one int.__repr__ map when every value is exactly an int (not a
+    bool)."""
+    try:
+        return list(map(float.__repr__, values))
+    except TypeError:  # not all floats
+        pass
+    if set(map(type, values)) == {int}:
+        return list(map(int.__repr__, values))
+    return list(map(_fmt, values))
+
+
+def _cells(rows: list) -> Iterator[list[tuple[str, ...]]]:
+    """The cells of rows under the first row's keys, a block of rows at a
+    time, each column through _fmt_column."""
+    keys = list(rows[0])
+    for i in range(0, len(rows), jsonwriter._BLOCK):
+        block = rows[i : i + jsonwriter._BLOCK]
+        yield list(zip(*[_fmt_column(list(map(itemgetter(k), block))) for k in keys]))
 
 
 def _flat_meta(config: RunConfig) -> list[tuple[str, object]]:
@@ -102,27 +124,24 @@ def render(config: RunConfig, results: dict, rows, out) -> None:
         jsonwriter.dump(doc, out)
         out.write("\n")
         return
-    results = _native(results)
-    rows = _native(rows)
     if config.output_format == "csv":
         for key, value in _flat_meta(config):
-            out.write(f"# {key}={_fmt(_native(value))}\n")
+            out.write(f"# {key}={_fmt(value)}\n")
         table = rows if rows is not None else [results]
         if table:
             writer = csv.writer(out, lineterminator="\n")
             writer.writerow(table[0].keys())
-            for row in table:
-                writer.writerow([_fmt(v) for v in row.values()])
+            for block in _cells(table):
+                writer.writerows(block)
     else:
         for key, value in _flat_meta(config):
-            out.write(f"{key} = {_fmt(_native(value))}\n")
+            out.write(f"{key} = {_fmt(value)}\n")
         for key, value in results.items():
             out.write(f"{key} = {_fmt(value)}\n")
         if rows:
-            keys = list(rows[0].keys())
-            out.write("\t".join(keys) + "\n")
-            for row in rows:
-                out.write("\t".join(_fmt(row[k]) for k in keys) + "\n")
+            out.write("\t".join(rows[0].keys()) + "\n")
+            for block in _cells(rows):
+                out.write("\n".join(map("\t".join, block)) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,12 @@ With ``indent`` set, CPython's ``json`` runs its pure-Python encoder and
 whole text at once.  ``dump`` here writes the same text in bounded chunks:
 
 - dicts with string keys are walked;
-- lists and 1-D arrays go out in blocks of ``_BLOCK`` items: floats through
-  ``float.__repr__``, flat dicts through one template per key order, with
-  1-D arrays read block by block (``arr[i:i+B].tolist()``);
+- lists and 1-D arrays go out in blocks of ``_BLOCK`` items, 1-D arrays
+  read block by block (``arr[i:i+B].tolist()``): floats through
+  ``float.__repr__``; flat dicts column by column, each run of dicts with
+  one key order and scalar values as one list of tokens per key (one
+  ``float.__repr__`` or ``int.__repr__`` map where a column is all floats or
+  all ints) joined through one template per key order;
 - every other value goes through ``json.dumps(value, indent=2)``, re-indented
   by replacing each newline; json escapes newlines inside strings, so every
   raw newline in its output is layout.
@@ -19,6 +22,8 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain, groupby, repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -78,28 +83,69 @@ def _scalar_token(value) -> str | None:
     return None
 
 
-def _row_template(keys: tuple, pad: str) -> str | None:
-    """%-template of a flat dict with these keys at indentation pad."""
+def _row_template(keys: tuple, pad: str) -> tuple[list[str], str] | None:
+    """The text before each value of a flat dict with these keys at
+    indentation pad, and the text that closes it."""
     if not keys or not all(isinstance(k, str) for k in keys):
         return None
     inner = pad + "  "
-    fields = [json.dumps(k).replace("%", "%%") + ": %s" for k in keys]
-    return "{\n" + inner + (",\n" + inner).join(fields) + "\n" + pad + "}"
+    heads = [(",\n" if i else "{\n") + inner + json.dumps(k) + ": " for i, k in enumerate(keys)]
+    return heads, "\n" + pad + "}"
 
 
-def _item_text(value, pad: str, templates: dict) -> str:
-    if isinstance(value, dict):
-        keys = tuple(value)
-        if keys not in templates:
-            templates[keys] = _row_template(keys, pad)
-        template = templates[keys]
-        if template is not None:
-            tokens = tuple(map(_scalar_token, value.values()))
-            if None not in tokens:
-                return template % tokens
-        return _dumps(value, pad)
-    token = _scalar_token(value)
-    return _dumps(value, pad) if token is None else token
+def _column_tokens(column: list) -> list:
+    """JSON tokens of one key's values over a run of rows: one repr map when
+    every value is exactly a float or exactly an int (a bool column must
+    print true/false), else _scalar_token per value, None where none fits."""
+    kinds = set(map(type, column))
+    if kinds == {float}:
+        tokens = list(map(float.__repr__, column))
+        if "n" in "".join(tokens):  # nan or inf, which json spells NaN and Infinity
+            tokens = list(map(_float_token, column))
+        return tokens
+    if kinds == {int}:
+        return list(map(int.__repr__, column))
+    return list(map(_scalar_token, column))
+
+
+def _run_text(rows: list, keys: tuple, template, sep: str) -> str | None:
+    """sep.join of the texts of a run of dicts with one key order: one token
+    list per key, interleaved with the template's text in one join; None
+    when a value is not a scalar."""
+    columns = [_column_tokens(list(map(itemgetter(k), rows))) for k in keys]
+    if any(None in tokens for tokens in columns):
+        return None
+    heads, close = template
+    parts = [repeat(close + sep + heads[0]), columns[0]]
+    for head, tokens in zip(heads[1:], columns[1:]):
+        parts += [repeat(head), tokens]
+    pieces = list(chain.from_iterable(zip(*parts)))
+    pieces[0] = heads[0]  # no row closes before the first
+    pieces.append(close)
+    return "".join(pieces)
+
+
+def _item_texts(block, pad: str, sep: str, templates: dict) -> list[str]:
+    """Texts of a block's items: one for each run of flat dicts with one key
+    order, one for every other item."""
+    texts = []
+    start = 0
+    for keys, run in groupby([tuple(v) if isinstance(v, dict) else None for v in block]):
+        stop = start + len(list(run))
+        items, start = block[start:stop], stop
+        text = None
+        if keys is not None:
+            if keys not in templates:
+                templates[keys] = _row_template(keys, pad)
+            if templates[keys] is not None:
+                text = _run_text(items, keys, templates[keys], sep)
+        if text is not None:
+            texts.append(text)
+            continue
+        for value in items:
+            token = _scalar_token(value)
+            texts.append(_dumps(value, pad) if token is None else token)
+    return texts
 
 
 def _write_items(out, blocks, pad: str) -> None:
@@ -112,7 +158,7 @@ def _write_items(out, blocks, pad: str) -> None:
         try:
             text = sep.join(map(float.__repr__, block))
         except TypeError:  # not a block of floats
-            text = sep.join([_item_text(v, inner, templates) for v in block])
+            text = sep.join(_item_texts(block, inner, sep, templates))
         else:
             if "n" in text:  # nan or inf, which json spells NaN and Infinity
                 text = sep.join(map(_float_token, block))

@@ -118,20 +118,30 @@ _DEBYE_U = (
 )
 
 
-def _libm(fn, values: np.ndarray) -> np.ndarray:
-    """fn (math.log, math.log1p, ...) of each value on libm, not numpy's
-    SIMD loops, whose last bit varies with the CPU."""
-    return np.fromiter(map(fn, values.tolist()), float, values.size)
+def _libm(fn, *values):
+    """fn (math.log, math.log1p, ...) on libm, not numpy's SIMD loops, whose
+    last bit varies with the CPU: of Python floats, or of each position of
+    1-D arrays of one length."""
+    if isinstance(values[0], float):
+        return fn(*values)
+    return np.fromiter(map(fn, *(v.tolist() for v in values)), float, values[0].size)
 
 
-def _debye_log(nu: np.ndarray, s: np.ndarray) -> np.ndarray:
+def _sqrt(v):
+    """Square root of a Python float, or of each value of an array; both
+    are correctly rounded."""
+    return math.sqrt(v) if isinstance(v, float) else np.sqrt(v)
+
+
+def _debye_log(nu, s):
     """-log(2 pi s) / 2 + log sum_j u_j(nu / s) / nu^j, the part of log I_nu
-    in Olver's expansion beside the exponent; float orders nu >= 64."""
+    in Olver's expansion beside the exponent; float orders nu >= 64, as
+    Python floats or arrays."""
     t = nu / s
     y, w = t * t, t / nu
-    acc = np.zeros(nu.shape)
+    acc = 0.0
     for row in reversed(_DEBYE_U):  # sum_j w^j P_j(y), both by Horner
-        p = np.full(nu.shape, row[-1])
+        p = row[-1]
         for c in row[-2::-1]:
             p = p * y + c
         acc = (acc + p) * w
@@ -192,22 +202,31 @@ def log_skellam_debye(nu, la, lb) -> np.ndarray:
     the mode; in the tails log1p would lose what 1 + z rounds away.
     """
     nu, la, lb = np.broadcast_arrays(*(np.atleast_1d(np.asarray(v, dtype=np.float64)) for v in (nu, la, lb)))
+    return _log_skellam_debye(nu, la, lb)
+
+
+def _log_skellam_debye(nu, la, lb):
+    """log_skellam_debye's value on Python floats, or on 1-D float arrays of
+    one length: the same operations on the same libm functions, so a
+    Python-float call agrees bit for bit with its place in an array, without
+    numpy's cost per call."""
     total, d = la + lb, la - lb
-    x = 2.0 * np.sqrt(la) * np.sqrt(lb)
-    s = np.sqrt(nu * nu + x * x)
-    delta = np.fromiter(
-        map(math.fsum, zip(nu.tolist(), (-la).tolist(), lb.tolist())), float, nu.size
-    )
+    x = 2.0 * _sqrt(la) * _sqrt(lb)
+    s = _sqrt(nu * nu + x * x)
+    delta = _libm(lambda *terms: math.fsum(terms), nu, -la, lb)
     st, ns = s + total, nu + s
     z = -delta * (st + nu + d) / (st * ns)
-    ratio = 2.0 * la / ns
-    log_ratio = [
-        math.log1p(zi) if abs(zi) <= 0.5
-        else math.log(qi) if qi >= sys.float_info.min
-        else math.log(2.0 * lai) - math.log(nsi)  # the ratio underflows
-        for zi, qi, lai, nsi in zip(z.tolist(), ratio.tolist(), la.tolist(), ns.tolist())
-    ]
-    return nu * np.array(log_ratio) + delta * (nu + d) / st + _debye_log(nu, s)
+    log_ratio = _libm(_log_ratio, z, 2.0 * la / ns, la, ns)
+    return nu * log_ratio + delta * (nu + d) / st + _debye_log(nu, s)
+
+
+def _log_ratio(z: float, ratio: float, la: float, ns: float) -> float:
+    """log of ratio = 2 la / ns = 1 + z."""
+    if abs(z) <= 0.5:
+        return math.log1p(z)
+    if ratio >= sys.float_info.min:
+        return math.log(ratio)
+    return math.log(2.0 * la) - math.log(ns)  # the ratio underflows
 
 
 def log_scaled_iv_orders(orders, x: float) -> np.ndarray:
@@ -347,17 +366,16 @@ def log_poisson_pmf(lam: float, ks: np.ndarray) -> np.ndarray:
     whose cancellation is small at small lam."""
     if lam == 0.0:
         return np.where(ks == 0, 0.0, -np.inf)
-    # On Python floats: a Poisson window asks for one k, its mode, and
-    # numpy calls would cost it several times the formula.
-    log_lam, klist = math.log(lam), ks.tolist()
-    out = np.array([
-        k * log_lam - lam - math.lgamma(k + 1) if 0 <= k < DEBYE_MIN_ORDER else -math.inf
-        for k in klist
-    ])
-    if max(klist, default=0) >= DEBYE_MIN_ORDER:
-        far = ks >= DEBYE_MIN_ORDER
-        out[far] = log_skellam_debye(ks[far], lam, 0.0)
-    return out
+    return np.array([_log_poisson_at(lam, k) for k in ks.tolist()], dtype=np.float64)
+
+
+def _log_poisson_at(lam: float, k: int) -> float:
+    """log Poisson(lam > 0) pmf at one integer k, on Python floats: a
+    Poisson window asks for one k, its mode, and numpy calls would cost it
+    several times the formula."""
+    if k >= DEBYE_MIN_ORDER:
+        return _log_skellam_debye(float(k), lam, 0.0)
+    return k * math.log(lam) - lam - math.lgamma(k + 1) if k >= 0 else -math.inf
 
 
 def _poisson_span(lam: float):
@@ -372,7 +390,7 @@ def _poisson_span(lam: float):
     accuracy is uniform over the span.
     """
     mode = int(lam)
-    p = q = math.exp(float(log_poisson_pmf(lam, np.array([mode]))[0]))
+    p = q = math.exp(_log_poisson_at(lam, mode))
     lo = hi = mode  # walked k range; p = pmf(lo) and q = pmf(hi)
     middle = [p]  # the mode's value, returned by the first span only
 

@@ -307,7 +307,10 @@ def _sweep(
     SWEEP_TENSOR_CAP bounds one accumulator (states x window floats) and is
     checked before any node is evaluated (ResourceLimitError).  It is not
     the sweep's whole footprint: a rule holds two accumulators, and every
-    interval pending on the integrator's heap holds one more.
+    interval pending on the integrator's heap holds one more.  A single
+    state's accumulator is one window, but each of its nodes builds
+    Bin(x, u) and Bin(y, u) in Python loops and convolves the window with
+    them, about (x + y + 1) x window floats of work; the cap bounds that.
 
     The reported slack bounds each state's kernel L1 error: quadrature
     defect plus integrated window truncation (the per-node neglected mass
@@ -322,10 +325,13 @@ def _sweep(
     l1, l2 = params.lambda1, params.lambda2
 
     def check_size(size: int) -> None:
-        cells = size if single_state is not None else nx * ny * size
+        if single_state is None:
+            cells, what = nx * ny * size, f"sweep tensor of {nx}x{ny} states"
+        else:
+            cells, what = (nx + ny - 1) * size, f"single-state sweep at {single_state}"
         if cells > SWEEP_TENSOR_CAP:
             raise ResourceLimitError(
-                f"sweep tensor of {nx}x{ny} states by at least {size} points "
+                f"{what} by at least {size} points is {cells} floats, "
                 f"exceeds cap {SWEEP_TENSOR_CAP} floats"
             )
 

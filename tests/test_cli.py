@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import logging
@@ -5,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from unittest import mock
 
 import hypothesis.extra.numpy as hnp
@@ -219,6 +221,17 @@ def test_dist_sample_oversized_n_refused(capsys):
     assert "exceeds cap 10000000" in err
 
 
+def test_stein_solve_oversized_state_refused(capsys):
+    """Each node of a single-state sweep builds Bin(x, u) in a Python loop;
+    at x = 10^5 that ran for minutes.  It is refused before any node."""
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "stein", "solve", "--l1", "1", "--l2", "1",
+                             "--set", "k>=0", "--x", "100000", "--y", "0")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert "single-state sweep at (100000, 0)" in err and "exceeds cap" in err
+
+
 def test_version_flag(capsys):
     assert run_cli(capsys, "--version")[0] == 0
 
@@ -298,16 +311,44 @@ def _json_oracle(config, results, rows) -> str:
     return out.getvalue() + "\n"
 
 
-def _render_text(monkeypatch, native, fmt, params, results, rows):
-    monkeypatch.setattr(cli, "_native", native)
+def _fmt_per_value(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, (list, tuple)):
+        return " ".join(_fmt_per_value(v) for v in value)
+    return str(value)
+
+
+def _text_oracle(config, results, rows) -> str:
+    """The csv or human record formatted value by value, after converting
+    the record recursively to Python values."""
+    results, rows = _native_recursive(results), _native_recursive(rows)
     out = io.StringIO()
-    config = cli.RunConfig("render check", params, 7, {"tol": np.float64(1e-10)}, fmt)
-    cli.render(config, results, rows, out)
+    meta = [(k, _fmt_per_value(_native_recursive(v))) for k, v in cli._flat_meta(config)]
+    if config.output_format == "csv":
+        out.writelines(f"# {key}={text}\n" for key, text in meta)
+        table = rows if rows is not None else [results]
+        if table:
+            writer = csv.writer(out, lineterminator="\n")
+            writer.writerow(table[0].keys())
+            for row in table:
+                writer.writerow([_fmt_per_value(v) for v in row.values()])
+    else:
+        out.writelines(f"{key} = {text}\n" for key, text in meta)
+        for key, value in results.items():
+            out.write(f"{key} = {_fmt_per_value(value)}\n")
+        if rows:
+            keys = list(rows[0].keys())
+            out.write("\t".join(keys) + "\n")
+            for row in rows:
+                out.write("\t".join(_fmt_per_value(row[k]) for k in keys) + "\n")
     return out.getvalue()
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "human"])
-def test_render_arrays_byte_identical_to_recursive_conversion(monkeypatch, fmt):
+def test_render_arrays_byte_identical_to_recursive_conversion(fmt):
     floats = np.array([0.1, 1.0 / 3.0, 1e-300, 2.5e17, -0.0, 5e-324])
     ints = np.arange(-3, 4, dtype=np.int64)
     bools = np.array([True, False, True])
@@ -315,22 +356,14 @@ def test_render_arrays_byte_identical_to_recursive_conversion(monkeypatch, fmt):
     params = {"p": floats, "k": ints, "mask": bools, "grid": grid, "n": np.int64(6)}
     results = {"tv": np.float64(0.125), "ok": np.bool_(True), "values": floats}
     rows = [{"k": np.int64(i), "pmf": floats[i], "pair": grid[i % 2]} for i in range(4)]
-    for case in [(params, results, rows), (params, results, None)]:
-        new = _render_text(monkeypatch, cli._native, fmt, *case)
-        if fmt == "json":
-            # The json writer does not go through _native: compare with
-            # json.dump of the recursively converted record.
-            config = cli.RunConfig("render check", case[0], 7, {"tol": np.float64(1e-10)}, fmt)
-            assert new == _json_oracle(config, *case[1:])
-        else:
-            assert new == _render_text(monkeypatch, _native_recursive, fmt, *case)
-
-    # The recursion failed on 0-d arrays (it iterated a scalar); tolist now
-    # returns their scalar, which renders as the recursive conversion of it.
+    # A 0-d array renders as its scalar.
     zero_d = {"x": np.array(0.1), "i": np.array(3), "b": np.array(False)}
-    items = {k: v.item() for k, v in zero_d.items()}
-    new = _render_text(monkeypatch, cli._native, fmt, zero_d, zero_d, None)
-    assert new == _render_text(monkeypatch, _native_recursive, fmt, items, items, None)
+    for case in [(params, results, rows), (params, results, None), (zero_d, zero_d, None)]:
+        config = cli.RunConfig("render check", case[0], 7, {"tol": np.float64(1e-10)}, fmt)
+        out = io.StringIO()
+        cli.render(config, *case[1:], out)
+        oracle = _json_oracle if fmt == "json" else _text_oracle
+        assert out.getvalue() == oracle(config, *case[1:])
 
 
 _KEYS = st.one_of(st.text(max_size=4), st.sampled_from(["%s", "%", 'a"b', "\u00e9\n", "k"]))
@@ -374,10 +407,58 @@ def _rows_for(keys):
     return st.lists(st.one_of(flat, flat, odd), max_size=8)
 
 
+_SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324]
+
+
+def _column(kind: str, rng: np.random.Generator, n: int, share: float) -> list:
+    """n values of one kind; share of them special (NaN, +-inf, -0.0 or a
+    big int) where the kind has such values."""
+    special = rng.random(n) < share
+    if kind in ("float", "np.float64"):
+        col = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        col = np.where(special, rng.choice(_SPECIAL_FLOATS, n), col)
+        return col.tolist() if kind == "float" else list(col)
+    if kind == "int":
+        return [2**70 if s else v for v, s in zip(rng.integers(-10**9, 10**9, n).tolist(), special)]
+    if kind == "bool and int":
+        flip = (rng.random(n) < 0.5).tolist()
+        return [bool(v % 2) if f else v for v, f in zip(rng.integers(0, 4, n).tolist(), flip)]
+    if kind == "np.int64":
+        return list(rng.integers(-(2**63), 2**63 - 1, n, endpoint=True))
+    if kind == "np.bool_":
+        return list(rng.random(n) < 0.5)
+    return rng.choice(["a", '"q"', "a\nb", "%s", "\u00e9", "null"], n).tolist()
+
+
+_COLUMN_KINDS = ["float", "np.float64", "int", "bool and int", "np.int64", "np.bool_", "str"]
+
+
+@st.composite
+def _long_tables(draw, odd: bool):
+    """A table of rows with one key order over two blocks of the writer and
+    more, each column of one kind; with odd, a few rows are replaced by one
+    with other keys, a nested value or the same keys in another order."""
+    keys = draw(st.lists(_KEYS, min_size=1, max_size=3, unique=True))
+    kinds = draw(st.lists(st.sampled_from(_COLUMN_KINDS), min_size=len(keys), max_size=len(keys)))
+    n = draw(st.integers(jsonwriter._BLOCK + 1, 2 * jsonwriter._BLOCK + 3))
+    share = draw(st.sampled_from([0.0, 0.02]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = [dict(zip(keys, values)) for values in zip(*[_column(k, rng, n, share) for k in kinds])]
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=3)) if odd else ():
+        values = list(rows[i].values())
+        rows[i] = draw(st.sampled_from([
+            dict(zip(keys + ["odd key"], values + [1.5])) if "odd key" not in keys else {"k": 1},
+            dict(zip(keys, [[0.5, values[0]]] + values[1:])),
+            dict(zip(keys[::-1], values[::-1])),
+        ]))
+    return rows
+
+
 _ROWS = st.one_of(
     st.none(),
     st.lists(_KEYS, min_size=1, max_size=4, unique=True).flatmap(_rows_for),
     st.lists(_VALUES, max_size=4),
+    _long_tables(odd=True),
 )
 
 
@@ -395,6 +476,28 @@ def test_render_json_byte_identical_to_json_dump(params, results, rows, command,
     with mock.patch.object(jsonwriter, "_BLOCK", block):
         cli.render(config, results, rows, out)
     assert out.getvalue() == _json_oracle(config, results, rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=_long_tables(odd=False), fmt=st.sampled_from(["csv", "human"]),
+       block=st.sampled_from([1, 3, jsonwriter._BLOCK]))
+def test_render_text_tables_byte_identical_to_per_value_formatting(rows, fmt, block):
+    # The first column also goes in as a list value, which prints on one line.
+    column = [next(iter(row.values())) for row in rows]
+    config = cli.RunConfig("render check", {"n": len(rows), "column": column}, 7, {}, fmt)
+    out = io.StringIO()
+    with mock.patch.object(jsonwriter, "_BLOCK", block):
+        cli.render(config, {"rows": len(rows)}, rows, out)
+    assert out.getvalue() == _text_oracle(config, {"rows": len(rows)}, rows)
+
+
+def test_dist_table_record_byte_identical_to_json_dump(capsys):
+    argv = ["dist", "table", "--l1", "6e5", "--l2", "4e5", "--format", "json"]
+    code, out, _ = run_cli(capsys, *argv)
+    args = cli.build_parser().parse_args(argv)
+    config, results, rows, _ = args.handler(args)
+    assert code == 0 and len(rows) > 10**4
+    assert out == _json_oracle(config, results, rows)
 
 
 class _WriteSizes(io.StringIO):

@@ -510,6 +510,26 @@ def test_debye_orders_match_mpmath():
             assert abs(got - ref) <= 2e-15 * max(1.0, abs(ref)), (k, x, got, ref)
 
 
+def test_debye_pmf_one_value_bit_identical_to_array():
+    """A Poisson window's mode takes Olver's expansion on Python floats; it
+    gives the bits of the array path, at seeded orders in [64, 1e6], rates
+    near and far from the order, and rates whose ratio underflows."""
+    rng = np.random.default_rng(14)
+    n = 3000
+    nu = np.floor(np.exp(rng.uniform(math.log(64.0), math.log(1e6), n)))
+    la = nu * np.exp(rng.uniform(-4.0, 4.0, n))
+    lb = np.where(rng.random(n) < 0.5, 0.0, la * rng.uniform(0.0, 2.0, n))
+    nu = np.append(nu, [64.0, 1e6, 1e6])
+    la = np.append(la, [1e-300, 1e-303, 5e5])
+    lb = np.append(lb, [0.0, 0.0, 5e5])
+    array = special.log_skellam_debye(nu, la, lb)
+    one = np.array([special._log_skellam_debye(*v) for v in zip(nu.tolist(), la.tolist(), lb.tolist())])
+    assert np.array_equal(one.view(np.uint64), array.view(np.uint64))
+    poisson = np.array([special._log_poisson_at(l, k) for l, k in zip(la.tolist(), nu.astype(int).tolist())])
+    array = special.log_skellam_debye(nu, la, 0.0)
+    assert np.array_equal(poisson.view(np.uint64), array.view(np.uint64))
+
+
 def test_poisson_window_tail_is_the_mass_outside():
     # The mode value from order 64 on is the skellam.pmf source, so values
     # sum to 1 to rounding and the reported tail is what lies outside.
