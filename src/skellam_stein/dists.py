@@ -1,5 +1,6 @@
-"""Finite-support integer distributions: greedy pmf windows, exact convolution,
-negation, empirical histograms, and total variation with tracked truncation slack.
+"""Finite-support integer distributions: exact convolution, negation,
+empirical histograms, the size cap on every window, and total variation with
+tracked truncation slack.  pmf windows are sized in special.window_ends.
 
 An :class:`IntegerDist` is the common currency for exact computation: a
 probability vector on a contiguous integer window plus the mass that the
@@ -10,7 +11,6 @@ upper endpoint is compared against a bound.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -134,90 +134,11 @@ def convolve(d1: IntegerDist, d2: IntegerDist) -> IntegerDist:
     return IntegerDist(d1.min_support + d2.min_support, probs, tail)
 
 
-def greedy_window(span, center: int, sd: float, tail_tol: float) -> tuple[int, np.ndarray, float]:
-    """(lo, p, tail): a window of a unimodal pmf (standard deviation sd)
-    holding >= 1 - tail_tol, p[i] = P(X = lo + i).
-
-    span(a, b) returns the pmf on a..b as a list.  Greedy expansion from
-    center takes the larger next value (the left one on a tie), so it ends
-    with a near-minimal window.  The span is evaluated on center +- (8 sd + 12)
-    and extended by sd + 12 on a side only when the expansion runs off it;
-    a span above WINDOW_CAP points raises ResourceLimitError.
-    """
-    half, step = _span_sizes(sd)
-    check_window_size(2 * half + 1, "pmf span")
-    a, b = center - half, center + half  # p[i] = P(X = a + i) on [a, b]
-    p = span(a, b)
-    # Compensated summation: plain accumulation can stall short of targets
-    # near 1 - 1e-12 once windows reach thousands of terms.
-    total, comp = p[half], 0.0
-    lo = hi = center
-    target = 1.0 - tail_tol
-    # Past +-12 sd the true remaining mass is below 1e-30; any further gap
-    # is float64 bias in the window values, so chasing it only widens the
-    # window.  The honest residual is reported as tail mass.
-    width_cap = int(24.0 * sd) + 100
-    while total < target:
-        if hi - lo >= width_cap:
-            break
-        if lo == a:
-            check_window_size(b - a + 1 + step, "pmf span")
-            p[:0] = span(a - step, a - 1)
-            a -= step
-        if hi == b:
-            check_window_size(b - a + 1 + step, "pmf span")
-            p += span(b + 1, b + step)
-            b += step
-        next_lo, next_hi = p[lo - 1 - a], p[hi + 1 - a]
-        if next_lo == 0.0 and next_hi == 0.0:
-            break
-        if next_lo >= next_hi:
-            lo -= 1
-            add = next_lo
-        else:
-            hi += 1
-            add = next_hi
-        y = add - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return lo, np.array(p[lo - a : hi - a + 1]), max(0.0, 1.0 - total)
-
-
-def span_values(span, center: int, sd: float, lo: int, hi: int) -> np.ndarray:
-    """span's values on lo..hi, taken in greedy_window's spans: first
-    center +- (8 sd + 12), then sd + 12 more points on a side at a time.
-
-    So wherever greedy_window's window over the same span source reaches,
-    the values are its values bit for bit.
-    """
-    half, step = _span_sizes(sd)
-    a, b = center - half, center + half
-    a_end = a - max(0, -((lo - a) // step)) * step
-    b_end = b + max(0, -((b - hi) // step)) * step
-    check_window_size(b_end - a_end + 1, "pmf span")
-    p = span(a, b)
-    while a > lo:
-        p[:0] = span(a - step, a - 1)
-        a -= step
-    while b < hi:
-        p += span(b + 1, b + step)
-        b += step
-    return np.array(p[lo - a : hi - a + 1])
-
-
-def _span_sizes(sd: float) -> tuple[int, int]:
-    """(half, step): the first span is center +- half, each extension step points."""
-    # A 1e-12 tail sits within about 7 sd of the mean, or a few points of it.
-    # Short steps: a span costs more the farther it reaches (ratio
-    # recurrences start above the span's highest order).
-    return int(8.0 * sd) + 12, int(sd) + 12
-
-
-def check_window_size(points: int, what: str) -> None:
-    """Refuse a window, span or batch of more than WINDOW_CAP points."""
-    if points > WINDOW_CAP:
-        raise ResourceLimitError(f"{what} of {points} points exceeds cap {WINDOW_CAP}")
+def check_window_size(points, what: str) -> None:
+    """Refuse a window, span or batch of more than WINDOW_CAP points; points
+    may be a float, and an infinite or nan count is refused too."""
+    if not points <= WINDOW_CAP:
+        raise ResourceLimitError(f"{what} of {points:.0f} points exceeds cap {WINDOW_CAP}")
 
 
 def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -4,9 +4,10 @@ A pmf value at one point runs in log scale with a single final
 exponentiation, so large rates stay inside float64.  Below |k| = 64 it is
 the tilt (k/2) log(l1/l2) plus special's log Bessel value; from |k| = 64 on
 it is Olver's uniform expansion with the tilt folded in
-(special.log_skellam_debye).  Both are O(1) work at any rate, and the
-second has no cancellation between terms of the size of the rates.  A
-window takes one such value at its centre and steps outward by ratios
+(special.log_skellam_debye).  Both are O(1) work at any rate, with no
+cancellation between terms of the size of the rates.  A window's ends come
+from special.window_ends, Chernoff's bound, before any value is built; it
+takes one pmf value at its centre and walks outward once by ratios
 p(k +- 1) / p(k) = (l1/l2)^(+-1/2) I_|k+-1|(x) / I_|k|(x), x = 2 sqrt(l1 l2),
 with the Bessel ratios from Miller's backward recurrence
 (special.backward_ratios).  `windows` builds the windows of many rate pairs
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import special
-from .dists import IntegerDist, check_window_size, greedy_window, negate, span_values
+from .dists import IntegerDist, check_window_size, negate
 
 
 @dataclass(frozen=True)
@@ -55,24 +56,26 @@ class SkellamParams:
 
 
 # pmf's domain.  Orders up to 2**53 are exact as floats, as Olver's
-# expansion takes them.  A value costs O(1) at any rate, but below |k| = 64
-# it subtracts (sqrt(l1) - sqrt(l2))^2, whose square roots round in
-# proportion to sqrt of the rates: far-tail values (near 1e-270) lose about
-# 3e-11 relative at rates 1e8 and 2.3e-10 at 1e10 against mpmath.  MAX_RATE
-# holds that loss at its size at 1e10.
+# expansion takes them.  A value costs O(1) at any rate, and no two of its
+# terms of the size of the rates cancel.  Its error is then mostly the
+# rounding of log p, which exp carries into p: 1.1e-13 relative where
+# log p is near -700.  Against mpmath, far-tail values below |k| = 64 at
+# rates up to 1e10 are within 1e-12 relative (tests/test_skellam.py);
+# MAX_RATE is the largest rate that check covers.
 MAX_ABS_K = 2**53
 MAX_RATE = 1e10
 
 
-def _log_pmf_array(params: SkellamParams, ks) -> np.ndarray:
-    """log P(X = k) for each integer k in ks; -inf where the mass is exactly zero."""
-    ks = np.asarray(ks, dtype=np.int64)
-    l1, l2 = params.lambda1, params.lambda2
-    if l2 == 0.0:
-        return special.log_poisson_pmf(l1, ks)
-    if l1 == 0.0:
-        return special.log_poisson_pmf(l2, -ks)
-    return _log_pmf_rows(np.full(ks.shape, l1), np.full(ks.shape, l2), ks)
+def _log_pmf_at(l1: float, l2: float, k: int) -> float:
+    """log P(X = k); -inf where the mass is exactly zero.  On Python floats,
+    to the same bits as on arrays, except below |k| = 64 at positive rates:
+    _log_pmf_rows on one row."""
+    if l1 == 0.0 or l2 == 0.0:
+        return special.log_poisson_pmf(l1, k) if l2 == 0.0 else special.log_poisson_pmf(l2, -k)
+    if abs(k) < special.DEBYE_MIN_ORDER:
+        return float(_log_pmf_rows(np.array([l1]), np.array([l2]), np.array([k]))[0])
+    a, b = (l1, l2) if k >= 0 else (l2, l1)
+    return special._log_skellam_debye(float(abs(k)), a, b)
 
 
 def _log_pmf_rows(l1: np.ndarray, l2: np.ndarray, ks: np.ndarray) -> np.ndarray:
@@ -91,16 +94,26 @@ def _log_pmf_rows(l1: np.ndarray, l2: np.ndarray, ks: np.ndarray) -> np.ndarray:
         out[far] = special.log_skellam_debye(np.abs(kf), np.where(pos, a, b), np.where(pos, b, a))
     near = ~far
     if near.any():
-        # log pmf = (k/2) log(l1/l2) - (sqrt(l1) - sqrt(l2))^2 + log ive_|k|(2 sqrt(l1 l2))
+        # log pmf = (k/2) log(l1/l2) - (sqrt(l1) - sqrt(l2))^2 + log ive_|k|(2 sqrt(l1 l2)),
+        # with the root gap as (l1 - l2) / (sqrt(l1) + sqrt(l2)), so no two
+        # terms of the size of the rates cancel; swapping the rates only flips
+        # signs, so pmf(l1, l2, k) and pmf(l2, l1, -k) agree bit for bit.
         l1, l2, ks = l1[near], l2[near], ks[near]
         s1, s2 = np.sqrt(l1), np.sqrt(l2)
         x = 2.0 * s1 * s2
-        log_l1 = np.fromiter(map(math.log, l1.tolist()), float, l1.size)
-        log_l2 = np.fromiter(map(math.log, l2.tolist()), float, l2.size)
-        tilt = 0.5 * ks * (log_l1 - log_l2)
-        root_gap = s1 - s2
+        big, small = np.maximum(l1, l2).tolist(), np.minimum(l1, l2).tolist()
+        log_ratio = np.fromiter(map(_log_rate_ratio, big, small), float, l1.size)
+        tilt = 0.5 * ks * np.where(l1 >= l2, log_ratio, -log_ratio)
+        root_gap = (l1 - l2) / (s1 + s2)
         out[near] = tilt - root_gap * root_gap + special.log_scaled_iv_pairs(ks, x)
     return out
+
+
+def _log_rate_ratio(big: float, small: float) -> float:
+    """log(big / small) for big >= small > 0, as log1p of the relative gap
+    where that is finite."""
+    gap = (big - small) / small
+    return math.log1p(gap) if gap < math.inf else math.log(big) - math.log(small)
 
 
 def log_pmf(params: SkellamParams, k: int) -> float:
@@ -114,7 +127,7 @@ def log_pmf(params: SkellamParams, k: int) -> float:
     for name, rate in (("lambda1", params.lambda1), ("lambda2", params.lambda2)):
         if rate > MAX_RATE:
             raise ValueError(f"{name} = {rate:g} is above the largest supported pmf rate, {MAX_RATE:g}")
-    return float(_log_pmf_array(params, [k])[0])
+    return _log_pmf_at(params.lambda1, params.lambda2, k)
 
 
 def pmf(params: SkellamParams, k: int) -> float:
@@ -127,7 +140,7 @@ def moments(params: SkellamParams) -> tuple[float, float]:
 
 
 # Rows of a windows() batch step in lockstep chunks of at most _CHUNK_CELLS
-# span points; a chunk of fewer than _LOCKSTEP_ROWS rows steps row by row on
+# points; a chunk of fewer than _LOCKSTEP_ROWS rows steps row by row on
 # Python floats.  On the Haar sweep's windows (scales 1-9) the two break even
 # near 16-20 rows; at 24 the lockstep costs 0.3-0.8 of the per-row time.
 _CHUNK_CELLS = 1 << 15
@@ -138,7 +151,7 @@ def to_dist(params: SkellamParams, tail_tol: float = 1e-12) -> IntegerDist:
     """Window around the mean capturing at least 1 - tail_tol of the mass.
 
     windows() of the one rate pair; a zero rate leaves a
-    special.poisson_dist window.  Raises ResourceLimitError when the span
+    special.poisson_dist window.  Raises ResourceLimitError when the window
     would exceed dists.WINDOW_CAP points.
     """
     if not 0.0 < tail_tol < 1.0:
@@ -154,30 +167,32 @@ def to_dist(params: SkellamParams, tail_tol: float = 1e-12) -> IntegerDist:
 
 
 def pmf_window(params: SkellamParams, lo: int, hi: int) -> np.ndarray:
-    """P(X = k) for k = lo..hi from to_dist's source: wherever to_dist's
-    window reaches, bit for bit its values."""
+    """P(X = k) for k = lo..hi by to_dist's walk from the centre, run over
+    the orders from the centre to lo..hi; where to_dist's window reaches,
+    within a few units of roundoff of its values."""
     l1, l2 = params.lambda1, params.lambda2
+    if l1 == 0.0 and l2 == 0.0:
+        return (np.arange(lo, hi + 1) == 0).astype(np.float64)
+    center = round(l1 - l2) if l1 > 0.0 and l2 > 0.0 else int(l1) - int(l2)
+    a, b = min(lo, center), max(hi, center)
+    check_window_size(b - a + 1, "pmf window")
     if l1 > 0.0 and l2 > 0.0:
-        center = int(round(l1 - l2))
-        return span_values(_skellam_span(l1, l2, center), center, math.sqrt(l1 + l2), lo, hi)
-    if l1 > 0.0:
-        return special.poisson_values(l1, lo, hi)
-    if l2 > 0.0:
-        return special.poisson_values(l2, -hi, -lo)[::-1].copy()
-    ks = np.arange(lo, hi + 1)
-    return (ks == 0).astype(np.float64)
+        values = _skellam_walk(l1, l2, center, a, b)
+    elif l1 > 0.0:
+        values = special._poisson_walk(l1, a, b)
+    else:
+        values = special._poisson_walk(l2, -b, -a)[::-1]
+    return np.array(values[lo - a : hi - a + 1])
 
 
 def windows(l1, l2, tail_tol: float = 1e-12) -> list[tuple[int, np.ndarray, float]]:
     """(lo, p, tail) of each positive rate pair (l1[i], l2[i]), as to_dist.
 
-    p[j] = P(X = lo + j) on the greedy window of dists.greedy_window: centre
-    round(l1 - l2), span +-(8 sd + 12), left point on a tie, Kahan total,
-    24-sd width cap.  The value at the centre is pmf's; the others are
-    ratio steps from it.  Rows run in lockstep numpy chunks; a row whose
-    expansion runs off its first span, or a chunk too small to pay for numpy
-    calls, goes row by row on Python floats.  Every row gets the same bits
-    either way.
+    p[j] = P(X = lo + j) on special.window_ends' window around
+    round(l1 - l2), and tail = max(0, 1 - fsum(p)).  The value at the centre
+    is pmf's; the others are ratio steps from it.  Rows run in lockstep numpy
+    chunks, or row by row on Python floats where a chunk is too small to pay
+    for numpy calls; every row gets the same bits either way.
     """
     if not 0.0 < tail_tol < 1.0:
         raise ValueError("tail_tol must lie in (0, 1)")
@@ -187,37 +202,37 @@ def windows(l1, l2, tail_tol: float = 1e-12) -> list[tuple[int, np.ndarray, floa
         raise ValueError("l1 and l2 must be 1-D arrays of one length")
     if not np.all(np.isfinite(l1) & np.isfinite(l2) & (l1 > 0.0) & (l2 > 0.0)):
         raise ValueError("windows() takes finite positive rates")
+    center = np.rint(l1 - l2)
+    lo, hi = special.window_ends(center, l1, l2, tail_tol)
     if l1.size:
-        # On floats: int64 spans of absurd rates would wrap round.
-        check_window_size(2 * int(8.0 * math.sqrt(float(np.max(l1 + l2)))) + 25, "pmf span")
-    rows = _Rows(l1, l2)
+        # On floats: the ends of rates far past the cap are infinite.
+        check_window_size(float(np.max(hi - lo)) + 1.0, "pmf window")
+    rows = _Rows(l1, l2, center.astype(np.int64), lo.astype(np.int64), hi.astype(np.int64))
     out: list = [None] * l1.size
     for idx in _chunks(rows):
         if idx.size >= _LOCKSTEP_ROWS:
-            for i, w in zip(idx.tolist(), _lockstep(rows.take(idx), tail_tol)):
+            for i, w in zip(idx.tolist(), _lockstep(rows.take(idx))):
                 out[i] = w
-        for i in idx.tolist():
-            if out[i] is None:
+        else:
+            for i in idx.tolist():
                 out[i] = _window(float(l1[i]), float(l2[i]), tail_tol)
     return out
 
 
 class _Rows:
     """Per-row constants of a windows() batch, as arrays: the same
-    expressions, operation for operation, as _window and _skellam_span."""
+    expressions, operation for operation, as _skellam_walk."""
 
-    def __init__(self, l1, l2):
+    def __init__(self, l1, l2, center, lo, hi):
         self.l1, self.l2 = l1, l2
         s1, s2 = np.sqrt(l1), np.sqrt(l2)
         self.x = 2.0 * s1 * s2
         self.rho, self.sigma = s1 / s2, s2 / s1
-        self.half = (8.0 * np.sqrt(l1 + l2)).astype(np.int64) + 12
-        self.center = np.rint(l1 - l2).astype(np.int64)
-        # The first span a..b walks by the ratios of orders lo_ord < m <= hi_ord,
+        self.center, self.lo, self.hi = center, lo, hi
+        # The walk over lo..hi steps by the ratios of orders lo_ord < m <= hi_ord,
         # whose recurrence starts at m_top (_bessel_ratios).
-        a, b = self.center - self.half, self.center + self.half
-        self.lo_ord = np.where((a <= 0) & (b >= 0), 0, np.minimum(np.abs(a), np.abs(b)))
-        self.hi_ord = np.maximum(np.abs(a), np.abs(b))
+        self.lo_ord = np.where((lo <= 0) & (hi >= 0), 0, np.minimum(np.abs(lo), np.abs(hi)))
+        self.hi_ord = np.maximum(np.abs(lo), np.abs(hi))
         self.m_top = special.ratio_start(self.hi_ord, self.x)
 
     def take(self, idx) -> "_Rows":
@@ -232,14 +247,14 @@ def _chunks(rows: _Rows):
     _CHUNK_CELLS points of its padded ratio and value arrays."""
     order = np.argsort(rows.m_top, kind="stable")
     top, low = rows.m_top[order], rows.lo_ord[order]
-    span = 2 * rows.half[order] + 1
-    reach = _CHUNK_CELLS // 25 + 1  # spans are at least 25 points
+    left, right = (rows.center - rows.lo)[order], (rows.hi - rows.center)[order]
+    reach = _CHUNK_CELLS // int((left + right).min() + 1) + 1 if order.size else 0
     start = 0
     while start < order.size:
         end = min(order.size, start + reach)
         width = np.maximum(
             top[start:end] - np.minimum.accumulate(low[start:end]),
-            np.maximum.accumulate(span[start:end]),
+            np.maximum.accumulate(left[start:end]) + np.maximum.accumulate(right[start:end]) + 1,
         )
         over = np.arange(1, end - start + 1) * width > _CHUNK_CELLS
         stop = start + (max(1, int(over.argmax())) if over.any() else end - start)
@@ -247,115 +262,54 @@ def _chunks(rows: _Rows):
         start = stop
 
 
-def _lockstep(rows: _Rows, tail_tol: float) -> list:
+def _lockstep(rows: _Rows) -> list:
     """windows() of one chunk (rows in order of m_top), a step at a time
-    for all rows in numpy arrays.
-
-    Returns (lo, p, tail) per row, or None for a row windows() must redo on
-    Python floats.
-    """
+    for all rows in numpy arrays."""
     n = rows.x.size
     # Bessel ratios by absolute order: ratio[m - g0 - 1, i] = r_m of row i
     # for every order its walk reads, as _bessel_ratios gives them.
     g0, g1 = int(rows.lo_ord.min()), int(rows.hi_ord.max())
     ratio = special.backward_ratios_lockstep(rows.x, rows.m_top, g0, g1)
-    # values[i, big + j] = p(center + j).  A step from k to k + side crosses
-    # to order |k + side|: times tilt * r_m on the way up, tilt / r_m on the
-    # way down, m the larger order.  cumprod multiplies in sequence, exactly
-    # as the walk on Python floats does.  Padding past a row's own span is
-    # never read.
-    big = int(rows.half.max())
+    # values[i, big + j] = p(center + j), big = the longest left walk.  A
+    # step from k to k + side crosses to order |k + side|: times tilt * r_m
+    # on the way up, tilt / r_m on the way down, m the larger order.
+    # cumprod multiplies in sequence, exactly as the walk on Python floats
+    # does.  Padding past a row's own window is never read.
+    left, right = rows.center - rows.lo, rows.hi - rows.center
+    big, steps = int(left.max()), max(int(left.max()), int(right.max()))
     anchor = np.fromiter(
         map(math.exp, _log_pmf_rows(rows.l1, rows.l2, rows.center).tolist()), float, n
     )
-    values = np.empty((n, 2 * big + 1))
-    factors = np.empty((n, big + 1))  # the anchor, then one factor per step
+    values = np.empty((n, big + int(right.max()) + 1))
+    factors = np.empty((n, steps + 1))  # the anchor, then one factor per step
     factors[:, 0] = anchor
     col = np.arange(n)[:, None]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for side, tilt, out in ((1, rows.rho, values[:, big:]), (-1, rows.sigma, values[:, big::-1])):
-            k = np.abs(rows.center[:, None] + side * np.arange(big + 1))
+            width = out.shape[1]
+            k = np.abs(rows.center[:, None] + side * np.arange(width))
             up = k[:, 1:] > k[:, :-1]
             r_m = ratio[np.clip(np.maximum(k[:, 1:], k[:, :-1]) - g0 - 1, 0, g1 - g0 - 1), col]
-            np.multiply(tilt[:, None], r_m, out=factors[:, 1:], where=up)
-            np.divide(tilt[:, None], r_m, out=factors[:, 1:], where=~up)
-            np.cumprod(factors, axis=1, out=out)
+            f = factors[:, :width]
+            np.multiply(tilt[:, None], r_m, out=f[:, 1:], where=up)
+            np.divide(tilt[:, None], r_m, out=f[:, 1:], where=~up)
+            np.cumprod(f, axis=1, out=out)
     del ratio, factors, r_m, k, up
-    return _greedy_lockstep(rows, values, big, anchor, tail_tol)
-
-
-def _greedy_lockstep(rows: _Rows, values, big: int, anchor, tail_tol: float) -> list:
-    """dists.greedy_window over each row of values (centre in column big).
-
-    Where a row's values fall away from the centre on both sides, the
-    greedy expansion takes them in the order of a stable descending sort of
-    the left values, then the right ones: the larger next value first, the
-    left one on a tie.  So only the Kahan total steps, for all rows at once.
-    A row that is not monotone, or whose expansion runs off its span (the
-    24-sd width cap lies beyond it), is left as None.
-    """
-    n = values.shape[0]
-    steps = 2 * big
-    half = rows.half[:, None]
-    merged = np.empty((n, steps))  # p(c - 1), p(c - 2), ..., then p(c + 1), ...
-    merged[:, :big] = values[:, big - 1 :: -1]
-    merged[:, big:] = values[:, big + 1 :]
-    pad = np.arange(big) >= half
-    merged[:, :big][pad] = -1.0  # sorts after every value
-    merged[:, big:][pad] = -1.0
-    ok = np.isfinite(merged).all(axis=1) & np.isfinite(anchor)
-    with np.errstate(invalid="ignore"):
-        falls = np.diff(merged, axis=1) <= 0.0
-    ok &= falls[:, : big - 1].all(axis=1) & falls[:, big:].all(axis=1)
-    del falls
-    order = np.argsort(-merged, axis=1, kind="stable")
-    taken = np.take_along_axis(merged, order, axis=1).T.copy()  # taken[t]: step t's value
-    del merged
-    # n_left[i, t]: left values among row i's first t steps.  After t steps
-    # the expansion is at its span's end (greedy_window would extend it), or
-    # the next value, and with it every later one, is 0.
-    n_left = np.zeros((n, steps + 1), dtype=np.int32)
-    np.cumsum(order < big, axis=1, out=n_left[:, 1:])
-    del order
-    t = np.arange(steps + 1)
-    off_span = (n_left == half) | (t - n_left == half)
-    stop = off_span.argmax(axis=1)
-    zero = taken == 0.0
-    stop = np.where(zero.any(axis=0), np.minimum(stop, zero.argmax(axis=0)), stop)
-    del zero
-    target = 1.0 - tail_tol
-    totals = np.empty((steps + 1, n))
-    totals[0] = total = anchor
-    comp = np.zeros(n)
-    last = steps
-    for k in range(steps):
-        if k % 16 == 0 and np.all((total >= target) | (k >= stop)):
-            last = k
-            break
-        y = taken[k] - comp
-        s = total + y
-        comp = (s - total) - y
-        totals[k + 1] = total = s
-    reached = totals[: last + 1] >= target
-    stop = np.where(reached.any(axis=0), np.minimum(reached.argmax(axis=0), stop), stop)
-    i = np.arange(n)
-    total = totals[stop, i]
-    ok &= (total >= target) | ~off_span[i, stop]
-    left = n_left[i, stop]
-    lo = rows.center - left
-    first = big - left
-    return [
-        (lo_i, values[i, a : a + k + 1], max(0.0, 1.0 - t_i)) if good else None
-        for i, (good, lo_i, a, k, t_i) in enumerate(zip(
-            ok.tolist(), lo.tolist(), first.tolist(), stop.tolist(), total.tolist()
-        ))
-    ]
+    first, size = big - left, rows.hi - rows.lo + 1
+    out = []
+    for i, (lo, a, w) in enumerate(zip(rows.lo.tolist(), first.tolist(), size.tolist())):
+        p = values[i, a : a + w]
+        out.append((lo, p, max(0.0, 1.0 - math.fsum(p.tolist()))))
+    return out
 
 
 def _window(l1: float, l2: float, tail_tol: float) -> tuple[int, np.ndarray, float]:
     """One row of windows(), on Python floats."""
-    center = int(round(l1 - l2))
-    return greedy_window(_skellam_span(l1, l2, center), center, math.sqrt(l1 + l2), tail_tol)
+    center = round(l1 - l2)
+    lo, hi = special.window_ends(float(center), l1, l2, tail_tol)
+    check_window_size(hi - lo + 1.0, "pmf window")
+    p = _skellam_walk(l1, l2, center, int(lo), int(hi))
+    return int(lo), np.array(p), max(0.0, 1.0 - math.fsum(p))
 
 
 def _bessel_ratios(x: float, a: int, b: int) -> tuple[int, list[float]]:
@@ -367,49 +321,30 @@ def _bessel_ratios(x: float, a: int, b: int) -> tuple[int, list[float]]:
     return lo, special.backward_ratios(x, top, lo, 0.0)
 
 
-def _skellam_span(l1: float, l2: float, center: int):
-    """span(a, b) giving the Skellam(l1, l2) pmf on a..b by ratio steps.
+def _skellam_walk(l1: float, l2: float, center: int, a: int, b: int) -> list[float]:
+    """The Skellam(l1, l2) pmf on a..b, a <= center <= b, as a list.
 
-    The first span holds center, whose value is pmf's and is walked outward:
+    center's value is pmf's, and the walk steps outward from it:
     p(k + 1) = p(k) * (rho * r_{k+1}) for k >= 0, p(k) * (rho / r_|k|) below,
     and p(k - 1) = p(k) * (sigma * r_{|k|+1}) for k <= 0, p(k) * (sigma / r_k)
     above, with rho = sqrt(l1) / sqrt(l2) and sigma = sqrt(l2) / sqrt(l1)
-    (neither overflows where l1 / l2 would).  Each later span adjoins
-    the ones before and continues the walk from that end's value, with
-    ratios from a recurrence of its own.
+    (neither overflows where l1 / l2 would), and the ratios r from one
+    backward recurrence over the orders of a..b.
     """
     s1, s2 = math.sqrt(l1), math.sqrt(l2)
     x = 2.0 * s1 * s2
     rho, sigma = s1 / s2, s2 / s1
-    p = q = 0.0
-    lo = hi = center  # walked k range; p = pmf(lo) and q = pmf(hi)
-    middle = None  # the centre's value, returned by the first span only
-
-    def span(a: int, b: int) -> list[float]:
-        nonlocal p, q, lo, hi, middle
-        if middle is None:  # first span: greedy_window has checked its size
-            p = q = math.exp(float(_log_pmf_array(SkellamParams(l1, l2), [center])[0]))
-            middle = [p]
-        left, right = [], []  # a..lo - 1 reversed, and hi + 1..b
-        # One recurrence over the first span (a < lo = hi < b), one over
-        # each later span and the end it adjoins.
-        base, r = _bessel_ratios(x, min(a, hi), max(b, lo))
-        if a < lo:
-            for k in range(lo, a, -1):
-                p *= sigma * r[-k - base] if k <= 0 else sigma / r[k - base - 1]
-                left.append(p)
-        if b > hi:
-            for k in range(hi, b):
-                q *= rho / r[-k - base - 1] if k < 0 else rho * r[k - base]
-                right.append(q)
-        lo, hi = min(lo, a), max(hi, b)
-        values = left[::-1] + middle + right
-        middle = []
-        if len(values) != b - a + 1:
-            raise ValueError(f"span {a}..{b} does not adjoin the walked {lo}..{hi}")
-        return values
-
-    return span
+    p = q = math.exp(_log_pmf_at(l1, l2, center))
+    middle = [p]
+    base, r = _bessel_ratios(x, a, b)
+    left, right = [], []  # a..center - 1 reversed, and center + 1..b
+    for k in range(center, a, -1):
+        p *= sigma * r[-k - base] if k <= 0 else sigma / r[k - base - 1]
+        left.append(p)
+    for k in range(center, b):
+        q *= rho / r[-k - base - 1] if k < 0 else rho * r[k - base]
+        right.append(q)
+    return left[::-1] + middle + right
 
 
 def cdf(params: SkellamParams, k: int, tail_tol: float = 1e-12) -> float:

@@ -11,6 +11,9 @@ expansion of I_0 anchors them.  No regime keeps state between calls.
 log_skellam_debye gives the Skellam and Poisson pmf at orders from 64 on by
 the same expansion with the tilt folded in, and log_poisson_pmf the Poisson
 pmf at every order.
+window_ends sizes every pmf window, Poisson here and Skellam in skellam,
+before any value is built: its ends are where Chernoff's rate function,
+the exponent of that expansion, reaches log(2 / tail_tol).
 log_scaled_iv_pairs gives the Bessel values for many (order, argument)
 pairs at once, each regime's pairs together.
 Time integrals over [0, inf) are taken on (0, 1] via u = exp(-t) by an
@@ -26,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dists import IntegerDist, greedy_window, span_values
+from .dists import WINDOW_CAP, IntegerDist, check_window_size
 
 MAX_EXP = 709.782712893384  # largest x with exp(x) finite in float64
 _SERIES_X_MAX = 30.0
@@ -210,6 +213,15 @@ def _log_skellam_debye(nu, la, lb):
     one length: the same operations on the same libm functions, so a
     Python-float call agrees bit for bit with its place in an array, without
     numpy's cost per call."""
+    exponent, _, s = _log_skellam_exponent(nu, la, lb)
+    return exponent + _debye_log(nu, s)
+
+
+def _log_skellam_exponent(nu, la, lb):
+    """(-I(nu), log(2 la / (nu + s)), s), log_skellam_debye's terms, for
+    nu + s > 0, as _log_skellam_debye: I(nu) is Chernoff's rate function of
+    Skellam(la, lb), sup_theta [theta nu - la (e^theta - 1) - lb (e^-theta - 1)],
+    and I'(nu) = -log(2 la / (nu + s)) its optimal theta."""
     total, d = la + lb, la - lb
     x = 2.0 * _sqrt(la) * _sqrt(lb)
     s = _sqrt(nu * nu + x * x)
@@ -217,7 +229,7 @@ def _log_skellam_debye(nu, la, lb):
     st, ns = s + total, nu + s
     z = -delta * (st + nu + d) / (st * ns)
     log_ratio = _libm(_log_ratio, z, 2.0 * la / ns, la, ns)
-    return nu * log_ratio + delta * (nu + d) / st + _debye_log(nu, s)
+    return nu * log_ratio + delta * (nu + d) / st, log_ratio, s
 
 
 def _log_ratio(z: float, ratio: float, la: float, ns: float) -> float:
@@ -227,6 +239,98 @@ def _log_ratio(z: float, ratio: float, la: float, ns: float) -> float:
     if ratio >= sys.float_info.min:
         return math.log(ratio)
     return math.log(2.0 * la) - math.log(ns)  # the ratio underflows
+
+
+def window_ends(center, la, lb, tail_tol: float):
+    """(lo, hi), as integral floats, of the pmf window of Skellam(la, lb)
+    around the integer center (the mode or round(la - lb)): with
+    T = log(2 / tail_tol) and I Chernoff's rate function, hi is the least
+    k >= center with I(hi + 1) >= T and lo the greatest k <= center with
+    I(lo - 1) >= T.  P(X > hi) <= exp(-I(hi + 1)) and the same below
+    (Chernoff, Ann. Math. Statist. 23, 1952), so at most tail_tol lies outside.
+
+    la > 0, lb >= 0; lb = 0 gives the Poisson(la) window, lo >= 0, whose
+    ends never decrease as la grows.  No pmf value is built.  On Python
+    floats one window's Newton steps avoid numpy's cost per call; on 1-D
+    float arrays of positive rates, as skellam.windows batches them, all
+    rows step together.  Both find the same ends from the same I.
+    """
+    t_max = math.log(2.0 / tail_tol)
+    distance = _end_distances if isinstance(center, np.ndarray) else _end_distance
+    return (center - distance(center, la, lb, t_max, -1.0) + 1.0,
+            center + distance(center, la, lb, t_max, 1.0) - 1.0)
+
+
+def _end_distance(c: float, la: float, lb: float, t_max: float, side: float) -> float:
+    """The least t >= 1 with I(c + side t) >= t_max: Newton's method on the
+    convex I from a Cornish-Fisher guess.  Where the tangent reaches
+    t_max + 1e-9, far above the rounding of I, so does I: from either side
+    the tangent's root, rounded up, is at or past the answer, and only the
+    point one nearer c needs I.  On a Poisson law's lower side Newton starts
+    at k >= 1, where I' is finite, and stops at k = -1, where I = inf.
+    """
+    v = la + lb
+    if v > WINDOW_CAP**2:  # more than 2 sqrt(v) wide, so past the cap: no step is taken
+        return math.inf
+    guess = side * (la - lb - c) + math.sqrt(2.0 * t_max * v) + side * t_max * (la - lb) / (3.0 * v)
+    t, cap = float(max(math.ceil(guess), 1)), math.inf
+    if lb == 0.0 and side < 0.0:
+        cap = c + 1.0
+        t = min(t, c - 1.0) if c >= 2.0 else cap
+    rate, slope = _chernoff_rate(c + side * t, la, lb)
+    while True:
+        step = (rate - t_max - 1e-9) / (side * slope)
+        if abs(step) < math.inf:  # neither nan nor infinite
+            t = min(max(t - math.floor(step), 1.0), cap)
+        if t == 1.0:
+            return t
+        rate, slope = _chernoff_rate(c + side * (t - 1.0), la, lb)
+        if rate < t_max:
+            return t
+        t -= 1.0
+
+
+def _end_distances(c, la, lb, t_max: float, side: float) -> np.ndarray:
+    """_end_distance of each row of 1-D arrays of positive rates: the rows
+    not yet done take a Newton step together."""
+    v = la + lb
+    huge = v > WINDOW_CAP**2  # inf, refused by the caller
+    guess = side * (la - lb - c) + np.sqrt(2.0 * t_max * v) + side * t_max * (la - lb) / (3.0 * v)
+    t = np.where(huge, np.inf, np.maximum(np.ceil(guess), 1.0))
+    rows = np.flatnonzero(~huge)
+    rate, slope = _chernoff_rates(c[rows] + side * t[rows], la[rows], lb[rows])
+    while rows.size:
+        t[rows] = np.maximum(t[rows] - np.floor((rate - t_max - 1e-9) / (side * slope)), 1.0)
+        rows = rows[t[rows] > 1.0]
+        rate, slope = _chernoff_rates(c[rows] + side * (t[rows] - 1.0), la[rows], lb[rows])
+        nearer = rate >= t_max
+        rows, rate, slope = rows[nearer], rate[nearer], slope[nearer]
+        t[rows] -= 1.0
+    return t
+
+
+def _chernoff_rates(k: np.ndarray, la: np.ndarray, lb: np.ndarray):
+    """_chernoff_rate of each row of arrays of positive rates."""
+    up = (k > 0.0) | ((k == 0.0) & (la >= lb))
+    exponent, log_ratio, _ = _log_skellam_exponent(np.abs(k), np.where(up, la, lb), np.where(up, lb, la))
+    return -exponent, np.where(up, -log_ratio, log_ratio)
+
+
+def _chernoff_rate(k: float, la: float, lb: float) -> tuple[float, float]:
+    """(I(k), I'(k)) of Skellam(la, lb) at the integral float k, la > 0,
+    lb >= 0; I(k) for k < 0 is the rate of Skellam(lb, la) at -k, as in
+    skellam's pmf, and so is I(0) where lb > la: taken from the larger
+    rate, I'(0) does not cancel.  A Poisson law (lb = 0) has I(0) = la,
+    with I' = -inf, and I = inf below 0."""
+    if k < 0.0 or (k == 0.0 and lb > la):
+        if lb == 0.0:
+            return math.inf, math.nan
+        exponent, log_ratio, _ = _log_skellam_exponent(-k, lb, la)
+        return -exponent, log_ratio
+    if k == 0.0 and lb == 0.0:
+        return la, -math.inf
+    exponent, log_ratio, _ = _log_skellam_exponent(k, la, lb)
+    return -exponent, -log_ratio
 
 
 def log_scaled_iv_orders(orders, x: float) -> np.ndarray:
@@ -338,79 +442,61 @@ def bessel_i(order: int, x: float, scaled: bool = False) -> float:
 
 
 def poisson_dist(lam: float, tail_tol: float = 1e-12) -> IntegerDist:
-    """Poisson(lam) on a window holding at least 1 - tail_tol of the mass.
-
-    dists.greedy_window expands it from the mode over _poisson_span
-    values; lam above about 3.9e11 raises ResourceLimitError.
+    """Poisson(lam) on window_ends' window, which holds at least 1 - tail_tol
+    of the mass; tail_mass is 1 minus the window's fsum.  lam above about
+    4.4e11 (at tail_tol 1e-12) raises ResourceLimitError before any value
+    is built.
     """
     if lam < 0:
         raise ValueError("rate must be non-negative")
     if not 0.0 < tail_tol < 1.0:
         raise ValueError("tail_tol must lie in (0, 1)")
+    lo, p = poisson_window(lam, tail_tol)
+    return IntegerDist(lo, p, max(0.0, 1.0 - math.fsum(p)))
+
+
+def poisson_window(lam: float, tail_tol: float) -> tuple[int, list[float]]:
+    """(lo, p) of poisson_dist's window, p[j] = P(X = lo + j), for a caller
+    that has checked lam >= 0 and tail_tol and reads the values only: a
+    Stein sweep builds two such windows per quadrature node."""
     if lam == 0.0:
-        return IntegerDist.point_mass(0)
-    # A Python float steps faster than a numpy scalar, to the same bits.
-    return IntegerDist(*greedy_window(_poisson_span(float(lam)), int(lam), math.sqrt(lam), tail_tol))
+        return 0, [1.0]
+    lam = float(lam)  # a Python float steps faster than a numpy scalar, to the same bits
+    lo, hi = window_ends(float(int(lam)), lam, 0.0, tail_tol)
+    check_window_size(hi - lo + 1.0, "pmf window")
+    return int(lo), _poisson_walk(lam, int(lo), int(hi))
 
 
-def poisson_values(lam: float, lo: int, hi: int) -> np.ndarray:
-    """Poisson(lam > 0) pmf on lo..hi from poisson_dist's source: wherever
-    its window reaches, bit for bit its values."""
-    lam = float(lam)
-    return span_values(_poisson_span(lam), int(lam), math.sqrt(lam), lo, hi)
-
-
-def log_poisson_pmf(lam: float, ks: np.ndarray) -> np.ndarray:
-    """log Poisson(lam) pmf at each integer k in ks: from order 64 on
-    log_skellam_debye's (lb = 0), below it k log lam - lam - lgamma(k + 1),
-    whose cancellation is small at small lam."""
-    if lam == 0.0:
-        return np.where(ks == 0, 0.0, -np.inf)
-    return np.array([_log_poisson_at(lam, k) for k in ks.tolist()], dtype=np.float64)
-
-
-def _log_poisson_at(lam: float, k: int) -> float:
-    """log Poisson(lam > 0) pmf at one integer k, on Python floats: a
-    Poisson window asks for one k, its mode, and numpy calls would cost it
-    several times the formula."""
+def log_poisson_pmf(lam: float, k: int) -> float:
+    """log Poisson(lam) pmf at the integer k, on Python floats; -inf where
+    the mass is 0.  From order 64 on log_skellam_debye's (lb = 0), below it
+    k log lam - lam - lgamma(k + 1), whose cancellation is small at small lam."""
+    if k < 0 or (lam == 0.0 and k > 0):
+        return -math.inf
     if k >= DEBYE_MIN_ORDER:
         return _log_skellam_debye(float(k), lam, 0.0)
-    return k * math.log(lam) - lam - math.lgamma(k + 1) if k >= 0 else -math.inf
+    return k * math.log(lam) - lam - math.lgamma(k + 1) if lam > 0.0 else 0.0
 
 
-def _poisson_span(lam: float):
-    """span(a, b) giving the Poisson(lam) pmf on a..b by ratio steps.
+def _poisson_walk(lam: float, a: int, b: int) -> list[float]:
+    """The Poisson(lam > 0) pmf on a..b, a <= int(lam) <= b, as a list.
 
-    The first span holds the mode, whose value is log_poisson_pmf's, so it
-    equals skellam.pmf's bit for bit; it is walked outward with
-    p * k / lam to the left and q * lam / k to the right.  Each later span
-    adjoins the ones before and continues the walk from that end's value.
-    So no step is taken twice, and each value is bit for bit the one a
-    single walk from the mode gives.  No factorials are formed, so relative
-    accuracy is uniform over the span.
+    The mode's value is log_poisson_pmf's, so it equals skellam.pmf's bit
+    for bit; the walk steps outward from it, p * k / lam to the left and
+    q * lam / k to the right.  No factorials are formed, so relative
+    accuracy is uniform over the window.
     """
     mode = int(lam)
-    p = q = math.exp(_log_poisson_at(lam, mode))
-    lo = hi = mode  # walked k range; p = pmf(lo) and q = pmf(hi)
-    middle = [p]  # the mode's value, returned by the first span only
-
-    def span(a: int, b: int) -> list[float]:
-        nonlocal p, q, lo, hi, middle
-        left, right = [], []  # max(a, 0)..lo - 1 reversed, and hi + 1..b
-        for k in range(lo, max(a, 0), -1):
-            p = p * k / lam
-            left.append(p)
-        for k in range(hi + 1, b + 1):
-            q = q * lam / k
-            right.append(q)
-        lo, hi = min(lo, max(a, 0)), max(hi, b)
-        values = [0.0] * max(0, min(b, -1) - a + 1) + left[::-1] + middle + right
-        middle = []
-        if len(values) != b - a + 1:
-            raise ValueError(f"span {a}..{b} does not adjoin the walked {lo}..{hi}")
-        return values
-
-    return span
+    p = q = math.exp(log_poisson_pmf(lam, mode))
+    middle = [p]
+    left, right = [], []  # max(a, 0)..mode - 1 reversed, and mode + 1..b
+    for k in range(mode, max(a, 0), -1):
+        p = p * k / lam
+        left.append(p)
+    for k in range(mode + 1, b + 1):
+        q = q * lam / k
+        right.append(q)
+    return [0.0] * max(0, -a) + left[::-1] + middle + right
 
 
 def binomial_thin_dist(n: int, q: float) -> IntegerDist:

@@ -49,6 +49,7 @@ from .special import (
     binomial_thin_dist,
     pointwise_rule,
     poisson_dist,
+    poisson_window,
 )
 
 __all__ = [
@@ -312,6 +313,11 @@ def _sweep(
     Bin(x, u) and Bin(y, u) in Python loops and convolves the window with
     them, about (x + y + 1) x window floats of work; the cap bounds that.
 
+    The global window is sized by the full-rate Poisson windows.  A node at
+    u has rates l (1 - u), and a Poisson window's ends never decrease as its
+    rate grows (special.window_ends), so every node window nests in it; the
+    escape check is a guard.
+
     The reported slack bounds each state's kernel L1 error: quadrature
     defect plus integrated window truncation (the per-node neglected mass
     is below quad_tol/100; differencing amplifies it by at most 4, and
@@ -336,12 +342,11 @@ def _sweep(
             )
 
     # Windows hold their modes: a floor on the size, before any is built.
-    margin = 8
-    check_size(int(l1) + int(l2) + nx + ny + 2 * margin + 3)
+    check_size(int(l1) + int(l2) + nx + ny + 3)
     pa_full = poisson_dist(l1, pois_tol)
     pb_full = poisson_dist(l2, pois_tol)
-    lo = -pb_full.max_support - 2 - (ny - 1) - margin
-    hi = pa_full.max_support + 2 + (nx - 1) + margin
+    lo = -pb_full.max_support - 2 - (ny - 1)
+    hi = pa_full.max_support + 2 + (nx - 1)
     size = hi - lo + 1
     check_size(size)
 
@@ -359,10 +364,10 @@ def _sweep(
     def node_base(u) -> tuple[int, np.ndarray]:
         """(window offset, signed base) of the node at u."""
         grown = 1.0 - u
-        pa = poisson_dist(l1 * grown, pois_tol)
-        pb = poisson_dist(l2 * grown, pois_tol)
-        base = np.convolve(pa.probabilities, pb.probabilities[::-1])
-        k0 = pa.min_support - pb.max_support
+        a_lo, pa = poisson_window(l1 * grown, pois_tol)
+        b_lo, pb = poisson_window(l2 * grown, pois_tol)
+        base = np.convolve(pa, pb[::-1])
+        k0 = a_lo - (b_lo + len(pb) - 1)
         tk0, t_arr = _difference_base(k0, base, order, coords)
         if single_state is not None:
             if sx:
@@ -693,7 +698,7 @@ def skellam_second_diff_sum(
         if hi_k < lo_k:
             raise ValueError("window upper end below lower end")
         probs = pmf_window(params, lo_k, hi_k)
-        tail = max(0.0, 1.0 - float(probs.sum()))
+        tail = max(0.0, 1.0 - math.fsum(probs.tolist()))  # as to_dist's tail_mass
     second = np.convolve(probs, np.array([1.0, -2.0, 1.0]))
     value = float(np.abs(second).sum())
     lam = params.total

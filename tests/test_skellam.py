@@ -3,10 +3,11 @@ import time
 
 import numpy as np
 import pytest
+import scipy.special as sps
 import scipy.stats as sstats
 
-from skellam_stein import skellam
-from skellam_stein.dists import ResourceLimitError, convolve, greedy_window, negate, tv_distance
+from skellam_stein import skellam, special
+from skellam_stein.dists import ResourceLimitError, convolve, negate, tv_distance
 from skellam_stein.skellam import (
     SkellamParams,
     cdf,
@@ -80,48 +81,6 @@ def test_skew_symmetry_is_bit_exact():
             assert log_pmf(a, k) == log_pmf(b, -k)
 
 
-def _greedy_oracle(params, tail_tol, value):
-    """(lo, hi, tail) of the two-sided greedy window over value(k) calls."""
-    center = int(round(params.lambda1 - params.lambda2))
-    total, comp = value(center), 0.0
-    lo_k = hi_k = center
-    width_cap = int(24.0 * math.sqrt(params.total)) + 100
-    while total < 1.0 - tail_tol:
-        next_lo = value(lo_k - 1)
-        next_hi = value(hi_k + 1)
-        if next_lo == 0.0 and next_hi == 0.0:
-            break
-        if hi_k - lo_k >= width_cap:
-            break
-        if next_lo >= next_hi:
-            lo_k -= 1
-            add = next_lo
-        else:
-            hi_k += 1
-            add = next_hi
-        y = add - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return lo_k, hi_k, max(0.0, 1.0 - total)
-
-
-def _span_values(params, tail_tol):
-    """{k: value} of every point the window builder's span source gave."""
-    l1, l2 = params.lambda1, params.lambda2
-    center = int(round(l1 - l2))
-    span = skellam._skellam_span(l1, l2, center)
-    seen = {}
-
-    def recording(a, b):
-        values = span(a, b)
-        seen.update(zip(range(a, b + 1), values))
-        return values
-
-    greedy_window(recording, center, math.sqrt(params.total), tail_tol)
-    return seen
-
-
 def _window_rates():
     rng = np.random.default_rng(20261018)
     grid = [tuple(10.0 ** rng.uniform(-3, 4, 2)) for _ in range(12)]
@@ -130,21 +89,121 @@ def _window_rates():
     return grid + ties + tiny
 
 
-def test_window_matches_scalar_greedy_oracle():
-    # Ratio-stepped values cannot equal the direct formula bit for bit, so the
-    # greedy is checked over the builder's own values, and the centre, the
-    # one value not stepped to, against pmf exactly.
-    for l1, l2 in _window_rates():
-        params = SkellamParams(l1, l2)
-        center = int(round(l1 - l2))
-        for tail_tol in (1e-10, 1e-12):
-            d = to_dist(params, tail_tol)
-            seen = _span_values(params, tail_tol)
-            lo, hi, tail = _greedy_oracle(params, tail_tol, seen.__getitem__)
-            assert (d.min_support, d.max_support) == (lo, hi), (l1, l2, tail_tol)
-            assert d.tail_mass == tail, (l1, l2, tail_tol)
-            assert d.probabilities.tolist() == [seen[k] for k in range(lo, hi + 1)]
-            assert d.prob(center) == pmf(params, center), (l1, l2)
+def _rate_scan(center, la, lb, tail_tol):
+    """(lo, hi) by a direct scan of Chernoff's rate function
+    I(k) = k log((k + s) / (2 la)) - s + la + lb, s = sqrt(k^2 + 4 la lb), over
+    every integer out to Bernstein's bound, with T = log(2 / tail_tol)."""
+    t_max = math.log(2.0 / tail_tol)
+    reach = int(t_max / 3.0 + math.sqrt(t_max * t_max / 9.0 + 2.0 * t_max * (la + lb))) + 2
+    ks = np.arange(center - reach, center + reach + 1, dtype=np.float64)
+
+    def rate(k, a, b):  # k >= 0; the k < 0 side is the rate of (b, a) at -k
+        s = np.sqrt(k * k + 4.0 * a * b)
+        return sps.xlogy(k, (k + s) / (2.0 * a)) - s + a + b
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        neg = rate(-ks, lb, la) if lb > 0.0 else np.full(ks.shape, np.inf)
+        rates = np.where(ks >= 0, rate(np.abs(ks), la, lb), neg)
+    assert rates[0] >= t_max and rates[-1] >= t_max
+    up = (ks > center) & (rates >= t_max)
+    down = (ks < center) & (rates >= t_max)
+    return int(ks[down].max()) + 1, int(ks[up].min()) - 1
+
+
+def _contract_rates():
+    """A seeded log-uniform grid of pairs in [1e-3, 1e6], very unequal
+    splits and zero rates."""
+    rng = np.random.default_rng(20261020)
+    grid = [tuple(10.0 ** rng.uniform(-3, 6, 2)) for _ in range(16)]
+    unequal = [(1e6, 1e-3), (2e-3, 4e5), (3e4, 1e-200), (1e-300, 5.0), (1e-300, 0.54), (1e-3, 1e-3)]
+    zero = [(1e6, 0.0), (0.0, 3e4), (7.5, 0.0), (0.0, 1e-3), (47.0, 0.0)]
+    return grid + unequal + zero
+
+
+@pytest.mark.parametrize("tail_tol", [1e-10, 1e-12, 1e-15])
+def test_window_contract_on_rate_grid(tail_tol):
+    for l1, l2 in _contract_rates():
+        params = SkellamParams(l1, l2, extended=True)
+        d = to_dist(params, tail_tol)
+        lo, hi = d.min_support, d.max_support
+        # Chernoff's window: ends by a direct scan of the rate function.
+        if l1 > 0.0:
+            assert (lo, hi) == _rate_scan(int(l1) if l2 == 0.0 else int(round(l1 - l2)), l1, l2, tail_tol), (l1, l2)
+        else:
+            assert (-hi, -lo) == _rate_scan(int(l2), l2, 0.0, tail_tol), (l1, l2)
+        # At most tail_tol lies outside it.  tail_mass = 1 - fsum(p) reports
+        # no more, up to the rounding of the window's values, which is above
+        # 1e-15 on large windows: their L1 distance from scipy's.
+        ks = d.support()
+        if l2 == 0.0:
+            outside = sstats.poisson.cdf(lo - 1, l1) + sstats.poisson.sf(hi, l1)
+            ref = sstats.poisson.pmf(ks, l1)
+        elif l1 == 0.0:
+            outside = sstats.poisson.cdf(-hi - 1, l2) + sstats.poisson.sf(-lo, l2)
+            ref = sstats.poisson.pmf(-ks, l2)
+        else:
+            outside = sstats.skellam.cdf(lo - 1, l1, l2) + sstats.skellam.sf(hi, l1, l2)
+            ref = sstats.skellam.pmf(ks, l1, l2)
+        assert outside <= tail_tol, (l1, l2, outside)
+        value_err = np.abs(d.probabilities - ref).sum()
+        assert d.tail_mass <= tail_tol + value_err + 2.0**-52, (l1, l2, d.tail_mass, value_err)
+        assert d.tail_mass == max(0.0, 1.0 - math.fsum(d.probabilities.tolist()))
+        # The centre value is pmf's, bit for bit.
+        center = int(l1) - int(l2) if 0.0 in (l1, l2) else int(round(l1 - l2))
+        assert d.prob(center) == pmf(params, center), (l1, l2)
+
+
+def test_pmf_window_matches_to_dist():
+    # An explicit window walks from the centre over its own orders, so its
+    # values differ from to_dist's in the last bits only.
+    for l1, l2 in [(3.0, 2.0), (40.0, 0.0), (0.0, 6.5), (2e4, 1e4), (0.01, 5.0)]:
+        params = SkellamParams(l1, l2, extended=True)
+        d = to_dist(params, 1e-12)
+        for lo, hi in [(d.min_support, d.max_support), (d.min_support + 3, d.max_support - 5),
+                       (d.max_support - 4, d.max_support + 30), (d.min_support - 20, d.min_support + 2)]:
+            got = skellam.pmf_window(params, lo, hi)
+            assert got.size == hi - lo + 1
+            ks = np.arange(lo, hi + 1)
+            inside = (ks >= d.min_support) & (ks <= d.max_support)
+            want = d.probabilities[ks[inside] - d.min_support]
+            assert np.all(np.abs(got[inside] - want) <= 1e-14 * want), (l1, l2, lo, hi)
+            assert np.all(got[~inside] <= 1e-12)
+    assert skellam.pmf_window(SkellamParams(0.0, 0.0, extended=True), -2, 1).tolist() == [0.0, 0.0, 1.0, 0.0]
+
+
+def test_centre_value_on_floats_is_bit_identical():
+    # A value on Python floats has the bits of its place in an array.
+    pairs = [(64.3, 0.001), (1000.0, 300.0), (7e5, 3e5), (3e5, 1e-200), (50.0, 20.0), (5.0, 69.0)]
+    for l1, l2 in pairs:
+        c = int(round(l1 - l2))
+        ks = [c, -c, c + 64, c - 200, 63, -64, 64, 0]
+        want = skellam._log_pmf_rows(np.full(len(ks), l1), np.full(len(ks), l2), np.array(ks))
+        assert [skellam._log_pmf_at(l1, l2, k) for k in ks] == want.tolist(), (l1, l2)
+
+
+def test_log_pmf_below_order_64_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+
+    def ref(l1, l2, k):
+        a, b = mpmath.mpf(l1), mpmath.mpf(l2)
+        return mpmath.exp(-(a + b)) * (a / b) ** (mpmath.mpf(k) / 2) * mpmath.besseli(abs(k), 2 * mpmath.sqrt(a * b))
+
+    with mpmath.workdps(50):
+        # Near-equal rates: the tilt once cancelled to 1.8e-14 here.
+        want = ref(5e7, 5e7 + 30, -30)
+        got = pmf(SkellamParams(5e7, 5e7 + 30), -30)
+        assert abs(got - want) <= 4e-15 * want
+        # Far tails near k = 0 (values 1e-98 to 1e-272), where the root gap
+        # once lost up to 4e-10: what is left is the rounding of log p.
+        for rate in (1e8, 1e10):
+            for gap in (15.0, 25.0):
+                for j in range(3):
+                    l1 = rate * (1.0 - 0.2 * j)
+                    l2 = (math.sqrt(l1) - gap) ** 2 * (1.0 + 1e-9 * j)
+                    for k in (0, 17, -40, 63):
+                        want = ref(l1, l2, k)
+                        got = pmf(SkellamParams(l1, l2), k)
+                        assert abs(got - want) <= 1e-12 * want, (l1, l2, k)
 
 
 def test_window_values_match_scipy():
@@ -160,38 +219,20 @@ def test_window_values_match_scipy():
 def test_batch_rows_match_single_windows():
     rng = np.random.default_rng(7)
     rates = [tuple(10.0 ** rng.uniform(-3, 2.5, 2)) for _ in range(2 * skellam._LOCKSTEP_ROWS)]
-    rates += [(0.01, 5.0), (3.0, 3.0), (1e-6, 1e-6)]  # (0.01, 5.0) extends its span
+    rates += [(0.01, 5.0), (3.0, 3.0), (1e-6, 1e-6), (3e4, 1e-200), (2e4, 1e4)]
     rng.shuffle(rates)
     l1, l2 = np.array(rates).T
-    tail_tol = 1e-15
-    c = int(round(0.01 - 5.0))
-    assert len(_span_values(SkellamParams(0.01, 5.0), tail_tol)) > 2 * (int(8 * math.sqrt(5.01)) + 12) + 1
-    for (a, b), (lo, p, tail) in zip(rates, windows(l1, l2, tail_tol)):
-        d = to_dist(SkellamParams(a, b), tail_tol)
-        assert (lo, tail) == (d.min_support, d.tail_mass), (a, b)
-        assert p.tolist() == d.probabilities.tolist(), (a, b)
-    assert windows([], [], tail_tol) == []
+    for tail_tol in (1e-10, 1e-12, 1e-15):
+        # Batches of every size, so rows go through lockstep chunks and
+        # through chunks too small for them, stepped on Python floats.
+        for size in (1, 5, skellam._LOCKSTEP_ROWS - 1, skellam._LOCKSTEP_ROWS, len(rates)):
+            for (a, b), (lo, p, tail) in zip(rates[:size], windows(l1[:size], l2[:size], tail_tol)):
+                d = to_dist(SkellamParams(a, b), tail_tol)
+                assert (lo, tail) == (d.min_support, d.tail_mass), (a, b)
+                assert p.tobytes() == d.probabilities.tobytes(), (a, b)
+    assert windows([], [], 1e-12) == []
     with pytest.raises(ValueError):
         windows([1.0, 0.0], [1.0, 1.0])
-
-
-def test_lockstep_leaves_rows_it_cannot_sort_to_python_floats():
-    # The lockstep greedy takes a row's values in sorted order, which is the
-    # greedy order only where they fall away from the centre on both sides.
-    l1 = np.linspace(1.0, 9.0, 30)
-    rows = skellam._Rows(l1, 10.0 - l1)
-    big = int(rows.half.max())
-    values = np.empty((30, 2 * big + 1))
-    for i, (a, b) in enumerate(zip(rows.l1, rows.l2)):
-        c = int(rows.center[i])
-        values[i] = skellam.pmf_window(SkellamParams(a, b), c - big, c + big)
-    anchor = values[:, big].copy()
-    values[3, big + 2] = values[3, big + 1] * 1.5  # rises away from the centre
-    out = skellam._greedy_lockstep(rows, values, big, anchor, 1e-12)
-    assert out[3] is None
-    for i in (0, 4, 29):
-        lo, p, tail = skellam._window(float(rows.l1[i]), float(rows.l2[i]), 1e-12)
-        assert (out[i][0], out[i][1].tolist(), out[i][2]) == (lo, p.tolist(), tail)
 
 
 def test_window_beyond_cap_fails_fast():
@@ -279,8 +320,8 @@ def test_windows_at_large_rates_match_scipy_in_l1():
         d = to_dist(params, 1e-12)
         ref = sstats.skellam.pmf(d.support(), l1, l2)
         assert np.abs(d.probabilities - ref).sum() <= 1e-12, (l1, l2)
-        # The greedy stops on its target, not at the 24-sd width cap.
-        assert d.max_support - d.min_support < int(24.0 * math.sqrt(params.total)) + 100, (l1, l2)
+        # Chernoff's window at 1e-12 is about 15 sd wide.
+        assert d.max_support - d.min_support < 16.0 * math.sqrt(params.total) + 20, (l1, l2)
         center = int(round(l1 - l2))
         assert d.prob(center) == pmf(params, center), (l1, l2)
 
@@ -347,7 +388,7 @@ def test_poisson_pmf_and_window_share_the_mode_value():
         # Away from the mode they differ by the walk's rounding, two
         # roundings a step (below 64 pmf takes lgamma, with its own error).
         ks = np.arange(max(d.min_support, 64), d.max_support + 1)
-        got = np.exp(skellam._log_pmf_array(params, ks))
+        got = np.exp([special.log_poisson_pmf(lam, k) for k in ks.tolist()])
         walked = d.probabilities[ks - d.min_support]
         rel = np.abs(got - walked) / walked
         assert np.all(rel <= 2e-15 + 4.5e-16 * np.abs(ks - mode)), lam

@@ -9,7 +9,7 @@ import scipy.special as sps
 import scipy.stats as sstats
 
 from skellam_stein import SkellamParams, special
-from skellam_stein.dists import ResourceLimitError, greedy_window, span_values
+from skellam_stein.dists import ResourceLimitError
 from skellam_stein.special import (
     _GK_NODES,
     _GK_WDIFF,
@@ -24,6 +24,7 @@ from skellam_stein.special import (
     pointwise_rule,
     poisson_dist,
 )
+from skellam_stein.skellam import to_dist as skellam_to_dist
 from skellam_stein.stein import bound_first_diff_integral
 
 BESSEL_ORDERS = [0, 1, 2, 3, 7, 20, 64, 300, 1000]
@@ -205,52 +206,38 @@ def test_poisson_window_against_reference():
 
 
 def _poisson_ratio_loop(lam, tail_tol):
-    """Self-contained greedy ratio loop for a Poisson window: the reference
-    poisson_dist must match bit for bit (window, values and tail)."""
+    """Self-contained Poisson window, the reference poisson_dist must match
+    bit for bit (window, values and tail): ends by a direct scan of
+    Chernoff's rate function I(k) = k log(k / lam) - k + lam against
+    T = log(2 / tail_tol), values by ratio steps from the mode."""
     mode = int(lam)
+    t_max = math.log(2.0 / tail_tol)
+    reach = int(t_max / 3.0 + math.sqrt(t_max * t_max / 9.0 + 2.0 * t_max * lam)) + 2
+    ks = np.arange(max(mode - reach, 0), mode + reach + 1, dtype=np.float64)
+    rates = sps.xlogy(ks, ks / lam) - ks + lam
+    above = rates >= t_max
+    hi = int(ks[(ks > mode) & above].min()) - 1
+    below = (ks < mode) & above
+    lo = int(ks[below].max()) + 1 if below.any() else 0
     if mode >= special.DEBYE_MIN_ORDER:  # the skellam.pmf source, lb = 0
         log_pm = float(special.log_skellam_debye(mode, lam, 0.0)[0])
     else:
         log_pm = mode * math.log(lam) - lam - math.lgamma(mode + 1)
-    pm = math.exp(log_pm)
-    left = []   # mode-1, mode-2, ...
-    right = []  # mode+1, mode+2, ...
-    # Kahan summation: the captured-mass target can sit below the plain
-    # float-sum error once windows reach thousands of terms.
-    total, comp = pm, 0.0
-    lo_p, lo_k = pm, mode   # frontier value/index on the left
-    hi_p, hi_k = pm, mode   # frontier value/index on the right
-    target = 1.0 - tail_tol
-    # Past +-12 sd any remaining gap is float64 bias, not real mass.
-    width_cap = int(24.0 * math.sqrt(lam)) + 100
-    while total < target:
-        next_lo = lo_p * lo_k / lam if lo_k > 0 else 0.0
-        next_hi = hi_p * lam / (hi_k + 1)
-        if next_lo == 0.0 and next_hi == 0.0:
-            break
-        if hi_k - lo_k >= width_cap:
-            break
-        if next_lo >= next_hi and lo_k > 0:
-            lo_p, lo_k = next_lo, lo_k - 1
-            left.append(lo_p)
-            add = lo_p
-        else:
-            hi_p, hi_k = next_hi, hi_k + 1
-            right.append(hi_p)
-            add = hi_p
-        y = add - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    probs = np.array(left[::-1] + [pm] + right)
-    return lo_k, probs, max(0.0, 1.0 - total)
+    p = q = pm = math.exp(log_pm)
+    left, right = [], []
+    for k in range(mode, lo, -1):
+        p = p * k / lam
+        left.append(p)
+    for k in range(mode + 1, hi + 1):
+        q = q * lam / k
+        right.append(q)
+    probs = left[::-1] + [pm] + right
+    return lo, np.array(probs), max(0.0, 1.0 - math.fsum(probs))
 
 
 def test_poisson_window_bit_identical_to_ratio_loop():
     rng = np.random.default_rng(20261018)
     lams = np.exp(rng.uniform(math.log(1e-4), math.log(2e5), 100))
-    # 2e4 and 1e5 run past the first span, so their windows are walked in
-    # several spans.
     for lam in [float(v) for v in lams] + [1.0, 7.0, 7.5, 2e4, 1e5]:
         for tol in (1e-10, 1.25e-11, 1e-12, 1e-15):
             d = poisson_dist(lam, tol)
@@ -276,38 +263,41 @@ class _StepCountingRate(float):
 
 @pytest.mark.parametrize("lam", [0.3, 40.0, 2e4, 1e5])
 def test_poisson_window_takes_one_ratio_step_per_walked_point(lam):
-    """Each span extension continues from the walked ends: the ratio steps
-    of a window are the points of its spans at k >= 0, less the mode."""
-    spans = []
-    span = special._poisson_span(_StepCountingRate(lam))
-
-    def recorded(a, b):
-        spans.append((a, b))
-        return span(a, b)
-
+    """One walk from the mode over the window: its ratio steps are its
+    points at k >= 0, less the mode."""
+    d = poisson_dist(lam, 1e-12)
     _StepCountingRate.steps = 0
-    _, probs, _ = greedy_window(recorded, int(lam), math.sqrt(lam), 1e-12)
-    assert probs.tobytes() == poisson_dist(lam, 1e-12).probabilities.tobytes()
-    walked = sum(max(0, b - max(a, 0) + 1) for a, b in spans)
-    assert _StepCountingRate.steps == walked - 1
-    if lam >= 2e4:
-        # A 1e-12 window stays in its first span; +-12 sd runs past it.
-        spans.clear()
-        span = special._poisson_span(_StepCountingRate(lam))
-        _StepCountingRate.steps = 0
-        lo, hi = int(lam - 12 * math.sqrt(lam)), int(lam + 12 * math.sqrt(lam))
-        got = span_values(recorded, int(lam), math.sqrt(lam), lo, hi)
-        assert len(spans) > 2  # the span was extended
-        assert got.tobytes() == special.poisson_values(lam, lo, hi).tobytes()
-        walked = sum(max(0, b - max(a, 0) + 1) for a, b in spans)
-        assert _StepCountingRate.steps == walked - 1
+    special.log_poisson_pmf(_StepCountingRate(lam), int(lam))
+    mode_steps = _StepCountingRate.steps
+    _StepCountingRate.steps = 0
+    walked = special._poisson_walk(_StepCountingRate(lam), d.min_support, d.max_support)
+    assert np.array(walked).tobytes() == d.probabilities.tobytes()
+    assert _StepCountingRate.steps - mode_steps == d.max_support - max(d.min_support, 0)
+
+
+def test_poisson_windows_nest_as_the_rate_falls():
+    # A sweep node at rate l (1 - u) must stay inside the full-rate window
+    # (stein._sweep), and the order-0 stationary row inside -pb.max..pa.max.
+    rng = np.random.default_rng(20261021)
+    for _ in range(40):
+        lam, lam2 = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), 2))
+        lower = lam * np.exp(rng.uniform(math.log(1e-3), 0.0, 6))
+        for tol in (1e-10, 1.25e-11, 1e-15):
+            pa, pb = poisson_dist(lam, tol), poisson_dist(lam2, tol)
+            for lam_low in lower:
+                low = poisson_dist(lam_low, tol)
+                assert low.max_support <= pa.max_support, (lam, lam_low, tol)
+                assert low.min_support <= pa.min_support, (lam, lam_low, tol)
+            d = skellam_to_dist(SkellamParams(lam, lam2), tol)
+            assert -pb.max_support <= d.min_support and d.max_support <= pa.max_support, (lam, lam2, tol)
 
 
 def test_poisson_window_above_cap_refused_before_building():
     tracemalloc.start()
     try:
+        # A 1e-12 window is about 15 sd wide, so the cap falls near 4.4e11.
         with pytest.raises(ResourceLimitError, match="exceeds cap"):
-            poisson_dist(4e11)
+            poisson_dist(1e12)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -525,7 +515,7 @@ def test_debye_pmf_one_value_bit_identical_to_array():
     array = special.log_skellam_debye(nu, la, lb)
     one = np.array([special._log_skellam_debye(*v) for v in zip(nu.tolist(), la.tolist(), lb.tolist())])
     assert np.array_equal(one.view(np.uint64), array.view(np.uint64))
-    poisson = np.array([special._log_poisson_at(l, k) for l, k in zip(la.tolist(), nu.astype(int).tolist())])
+    poisson = np.array([special.log_poisson_pmf(l, k) for l, k in zip(la.tolist(), nu.astype(int).tolist())])
     array = special.log_skellam_debye(nu, la, 0.0)
     assert np.array_equal(poisson.view(np.uint64), array.view(np.uint64))
 
