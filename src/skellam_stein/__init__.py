@@ -22,10 +22,8 @@ from .skellam import (
 )
 from .special import (
     QuadratureError,
-    adaptive_gauss_kronrod,
     bessel_i,
     binomial_thin_dist,
-    pointwise_rule,
     poisson_dist,
 )
 from .stein import (

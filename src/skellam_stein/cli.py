@@ -220,7 +220,7 @@ def _cmd_dist_sample(args):
         {},
         args.format,
     )
-    rows = [{"index": i, "draw": int(v)} for i, v in enumerate(draws)]
+    rows = jsonwriter.Rows(index=np.arange(args.n), draw=draws) if args.n else []
     return config, {"count": args.n}, rows, EXIT_OK
 
 

@@ -5,8 +5,9 @@ With ``indent`` set, CPython's ``json`` runs its pure-Python encoder and
 whole text at once.  ``dump`` here writes the same text in bounded chunks:
 
 - dicts with string keys are walked;
-- lists and 1-D arrays go out in blocks of ``_BLOCK`` items, 1-D arrays
-  read block by block (``arr[i:i+B].tolist()``): floats through
+- lists, 1-D arrays and ``Rows`` go out in blocks of ``_BLOCK`` items,
+  1-D arrays read block by block (``arr[i:i+B].tolist()``) and ``Rows``
+  built block by block from its columns: floats through
   ``float.__repr__``; flat dicts column by column, each run of dicts with
   one key order and scalar values as one list of tokens per key (one
   ``float.__repr__`` or ``int.__repr__`` map where a column is all floats or
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from itertools import chain, groupby, repeat
 from operator import itemgetter
 
@@ -33,6 +35,22 @@ import numpy as np
 # 2048-bin `verify haar --sweep` record at once, raised its peak RSS by
 # about 1 MB.
 _BLOCK = 256
+
+
+class Rows(Sequence):
+    """Flat rows {key: column[i]} of equal-length 1-D arrays, each slice's
+    dicts built when asked for, so a row table is never held whole."""
+
+    def __init__(self, **columns):
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values())))
+
+    def __getitem__(self, index):
+        if not isinstance(index, slice):
+            return self[index : index + 1 or None][0]
+        return [dict(zip(self.columns, row)) for row in zip(*(c[index].tolist() for c in self.columns.values()))]
 
 
 def dump(doc, out) -> None:
@@ -181,7 +199,7 @@ def _write_value(out, value, pad: str) -> None:
         _write_items(
             out, (value[i : i + _BLOCK].tolist() for i in range(0, value.size, _BLOCK)), pad
         )
-    elif isinstance(value, (list, tuple)) and value:
+    elif isinstance(value, (list, tuple, Rows)) and value:
         _write_items(out, (value[i : i + _BLOCK] for i in range(0, len(value), _BLOCK)), pad)
     else:
         out.write(_dumps(value, pad))

@@ -14,8 +14,8 @@ flattened (m, nx (K + 2)) view.  While every state's support stays inside
 the window (the caller checks it), the padding columns stay zero: the right
 shifts never reach column K + 1 and the left shifts never reach column 0.
 So a left shift across a row boundary reads a zero, as it would at the end
-of a row.  After each y step one (2 x m) . (m x nx (K + 2)) product adds the
-rule's weighted sum into its two accumulators.
+of a row.  After each y step one (m) . (m x nx (K + 2)) product adds the
+rule's weighted sum into its accumulator.
 """
 
 import numpy as np
@@ -38,21 +38,21 @@ def stack_bases(bases, offsets, nx, size):
     return frame
 
 
-def sweep_accumulate(acc_k, frame, u, coef, acc_d):
-    """Add one rule's state-grid values into its two accumulators.
+def sweep_accumulate(acc, frame, u, coef):
+    """Add one rule's state-grid values into its accumulator.
 
-    acc_k, acc_d : (ny, nx, K) accumulators; entry [y, x, j] holds the value
-                   at window index j for the state (x, y).
-    frame        : (m, nx, K + 2) node bases from stack_bases; overwritten.
-    u            : (m,) survival probability of each node.
-    coef         : (2, m) weight of each node in acc_k and in acc_d.
+    acc   : (ny, nx, K) accumulator; entry [y, x, j] holds the value at
+            window index j for the state (x, y).
+    frame : (m, nx, K + 2) node bases from stack_bases; overwritten.
+    u     : (m,) survival probability of each node.
+    coef  : (m,) weight of each node.
 
-    Node i at state (x, y) adds coef[:, i] times its base (*) Bin(x, u[i])
+    Node i at state (x, y) adds coef[i] times its base (*) Bin(x, u[i])
     (*) -Bin(y, u[i]); that occupies window indices off_i - y .. off_i +
     len(base_i) + x - 1, which must lie in 0 .. K - 1.
     """
     m, nx, width = frame.shape
-    ny = acc_k.shape[0]
+    ny = acc.shape[0]
     u = np.asarray(u, dtype=np.float64).reshape(m, 1)
     q = 1.0 - u
     for x in range(1, nx):
@@ -60,13 +60,12 @@ def sweep_accumulate(acc_k, frame, u, coef, acc_d):
     flat = frame.reshape(m, nx * width)
     head = flat[:, :-1]
     shifted = np.empty_like(head)
-    part = np.empty((2, nx * width))
-    rows = part.reshape(2, nx, width)[:, :, 1:-1]
+    part = np.empty(nx * width)
+    rows = part.reshape(nx, width)[:, 1:-1]
     for y in range(ny):
         if y:
             np.multiply(u, flat[:, 1:], out=shifted)
             head *= q
             head += shifted
         np.matmul(coef, flat, out=part)
-        acc_k[y] += rows[0]
-        acc_d[y] += rows[1]
+        acc[y] += rows

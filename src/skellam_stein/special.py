@@ -1,5 +1,5 @@
 """Numeric primitives: modified Bessel functions of integer order, windowed
-Poisson and binomial probability vectors, and adaptive quadrature.
+Poisson and binomial probability vectors, and quadrature.
 
 Bessel values are log-scale floats (-inf for zero), so extreme arguments stay
 usable.  An order takes one of three regimes: the ascending power series
@@ -16,8 +16,8 @@ before any value is built: its ends are where Chernoff's rate function,
 the exponent of that expansion, reaches log(2 / tail_tol).
 log_scaled_iv_pairs gives the Bessel values for many (order, argument)
 pairs at once, each regime's pairs together.
-Time integrals over [0, inf) are taken on (0, 1] via u = exp(-t) by an
-adaptive Gauss-Kronrod 7/15 rule whose nodes avoid the endpoints.
+Time integrals over [0, inf) are taken on (0, 1] via u = exp(-t) by Kronrod
+rules on a partition fixed in advance from proven error bounds.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from __future__ import annotations
 import heapq
 import math
 import sys
+from operator import itemgetter
 from typing import Callable
 
 import numpy as np
@@ -37,7 +38,7 @@ DEBYE_MIN_ORDER = 64  # orders from here on off the series take Olver's expansio
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature hit maximum depth without meeting tolerance."""
+    """No partition within the rule and depth caps meets the tolerance."""
 
 
 def ratio_start(kmax, x):
@@ -333,25 +334,6 @@ def _chernoff_rate(k: float, la: float, lb: float) -> tuple[float, float]:
     return -exponent, -log_ratio
 
 
-def log_scaled_iv_orders(orders, x: float) -> np.ndarray:
-    """log(exp(-x) * I_k(x)) for each integer order k in orders; x >= 0.
-
-    An order takes the ascending series when it converges in few terms
-    (x <= 30 or 0.25 x^2 / (k + 1) <= 64), summed for all such orders at
-    once; every other order from 64 on is Olver's uniform expansion, and
-    every other order below 64 is I_0 times backward ratios seeded by that
-    expansion's orders 64 and 65.  So an order's value never depends on the
-    orders asked for with it, and a one-order call agrees bit for bit with a
-    window.
-    """
-    k = np.abs(np.asarray(orders, dtype=np.int64))
-    if x < 0:
-        raise ValueError("argument must be non-negative")
-    if x == 0.0:
-        return np.where(k == 0, 0.0, -np.inf)
-    return log_scaled_iv_pairs(k, np.full(k.shape, float(x)))
-
-
 def _log_scaled_iv_series(ks: np.ndarray, x: np.ndarray) -> np.ndarray:
     """log(exp(-x) * I_k(x)) by the ascending series, for each order ks[i] >= 0
     at its own argument x[i] > 0.
@@ -394,10 +376,10 @@ def _log_scaled_iv_series(ks: np.ndarray, x: np.ndarray) -> np.ndarray:
 def log_scaled_iv_pairs(orders, xs) -> np.ndarray:
     """log(exp(-x) * I_k(x)) for each pair (orders[i], xs[i]); finite xs > 0.
 
-    Each value is bit for bit log_scaled_iv(orders[i], xs[i]), by the rule
-    of log_scaled_iv_orders: the pairs on the series path are summed
-    together, those of Olver's expansion taken together, and the others
-    seeded and anchored together, then stepped down a pair at a time.
+    Pairs whose series converges in few terms (x <= 30 or 0.25 x^2 / (k + 1)
+    <= 64) are summed together, those from order 64 on take Olver's expansion
+    together, and the others are seeded by its orders 64 and 65 and anchored
+    at I_0 together.  So each value is bit for bit log_scaled_iv's.
     """
     k = np.abs(np.asarray(orders, dtype=np.int64))
     xs = np.asarray(xs, dtype=np.float64)
@@ -417,8 +399,13 @@ def log_scaled_iv_pairs(orders, xs) -> np.ndarray:
 
 
 def log_scaled_iv(order: int, x: float) -> float:
-    """log(exp(-x) * I_order(x)); order may be negative, -inf when the value is 0."""
-    return float(log_scaled_iv_orders([int(order)], x)[0])
+    """log(exp(-x) * I_order(x)) for x >= 0; order may be negative, -inf
+    when the value is 0.  x > 0 is log_scaled_iv_pairs' pair."""
+    if x < 0:
+        raise ValueError("argument must be non-negative")
+    if x == 0.0:
+        return 0.0 if order == 0 else -math.inf
+    return float(log_scaled_iv_pairs([int(order)], [float(x)])[0])
 
 
 def bessel_i(order: int, x: float, scaled: bool = False) -> float:
@@ -525,128 +512,90 @@ def binomial_thin_dist(n: int, q: float) -> IntegerDist:
     return IntegerDist(0, probs, max(0.0, 1.0 - float(probs.sum())))
 
 
-# Gauss-Kronrod 7/15 on [-1, 1]: Kronrod nodes/weights, with the embedded
-# 7-point Gauss rule living on the odd-indexed nodes.
-_GK_NODES = np.array([
-    -0.991455371120813, -0.949107912342759, -0.864864423359769,
-    -0.741531185599394, -0.586087235467691, -0.405845151377397,
-    -0.207784955007898, 0.0,
-    0.207784955007898, 0.405845151377397, 0.586087235467691,
-    0.741531185599394, 0.864864423359769, 0.949107912342759,
-    0.991455371120813,
+# The 15-point Kronrod rule on [-1, 1] (QUADPACK's qk15, Piessens et al.,
+# 1983) to full double precision, nodes ascending.  Its weights are positive,
+# and it integrates every polynomial of degree up to 22 exactly.
+_GK_HALF_NODES = np.array([
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
 ])
-_GK_WK = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728,
-    0.204432940075298, 0.190350578064785, 0.169004726639267,
-    0.140653259715525, 0.104790010322250, 0.063092092629979,
-    0.022935322010529,
+_GK_HALF_WK = np.array([
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
 ])
-_GK_WG = np.array([
-    0.129484966168870, 0.279705391489277, 0.381830050505119,
-    0.417959183673469,
-    0.381830050505119, 0.279705391489277, 0.129484966168870,
-])
-_GAUSS_IDX = (1, 3, 5, 7, 9, 11, 13)
-# Weight applied when accumulating the (Kronrod - Gauss) defect per node.
-_GK_WDIFF = _GK_WK.copy()
-for _i, _j in enumerate(_GAUSS_IDX):
-    _GK_WDIFF[_j] -= _GK_WG[_i]
+_GK_NODES = np.concatenate((-_GK_HALF_NODES, [0.0], _GK_HALF_NODES[::-1]))
+_GK_WK = np.concatenate((_GK_HALF_WK, [0.209482141084727828012999174891714], _GK_HALF_WK[::-1]))
+KRONROD_DEGREE = 22
+
+# The Bernstein ellipses E_rho on which each rule's error is bounded, and
+# log(8 / (rho^22 (rho - 1))) for each.
+_RHO = 1.0 + np.geomspace(1e-3, 1e4, 400)
+_LOG_RHO_FACTOR = math.log(8.0) - KRONROD_DEGREE * np.log(_RHO) - np.log(_RHO - 1.0)
 
 _MAX_DEPTH = 60
+_MAX_RULES = 1000
 
 
-def pointwise_rule(fn: Callable) -> Callable:
-    """Rule integrand of a pointwise integrand fn(u) -> float or ndarray.
+def kronrod_rule(lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """(points, wk): the 15 nodes of the rule on [lo, hi] and its weights."""
+    half = 0.5 * (hi - lo)
+    return 0.5 * (lo + hi) + half * _GK_NODES, half * _GK_WK
 
-    Evaluates fn node by node and sums in node order, so the integral and the
-    error estimate are bit for bit those of a node-by-node integrator.  The
-    defect is sized by its absolute value, or by its L1 norm for an ndarray.
+
+def bernstein_box(lo: float, hi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(left, right, height), one entry per rho tried, of the rectangle
+    [left, right] x [-height, height] around E_rho of [lo, hi]: the ellipse
+    with foci lo and hi whose semi-axes sum to rho times the half-width."""
+    centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    reach = 0.5 * half * (_RHO + 1.0 / _RHO)
+    return centre - reach, centre + reach, 0.5 * half * (_RHO - 1.0 / _RHO)
+
+
+def kronrod_bound(lo: float, hi: float, log_m: np.ndarray) -> float:
+    """Proven error of the 15-point rule on [lo, hi] for an integrand
+    analytic inside each E_rho of bernstein_box, with norm at most
+    M = exp(log_m[j]) there for the j-th rho: the least over rho of
+    8 h M rho^-22 / (rho - 1), h the half-width.  The Chebyshev truncation
+    of degree 22 errs by at most 2 M rho^-22 / (rho - 1) on [lo, hi], also
+    in the L1 norm of a vector integrand, and the rule integrates it exactly
+    with positive weights summing to 2h (Trefethen, Approximation Theory and
+    Approximation Practice, Thms 8.2 and 19.3).
     """
-
-    def rule(points, wk, wd):
-        acc_k = None
-        acc_d = None
-        for i in range(points.shape[0]):
-            v = fn(points[i])
-            if acc_k is None:
-                acc_k = wk[i] * v
-                acc_d = wd[i] * v
-            else:
-                acc_k += wk[i] * v
-                acc_d += wd[i] * v
-        if isinstance(acc_d, np.ndarray):
-            return acc_k, float(np.abs(acc_d).sum())
-        return acc_k, abs(acc_d)
-
-    return rule
+    return math.exp(float(np.min(math.log(0.5 * (hi - lo)) + log_m + _LOG_RHO_FACTOR)))
 
 
-def adaptive_gauss_kronrod(
-    fn: Callable,
-    a: float,
-    b: float,
-    abs_tol: float,
-):
-    """Integrate over [a, b] to absolute tolerance abs_tol, one rule per call.
+def adaptive_gauss_kronrod(fn: Callable, a: float, b: float, abs_tol: float, bound: Callable):
+    """Integrate over [a, b] on a partition fixed before any node is evaluated.
 
-    fn is a rule integrand: fn(points, wk, wd) -> (value, defect) is called
-    once per interval with the interval's 15 Kronrod nodes and two (15,)
-    weight vectors, both already scaled by the half-width.  It returns
-    value = sum_i wk[i] f(points[i]), the Kronrod estimate (a float or an
-    ndarray of one shape throughout), and defect, a non-negative scalar size
-    of sum_i wd[i] f(points[i]), the Kronrod-minus-Gauss difference.  How a
-    rule evaluates its nodes is its own affair (the state sweep stacks them);
-    a pointwise f(u) goes through pointwise_rule(f).
-
-    The interval with the largest defect is bisected until the summed
-    defects meet abs_tol.  Returns (integral, error_estimate).  The defect is
-    the error estimate of the 7/15 pair (Piessens et al., QUADPACK, 1983),
-    not a bound.  Raises QuadratureError when the target is still unmet at
-    depth _MAX_DEPTH.
+    bound(lo, hi) is a proven error of the 15-point rule on [lo, hi].  The
+    interval with the largest bound is bisected until the bounds sum to at
+    most abs_tol; past _MAX_RULES intervals or depth _MAX_DEPTH,
+    QuadratureError is raised and fn is never called.  Then fn(points, wk)
+    (kronrod_rule's) is called once per interval, left to right, and returns
+    sum_i wk[i] f(points[i]), a float or an ndarray of one shape; the values
+    are summed into the first in place.  Returns (sum, summed bounds).
     """
     if not b > a:
         raise ValueError("need b > a")
     if not abs_tol > 0.0:
         raise ValueError("abs_tol must be positive")
-
-    def rule(lo: float, hi: float):
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        return fn(mid + half * _GK_NODES, half * _GK_WK, half * _GK_WDIFF)
-
-    done_val = None
-    done_err = 0.0
-    tick = 0
-    # heap entries: (-err, tick, lo, hi, depth, value, err)
-    val, err = rule(a, b)
-    heap = [(-err, tick, a, b, 0, val, err)]
-    pending_err = err
-    # An interval this clean cannot usefully shrink the total further.
-    floor = abs_tol / (64.0 * 15.0)
-    while heap:
-        if done_err + pending_err <= abs_tol:
-            break
-        neg, _, lo, hi, depth, val, err = heapq.heappop(heap)
-        pending_err -= err
-        if err <= floor:
-            # Worst interval already negligible: estimates have saturated.
-            done_val = val if done_val is None else done_val + val
-            done_err += err
-            continue
-        if depth >= _MAX_DEPTH:
+    heap = [(-bound(a, b), a, b, 0)]
+    while not (err := math.fsum(-e for e, _, _, _ in heap)) <= abs_tol:  # nan too
+        e, lo, hi, depth = heapq.heappop(heap)
+        if depth >= _MAX_DEPTH or len(heap) >= _MAX_RULES:
             raise QuadratureError(
-                f"tolerance {abs_tol} unmet on [{lo}, {hi}] at depth {depth}"
+                f"tolerance {abs_tol} unmet on [{a}, {b}] by {len(heap) + 1} rules: "
+                f"the rule on [{lo}, {hi}] at depth {depth} bounds {-e:.3g}"
             )
         mid = 0.5 * (lo + hi)
         for c_lo, c_hi in ((lo, mid), (mid, hi)):
-            c_val, c_err = rule(c_lo, c_hi)
-            tick += 1
-            heapq.heappush(heap, (-c_err, tick, c_lo, c_hi, depth + 1, c_val, c_err))
-            pending_err += c_err
-    for _, _, _, _, _, val, err in heap:
-        done_val = val if done_val is None else done_val + val
-        done_err += err
-    return done_val, done_err
-
+            heapq.heappush(heap, (-bound(c_lo, c_hi), c_lo, c_hi, depth + 1))
+    values = (fn(*kronrod_rule(lo, hi)) for _, lo, hi, _ in sorted(heap, key=itemgetter(1)))
+    total = next(values)
+    for value in values:
+        total += value
+    return total, err

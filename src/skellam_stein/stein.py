@@ -45,11 +45,14 @@ from .skellam import SkellamParams, pmf_window, to_dist
 from .special import (
     QuadratureError,
     adaptive_gauss_kronrod,
+    bernstein_box,
     bessel_i,
     binomial_thin_dist,
-    pointwise_rule,
+    kronrod_bound,
+    kronrod_rule,
     poisson_dist,
     poisson_window,
+    window_ends,
 )
 
 __all__ = [
@@ -78,11 +81,15 @@ __all__ = [
 ]
 
 QUAD_TOL_DEFAULT = 1e-8
-# Floats in one accumulator of a sweep (states x window).  A rule holds two,
-# and each interval pending on the integrator's heap holds one more.
+# Floats in one accumulator of a sweep (states x window).  A sweep's live
+# footprint is two accumulators (the running sum and the rule being added)
+# and a frame of 15 x (states along x) x window floats.
 SWEEP_TENSOR_CAP = 10**7
+_RULE_SHARE = 0.99  # of quad_tol, for the rules' bounds; the rest covers rounding
+_EPS = 2.0**-53  # unit roundoff
 
 _ROOT_2 = math.sqrt(2.0)
+_LOG_2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -270,16 +277,39 @@ def _normalize_coords(order: int, coords) -> tuple[int, ...]:
     return coords
 
 
-def _max_state_l1(arr: np.ndarray) -> float:
-    """Largest L1 norm over the state axes of a (..., K) array; overwrites it."""
-    return float(np.abs(arr, out=arr).sum(axis=-1).max())
-
-
 @dataclass(frozen=True)
 class _SweepResult:
     lo: int                # first k of the global window
     tensor: np.ndarray     # (..., K) kernels; leading axes are state axes
     slack: float           # L1 error bound for any single state's kernel
+
+
+def _log_norm_bound(lo: float, hi: float, order: int, states: int, rate: float) -> np.ndarray:
+    """log of a bound on the sweep integrand's L1 norm over k, at every state
+    with x + y <= states, inside each ellipse E_rho of [lo, hi] (0 <= lo).
+
+    At complex u a Poisson window at rate l (1 - u) has L1 norm at most
+    exp(l (|1 - u| - Re(1 - u))), Bin(x, u) (|u| + |1 - u|)^x, a k-difference
+    2 and the weight |u|^(order - 1); each is convex in u, so it peaks over
+    the rectangle around E_rho at a corner.  Order 0 weighs K_u - pi, at most
+    2 |K_u|, by 1/u: the smaller is taken of 1/|u| on the rectangle and the
+    maximum modulus on the circle |u| = r through the ellipse's far end, where
+    |u| + |1 - u| <= 1 + 2r and |1 - u| - Re(1 - u) <= r^2 / 2, or 2r - 2.
+    """
+    left, right, height = bernstein_box(lo, hi)
+    log_u = log_b = excess = -np.inf
+    for re in (left, right):
+        near, far = np.hypot(re, height), np.hypot(1.0 - re, height)
+        log_u = np.maximum(log_u, np.log(near))
+        log_b = np.maximum(log_b, np.log(near + far))
+        excess = np.maximum(excess, far - (1.0 - re))
+    if order:
+        return order * _LOG_2 + (order - 1) * log_u + states * log_b + rate * excess
+    log_near = np.log(left, out=np.full(left.shape, -np.inf), where=left > 0.0)
+    box = _LOG_2 - log_near + states * log_b + rate * excess
+    circle = np.where(right <= 2.0, 0.5 * right * right, 2.0 * right - 2.0)
+    disk = _LOG_2 - np.log(right) + states * np.log1p(2.0 * right) + rate * circle
+    return np.minimum(box, disk)
 
 
 def _sweep(
@@ -297,66 +327,56 @@ def _sweep(
     state; otherwise it covers the product grid 0..nx-1 times 0..ny-1 as an
     (nx, ny, K) view of the (ny, nx, K) integral.
 
-    Each Gauss-Kronrod rule is one integrand call.  The rule's 15 node
-    bases are stacked in one frame over the part of the window the rule
-    reaches, and kernels.sweep_accumulate adds the rule straight into its
-    Kronrod and defect accumulators, so no per-node state tensor is built;
-    at order 0 the stationary row is subtracted once per rule, weighted by
-    the summed node coefficients.  A single state is a 1x1 grid whose node
-    bases already carry its binomials Bin(x, u) and -Bin(y, u).
+    The partition of [0, 1] is fixed before any node is evaluated, from each
+    15-point rule's proven bound (special.kronrod_bound of _log_norm_bound at
+    the grid's largest x + y).  Each rule is one integrand call, whose node
+    bases kernels.sweep_accumulate adds into a fresh accumulator.  A single
+    state is a 1x1 grid whose node bases carry Bin(x, u) and -Bin(y, u),
+    about (x + y + 1) x window floats of work per node.
 
-    SWEEP_TENSOR_CAP bounds one accumulator (states x window floats) and is
-    checked before any node is evaluated (ResourceLimitError).  It is not
-    the sweep's whole footprint: a rule holds two accumulators, and every
-    interval pending on the integrator's heap holds one more.  A single
-    state's accumulator is one window, but each of its nodes builds
-    Bin(x, u) and Bin(y, u) in Python loops and convolves the window with
-    them, about (x + y + 1) x window floats of work; the cap bounds that.
+    SWEEP_TENSOR_CAP bounds one accumulator (states x window floats), or a
+    single state's work, before any window is built (ResourceLimitError).
+    The global window is sized by the full-rate Poisson windows' ends, which
+    never decrease as the rate grows, so every node window nests in it.
 
-    The global window is sized by the full-rate Poisson windows.  A node at
-    u has rates l (1 - u), and a Poisson window's ends never decrease as its
-    rate grows (special.window_ends), so every node window nests in it; the
-    escape check is a guard.
-
-    The reported slack bounds each state's kernel L1 error: quadrature
-    defect plus integrated window truncation (the per-node neglected mass
-    is below quad_tol/100; differencing amplifies it by at most 4, and
-    the u-weights integrate to at most the max-depth log factor ~45,
-    covered by the constant 50 below).
+    The slack bounds each state's kernel L1 error: the rules' bounds, each
+    with the integrated truncation of its node windows (every Poisson window
+    leaves out at most pois_tol, so a node base errs by at most
+    2^order (tail_a + tail_b), and order 0's stationary row by pois_tol
+    more), within 99% of quad_tol; plus a first-order count of roundings
+    per unit of node weight: 8 per window point (the walk from the mode and
+    the convolution), 6 per state step (the recurrence, q = 1 - u and the
+    node's place), and 8 (l1 + l2) + 200 for the mode values' logs and the
+    sums over nodes and rules.
     """
     if not quad_tol > 0:
         raise ValueError("quad_tol must be positive")
-    node_tol = quad_tol / 100.0
-    pois_tol = node_tol / 8.0
+    pois_tol = quad_tol / 800.0
     l1, l2 = params.lambda1, params.lambda2
+    states = nx + ny - 2  # the largest x + y the sweep covers
 
-    def check_size(size: int) -> None:
-        if single_state is None:
-            cells, what = nx * ny * size, f"sweep tensor of {nx}x{ny} states"
-        else:
-            cells, what = (nx + ny - 1) * size, f"single-state sweep at {single_state}"
-        if cells > SWEEP_TENSOR_CAP:
-            raise ResourceLimitError(
-                f"{what} by at least {size} points is {cells} floats, "
-                f"exceeds cap {SWEEP_TENSOR_CAP} floats"
-            )
-
-    # Windows hold their modes: a floor on the size, before any is built.
-    check_size(int(l1) + int(l2) + nx + ny + 3)
-    pa_full = poisson_dist(l1, pois_tol)
-    pb_full = poisson_dist(l2, pois_tol)
-    lo = -pb_full.max_support - 2 - (ny - 1)
-    hi = pa_full.max_support + 2 + (nx - 1)
-    size = hi - lo + 1
-    check_size(size)
+    # Rate 0 is the point 0; an infinite end is refused by the size check.
+    top_a, top_b = (
+        window_ends(float(int(lam)), lam, 0.0, pois_tol)[1] if lam > 0.0 else 0.0
+        for lam in (l1, l2)
+    )
+    size = top_a + top_b + 4.0 + nx + ny - 1.0
+    if single_state is None:
+        cells, what = nx * ny * size, f"sweep tensor of {nx}x{ny} states"
+    else:
+        cells, what = (nx + ny - 1) * size, f"single-state sweep at {single_state}"
+    if not cells <= SWEEP_TENSOR_CAP:
+        raise ResourceLimitError(
+            f"{what} by {size:.0f} points is {cells:.0f} floats, "
+            f"exceeds cap {SWEEP_TENSOR_CAP} floats"
+        )
+    size = int(size)
+    lo = -int(top_b) - 2 - (ny - 1)
 
     if order == 0:
         pi = to_dist(params, pois_tol)
         pi_row = np.zeros(size)
         pi_row[pi.min_support - lo : pi.max_support - lo + 1] = pi.probabilities
-    else:
-        pi_row = None
-
     if single_state is not None:
         sx, sy = single_state
         nx = ny = 1  # the node bases carry the state; the kernel sees a 1x1 grid
@@ -377,31 +397,36 @@ def _sweep(
             tk0 -= sy
         return tk0 - lo, t_arr
 
-    def rule_fn(points, wk, wd):
+    weight = 0.0  # the summed node coefficients of every rule
+
+    def rule_fn(points, wk):
+        nonlocal weight
         offsets, bases = zip(*(node_base(u) for u in points))
         # The window indices any node reaches at any state of the grid.
         start = min(offsets) - (ny - 1)
         stop = max(o + b.size for o, b in zip(offsets, bases)) + nx - 1
         if start < 0 or stop > size:
             raise RuntimeError("node window escaped the global window")
-        weights = points ** (order - 1)
-        coef = np.stack((wk * weights, wd * weights))
-        acc_k = np.zeros((ny, nx, size))
-        acc_d = np.zeros((ny, nx, size))
-        frame = kernels.stack_bases(
-            bases, [o - start for o in offsets], nx, stop - start
-        )
-        kernels.sweep_accumulate(
-            acc_k[:, :, start:stop], frame, points, coef, acc_d[:, :, start:stop]
-        )
-        if pi_row is not None:
-            acc_k -= coef[0].sum() * pi_row
-            acc_d -= coef[1].sum() * pi_row
-        return acc_k, _max_state_l1(acc_d)
+        coef = wk * points ** (order - 1)
+        weight += coef.sum()
+        acc = np.zeros((ny, nx, size))
+        frame = kernels.stack_bases(bases, [o - start for o in offsets], nx, stop - start)
+        kernels.sweep_accumulate(acc[:, :, start:stop], frame, points, coef)
+        return acc
 
-    tensor, quad_err = adaptive_gauss_kronrod(rule_fn, 0.0, 1.0, quad_tol)
+    node_trunc = pois_tol * (3.0 if order == 0 else 2.0 ** (order + 1))
+
+    def rule_bound(a: float, b: float) -> float:
+        points, wk = kronrod_rule(a, b)
+        trunc = node_trunc * float((wk * points ** (order - 1)).sum())
+        return kronrod_bound(a, b, _log_norm_bound(a, b, order, states, l1 + l2)) + trunc
+
+    tensor, err = adaptive_gauss_kronrod(rule_fn, 0.0, 1.0, _RULE_SHARE * quad_tol, rule_bound)
+    if order == 0:
+        tensor -= weight * pi_row
     tensor = tensor[0, 0] if single_state is not None else tensor.transpose(1, 0, 2)
-    slack = quad_err + 50.0 * node_tol
+    roundings = 8.0 * size + 6.0 * states + 8.0 * (l1 + l2) + 200.0
+    slack = err + 2.0 ** max(order, 1) * weight * roundings * _EPS
     return _SweepResult(lo, tensor, slack)
 
 
@@ -645,14 +670,24 @@ def bound_first_diff_integral(
     reproduces the stated large-L asymptote sqrt(2/(pi L)), whereas max
     collapses the integral to 1 identically.  printed_max_form=True
     computes that max variant for reference.
+
+    On [0, 1] the integrand is e^{-z} I_0(z), or 1, both entire in u; as
+    |I_0(z)| <= e^{|Re z|}, its modulus is at most exp(2 L max(0, Re u - 1)).
     """
     lam = params.total
     clamp = max if printed_max_form else min
 
-    def g(u: float) -> float:
-        return clamp(1.0, bessel_i(0, lam * (1.0 - u), scaled=True))
+    def rule(points, wk):
+        return sum(
+            w * clamp(1.0, bessel_i(0, lam * (1.0 - u), scaled=True))
+            for u, w in zip(points.tolist(), wk.tolist())
+        )
 
-    value, _ = adaptive_gauss_kronrod(pointwise_rule(g), 0.0, 1.0, quad_tol)
+    def rule_bound(a: float, b: float) -> float:
+        right = bernstein_box(a, b)[1]
+        return kronrod_bound(a, b, 2.0 * lam * np.maximum(right - 1.0, 0.0))
+
+    value, _ = adaptive_gauss_kronrod(rule, 0.0, 1.0, _RULE_SHARE * quad_tol, rule_bound)
     asym = math.sqrt(2.0 / (math.pi * lam)) if lam > 0 else math.inf
     return IntegralBound(value=float(value), asymptote=asym)
 

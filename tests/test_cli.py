@@ -214,6 +214,46 @@ def test_verify_graph_model_non_integral_n_refused(capsys, tmp_path, n):
     assert '"n" must be a whole number' in err
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "human"])
+def test_dist_sample_rows_render_as_a_list_of_dicts(capsys, fmt):
+    """The draws' rows are built a block at a time (jsonwriter.Rows); the
+    record is byte for byte that of one dict per draw."""
+    args = ["dist", "sample", "--l1", "3", "--l2", "2", "--n", "700", "--seed", "4", "--format", fmt]
+    code, out, _ = run_cli(capsys, *args)
+    parsed = cli.build_parser().parse_args(args)
+    config, results, _, _ = parsed.handler(parsed)
+    draws = cli.sample(cli.SkellamParams(3.0, 2.0), np.random.default_rng(4), 700)
+    listed = [{"index": i, "draw": int(v)} for i, v in enumerate(draws)]
+    buf = io.StringIO()
+    cli.render(config, results, listed, buf)
+    assert code == 0 and out == buf.getvalue()
+
+
+# VmHWM is the process's own peak RSS.  ru_maxrss is not: across fork and
+# exec it keeps the parent's, here the test runner's.
+_SAMPLE_PEAK = """\
+import os, sys
+from skellam_stein.cli import main
+
+def peak_kb():
+    return int(next(ln.split()[1] for ln in open("/proc/self/status") if ln.startswith("VmHWM:")))
+
+before = peak_kb()
+sys.stdout = open(os.devnull, "w")
+code = main(["dist", "sample", "--l1", "3", "--l2", "2", "--n", "1000000", "--format", "json"])
+print(code, peak_kb() - before, file=sys.stderr)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_dist_sample_peak_memory():
+    """A million draws grow the peak RSS by less than 50 MB: one dict per
+    draw took 240 MB."""
+    proc = subprocess.run([sys.executable, "-c", _SAMPLE_PEAK], capture_output=True, text=True, check=True)
+    code, kb = proc.stderr.split()
+    assert code == "0" and int(kb) / 1024 < 50
+
+
 def test_dist_sample_oversized_n_refused(capsys):
     code, out, err = run_cli(capsys, "dist", "sample", "--l1", "1", "--l2", "1",
                              "--n", "1000000000000")

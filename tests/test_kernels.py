@@ -52,20 +52,18 @@ def _random_rule(rng, us):
     offsets = [ny - 1 + o for o in offsets]
     end = max(o + b.size for o, b in zip(offsets, bases)) + nx - 1
     size = end + int(rng.integers(0, 3))
-    coef = rng.standard_normal((2, len(us)))
+    coef = rng.standard_normal(len(us))
     return nx, ny, bases, offsets, size, coef
 
 
 def _run_rule(nx, ny, bases, offsets, size, us, coef, shift=0):
-    """The rule kernel on accumulators that sit `shift` points into a wider
-    array, as the sweep hands it the part of its window a rule reaches."""
-    acc = np.zeros((2, ny, nx, size + shift))
+    """The rule kernel on an accumulator that sits `shift` points into a
+    wider array, as the sweep hands it the part of its window a rule reaches."""
+    acc = np.zeros((ny, nx, size + shift))
     frame = kernels.stack_bases(bases, offsets, nx, size)
-    kernels.sweep_accumulate(
-        acc[0, :, :, shift:], frame, np.array(us), coef, acc[1, :, :, shift:]
-    )
-    assert not acc[:, :, :, :shift].any()
-    return acc[:, :, :, shift:].transpose(0, 2, 1, 3)  # [., x, y, j]
+    kernels.sweep_accumulate(acc[:, :, shift:], frame, np.array(us), coef)
+    assert not acc[:, :, :shift].any()
+    return acc[:, :, shift:].transpose(1, 0, 2)  # [x, y, j]
 
 
 def test_sweep_accumulate_matches_direct_convolution():
@@ -77,21 +75,18 @@ def test_sweep_accumulate_matches_direct_convolution():
         assert len(set(us)) == NODES
         nx, ny, bases, offsets, size, coef = _random_rule(rng, us)
         got = _run_rule(nx, ny, bases, offsets, size, us, coef, shift=rule % 2)
-        direct = np.zeros((2, nx, ny, size))
-        per_node = np.zeros((2, nx, ny, size))
+        direct = np.zeros((nx, ny, size))
+        per_node = np.zeros((nx, ny, size))
         for i, (u, base, off0) in enumerate(zip(us, bases, offsets)):
-            for acc in (0, 1):
-                _reference_sweep(direct[acc], base, off0, u, coef[acc, i])
-                _per_node_sweep(per_node[acc], base, off0, u, coef[acc, i])
+            _reference_sweep(direct, base, off0, u, coef[i])
+            _per_node_sweep(per_node, base, off0, u, coef[i])
         for want in (direct, per_node):
-            for acc in (0, 1):
-                scale = float(np.max(np.abs(want[acc])))
-                err = float(np.max(np.abs(got[acc] - want[acc])))
-                assert err <= 1e-14 * scale, (rule, acc, nx, ny)
+            scale = float(np.max(np.abs(want)))
+            err = float(np.max(np.abs(got - want)))
+            assert err <= 1e-14 * scale, (rule, nx, ny)
 
 
 def test_sweep_accumulate_degenerate_state_grid():
     base = np.array([0.25, 0.5, 0.25])
-    got = _run_rule(1, 1, [base], [2], 6, [0.3], np.array([[2.0], [-1.0]]))
-    assert np.allclose(got[0, 0, 0], [0.0, 0.0, 0.5, 1.0, 0.5, 0.0])
-    assert np.allclose(got[1, 0, 0], [0.0, 0.0, -0.25, -0.5, -0.25, 0.0])
+    got = _run_rule(1, 1, [base], [2], 6, [0.3], np.array([2.0]))
+    assert np.allclose(got[0, 0], [0.0, 0.0, 0.5, 1.0, 0.5, 0.0])

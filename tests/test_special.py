@@ -1,4 +1,3 @@
-import heapq
 import math
 import tracemalloc
 from fractions import Fraction
@@ -10,18 +9,17 @@ import scipy.stats as sstats
 
 from skellam_stein import SkellamParams, special
 from skellam_stein.dists import ResourceLimitError
+from skellam_stein import stein
 from skellam_stein.special import (
-    _GK_NODES,
-    _GK_WDIFF,
-    _GK_WK,
     QuadratureError,
     adaptive_gauss_kronrod,
+    bernstein_box,
     bessel_i,
     binomial_thin_dist,
+    kronrod_bound,
+    kronrod_rule,
     log_scaled_iv,
-    log_scaled_iv_orders,
     log_scaled_iv_pairs,
-    pointwise_rule,
     poisson_dist,
 )
 from skellam_stein.skellam import to_dist as skellam_to_dist
@@ -120,7 +118,7 @@ def test_log_scaled_iv_orders_across_switches():
     # The log's own rounding scales with its size (k log(x/2) and lgamma
     # terms), so the tolerance is relative to max(1, |log|).
     for x, ks in _switch_cases():
-        got = log_scaled_iv_orders(ks, x)
+        got = np.array([log_scaled_iv(int(k), x) for k in ks])
         oracle = np.array([_log_scaled_iv_series(int(k), x) for k in ks])
         scale = np.maximum(1.0, np.abs(oracle))
         assert np.all(np.abs(got - oracle) <= 1e-13 * scale), x
@@ -131,8 +129,8 @@ def test_log_scaled_iv_orders_across_switches():
         assert np.all(
             np.abs(got[seen] - np.log(ref[seen])) <= 1e-13 * scale[seen]
         ), x
-        for i in (0, ks.size // 2, ks.size - 1):  # one order alone, bit for bit
-            assert log_scaled_iv_orders(ks[i : i + 1], x)[0] == got[i]
+        # one order alone, bit for bit its place among the window's pairs
+        assert np.array_equal(log_scaled_iv_pairs(ks, np.full(ks.shape, x)), got), x
 
 
 def test_log_scaled_iv_pairs_match_single_values():
@@ -190,7 +188,7 @@ def test_orders_below_64_match_mpmath():
 
 
 def test_log_scaled_iv_orders_at_zero_argument():
-    got = log_scaled_iv_orders(np.array([0, 1, 5, -3]), 0.0)
+    got = np.array([log_scaled_iv(k, 0.0) for k in (0, 1, 5, -3)])
     assert got[0] == 0.0
     assert np.all(got[1:] == -np.inf)
 
@@ -324,136 +322,125 @@ def test_binomial_degenerate_points():
     assert binomial_thin_dist(0, 0.4).prob(0) == 1.0
 
 
+def _pointwise(fn, calls=None):
+    """The rule integrand of a pointwise f(u): its values summed node by node."""
+
+    def rule(points, wk):
+        if calls is not None:
+            calls.append(points)
+        acc = None
+        for u, w in zip(points, wk):
+            acc = w * fn(u) if acc is None else acc + w * fn(u)
+        return acc
+
+    return rule
+
+
+def _exact(lo, hi):
+    """The bound of an integrand the rule integrates exactly."""
+    return 0.0
+
+
 def test_quadrature_polynomial_exact():
-    value, err = adaptive_gauss_kronrod(pointwise_rule(lambda u: 3.0 * u * u), 0.0, 1.0, 1e-12)
+    value, err = adaptive_gauss_kronrod(_pointwise(lambda u: 3.0 * u * u), 0.0, 1.0, 1e-12, _exact)
     assert value == pytest.approx(1.0, abs=1e-12)
     assert err <= 1e-12
+
+
+def _cos40_bound(lo, hi):
+    # |cos(40 u)| <= cosh(40 Im u) <= exp(40 |Im u|) inside the ellipse.
+    return kronrod_bound(lo, hi, 40.0 * bernstein_box(lo, hi)[2])
 
 
 def test_quadrature_oscillatory_error_is_honest():
     truth = math.sin(40.0) / 40.0
     value, err = adaptive_gauss_kronrod(
-        pointwise_rule(lambda u: math.cos(40.0 * u)), 0.0, 1.0, 1e-10
+        _pointwise(lambda u: math.cos(40.0 * u)), 0.0, 1.0, 1e-10, _cos40_bound
     )
-    assert abs(value - truth) <= max(err, 1e-10)
+    assert err <= 1e-10
+    assert abs(value - truth) <= err
 
 
 def test_quadrature_vector_integrand():
     value, err = adaptive_gauss_kronrod(
-        pointwise_rule(lambda u: np.array([1.0, u, u * u])),
-        0.0,
-        1.0,
-        1e-12,
+        _pointwise(lambda u: np.array([1.0, u, u * u])), 0.0, 1.0, 1e-12, _exact
     )
     assert np.allclose(value, [1.0, 0.5, 1.0 / 3.0], atol=1e-12)
     assert err < 1e-10
 
 
 def test_quadrature_unreachable_tolerance_raises():
+    # 1/sqrt(u) has no analytic continuation around 0: no rule that touches 0
+    # has a finite bound.  The partition is fixed before any node, so the
+    # integrand is never called.
+    calls = []
+
+    def bound(lo, hi):
+        return math.inf if lo == 0.0 else 0.0
+
     with pytest.raises(QuadratureError):
-        adaptive_gauss_kronrod(
-            pointwise_rule(lambda u: 1.0 / math.sqrt(u)), 0.0, 1.0, 1e-13
-        )
+        adaptive_gauss_kronrod(_pointwise(lambda u: 1.0 / math.sqrt(u), calls), 0.0, 1.0, 1e-13, bound)
+    with pytest.raises(QuadratureError):  # bounds that never shrink: the rule cap
+        adaptive_gauss_kronrod(_pointwise(math.cos, calls), 0.0, 1.0, 1e-3, lambda lo, hi: 1.0)
+    with pytest.raises(QuadratureError):  # a nan bound meets no tolerance
+        adaptive_gauss_kronrod(_pointwise(math.cos, calls), 0.0, 1.0, 1e-3, lambda lo, hi: math.nan)
+    assert calls == []
 
 
 def test_quadrature_rejects_bad_tolerance():
     with pytest.raises(ValueError):
-        adaptive_gauss_kronrod(pointwise_rule(lambda u: u), 0.0, 1.0, 0.0)
+        adaptive_gauss_kronrod(_pointwise(lambda u: u), 0.0, 1.0, 0.0, _exact)
 
 
-
-def _node_by_node_gauss_kronrod(fn, a, b, abs_tol, max_depth=60):
-    """The integrator before a rule became one integrand call: fn(u) per
-    node, summed in node order.  Kept as the oracle of pointwise_rule."""
-
-    def rule(lo, hi):
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        acc_k = None
-        acc_d = None
-        for i in range(15):
-            v = fn(mid + half * _GK_NODES[i])
-            wk = half * _GK_WK[i]
-            wd = half * _GK_WDIFF[i]
-            if acc_k is None:
-                acc_k = wk * v
-                acc_d = wd * v
-            else:
-                acc_k += wk * v
-                acc_d += wd * v
-        return acc_k, _abs(acc_d)
-
-    done_val = None
-    done_err = 0.0
-    tick = 0
-    val, err = rule(a, b)
-    heap = [(-err, tick, a, b, 0, val, err)]
-    pending_err = err
-    floor = abs_tol / (64.0 * 15.0)
-    while heap:
-        if done_err + pending_err <= abs_tol:
-            break
-        neg, _, lo, hi, depth, val, err = heapq.heappop(heap)
-        pending_err -= err
-        if err <= floor:
-            done_val = val if done_val is None else done_val + val
-            done_err += err
-            continue
-        if depth >= max_depth:
-            raise QuadratureError(f"unmet on [{lo}, {hi}]")
-        mid = 0.5 * (lo + hi)
-        for c_lo, c_hi in ((lo, mid), (mid, hi)):
-            c_val, c_err = rule(c_lo, c_hi)
-            tick += 1
-            heapq.heappush(heap, (-c_err, tick, c_lo, c_hi, depth + 1, c_val, c_err))
-            pending_err += c_err
-    for _, _, _, _, _, val, err in heap:
-        done_val = val if done_val is None else done_val + val
-        done_err += err
-    return done_val, done_err
+def test_kronrod_constants_integrate_to_degree_22():
+    points, wk = kronrod_rule(-1.0, 1.0)
+    assert np.all(wk > 0.0) and np.all(np.diff(points) > 0.0)
+    for d in range(0, 23):
+        exact = (1.0 - (-1.0) ** (d + 1)) / (d + 1)
+        assert abs(float(wk @ points**d) - exact) <= 4e-16, d
+    # The rule is not exact at degree 24, so the bound's degree 22 is its own.
+    assert abs(float(wk @ points**24) - 2.0 / 25.0) > 1e-9
 
 
-def _abs(v):
-    if isinstance(v, np.ndarray):
-        return float(np.abs(v).sum())
-    return abs(v)
-
-
-@pytest.mark.parametrize(
-    "fn, tol",
-    [
-        (lambda u: 3.0 * u * u, 1e-12),
-        (lambda u: math.cos(40.0 * u), 1e-10),
-        (lambda u: np.array([1.0, u, u * u]), 1e-12),
-        (lambda u: np.array([math.exp(-30.0 * u), math.sqrt(u)]), 1e-9),
-    ],
-    ids=["polynomial", "oscillatory", "vector", "vector-steep"],
-)
-def test_pointwise_rule_bit_identical_to_node_by_node(fn, tol):
-    value, err = adaptive_gauss_kronrod(pointwise_rule(fn), 0.0, 1.0, tol)
-    want_value, want_err = _node_by_node_gauss_kronrod(fn, 0.0, 1.0, tol)
-    assert type(value) is type(want_value)
-    assert np.array_equal(value, want_value)
-    assert err == want_err
-
-
-def test_pointwise_rule_unreachable_tolerance_raises_alike():
-    def fn(u):
-        return 1.0 / math.sqrt(u)
-
-    with pytest.raises(QuadratureError):
-        _node_by_node_gauss_kronrod(fn, 0.0, 1.0, 1e-13)
-    with pytest.raises(QuadratureError):
-        adaptive_gauss_kronrod(pointwise_rule(fn), 0.0, 1.0, 1e-13)
+@pytest.mark.parametrize("c, lo, hi", [(20.0, 0.0, 1.0), (40.0, 0.0, 1.0), (40.0, 0.5, 1.0), (80.0, 0.25, 0.5)])
+def test_kronrod_bound_covers_one_rule_on_exp(c, lo, hi):
+    # exp(c u) has modulus exp(c Re u) <= exp(c right) inside the ellipse.
+    # These rules err far above rounding, and above what a degree-30 bound
+    # would allow (by 2 to 160 times): the degree is the rule's own.
+    points, wk = kronrod_rule(lo, hi)
+    exact = (math.exp(c * hi) - math.exp(c * lo)) / c
+    err = abs(math.fsum(w * math.exp(c * u) for u, w in zip(points.tolist(), wk.tolist())) - exact)
+    assert err > 1e-12 * exact
+    assert err <= kronrod_bound(lo, hi, c * bernstein_box(lo, hi)[1])
 
 
 @pytest.mark.parametrize("lam", [0.3, 12.0, 400.0])
-def test_integral_bound_bit_identical_to_node_by_node(lam):
+def test_integral_bound_bit_identical_to_node_by_node(lam, monkeypatch):
+    """The integral's rules sum g node by node, in node order, over the
+    partition the integrator fixed."""
+    rules = []
+    real = stein.adaptive_gauss_kronrod
+
+    def recording(fn, a, b, abs_tol, bound):
+        def rule(points, wk):
+            rules.append((points, wk))
+            return fn(points, wk)
+
+        return real(rule, a, b, abs_tol, bound)
+
+    monkeypatch.setattr(stein, "adaptive_gauss_kronrod", recording)
+    got = bound_first_diff_integral(SkellamParams(lam / 2, lam / 2), 1e-8)
+
     def g(u):
         return min(1.0, bessel_i(0, lam * (1.0 - u), scaled=True))
 
-    want, _ = _node_by_node_gauss_kronrod(g, 0.0, 1.0, 1e-8)
-    got = bound_first_diff_integral(SkellamParams(lam / 2, lam / 2), 1e-8)
+    want = None
+    for points, wk in rules:
+        acc = None
+        for i in range(15):
+            v = wk[i] * g(points[i])
+            acc = v if acc is None else acc + v
+        want = acc if want is None else want + acc
     assert got.value == float(want)
 
 

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 import time
 import tracemalloc
 import weakref
@@ -6,13 +8,14 @@ import weakref
 import numpy as np
 import pytest
 import scipy.special as sps
+import scipy.stats as sstats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skellam_stein import kernels, stein
 from skellam_stein.dists import IntegerDist, ResourceLimitError, tv_distance
 from skellam_stein.skellam import SkellamParams, to_dist
-from skellam_stein.special import poisson_dist
+from skellam_stein.special import QuadratureError, bernstein_box, poisson_dist
 from skellam_stein.stein import (
     BivariateState,
     TestSet,
@@ -271,6 +274,30 @@ def test_factor_coordinate_invariance_at_same_rates(l1, l2):
                     assert abs(value - factor.value) <= factor.quad_error + 2 * QUAD_TOL
 
 
+CRITERION_4_RATES = [0.2, 1.0, 5.0, 20.0]
+
+
+@pytest.mark.parametrize("l1", CRITERION_4_RATES)
+def test_coarse_tolerance_errors_cover_a_reference(l1):
+    """At quad_tol 1e-3 each reported error covers the distance to a
+    reference: the factor at QUAD_TOL (within its own error; criterion 4's,
+    while the cache holds it), the solution at 1e-12 and the integral
+    bound's closed form."""
+    for l2 in CRITERION_4_RATES:
+        params = SkellamParams(l1, l2)
+        for order in (1, 2):
+            coarse = exact_stein_factor(params, order, (1,) * order, None, 1e-3)
+            ref = exact_stein_factor(params, order, (1,) * order, None, QUAD_TOL)
+            assert coarse.quad_error <= 1e-3
+            assert abs(coarse.value - ref.value) + ref.quad_error <= coarse.quad_error, (l2, order)
+        for state in [(0, 0), (3, 1)]:
+            coarse = stein_solution(params, TestSet.geq(0), state, 1e-3)
+            assert abs(coarse - stein_solution(params, TestSet.geq(0), state, 1e-12)) <= 1e-3
+        lam = params.total
+        want = float(sps.ive(0, lam) + sps.ive(1, lam))
+        assert abs(bound_first_diff_integral(params, 1e-3).value - want) <= 1e-3
+
+
 def test_factor_runs_one_sweep_per_order(monkeypatch):
     calls = []
     real_sweep = stein._sweep
@@ -300,9 +327,9 @@ def test_single_state_sweeps_run_the_rule_kernel(monkeypatch):
     shapes = []
     real_kernel = kernels.sweep_accumulate
 
-    def counting_kernel(acc_k, frame, u, coef, acc_d):
-        shapes.append((acc_k.shape[:2], frame.shape[:2]))
-        return real_kernel(acc_k, frame, u, coef, acc_d)
+    def counting_kernel(acc, frame, u, coef):
+        shapes.append((acc.shape[:2], frame.shape[:2]))
+        return real_kernel(acc, frame, u, coef)
 
     monkeypatch.setattr(kernels, "sweep_accumulate", counting_kernel)
     params = SkellamParams(1.5, 2.5)
@@ -350,6 +377,125 @@ def test_oversized_sweep_refused_before_windows_are_built():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_sweep_past_the_window_range_refused():
+    # Rates past WINDOW_CAP**2 give infinite window ends: refused by size.
+    params = SkellamParams(1e15, 1.0)
+    with pytest.raises(ResourceLimitError):
+        exact_stein_factor(params, 1, (1,), 2)
+    with pytest.raises(ResourceLimitError):
+        stein_solution(params, TestSet.geq(0), (0, 0))
+
+
+@pytest.mark.parametrize("l1, l2", [(0.0, 2.0), (3.0, 0.0), (2.5, 7.0), (40.0, 1.0)])
+def test_sweep_window_is_the_full_rate_poisson_windows(l1, l2):
+    pois_tol = QUAD_TOL / 800.0
+    res = stein._sweep(SkellamParams(l1, l2, extended=True), 1, (1,), 3, 4, QUAD_TOL)
+    top_a, top_b = (poisson_dist(lam, pois_tol).max_support for lam in (l1, l2))
+    assert res.tensor.shape[:2] == (3, 4)
+    assert res.lo == -top_b - 2 - 3
+    assert res.lo + res.tensor.shape[-1] - 1 == top_a + 2 + 2
+
+
+def test_unreachable_sweep_tolerance_evaluates_no_node(monkeypatch):
+    calls = []
+    monkeypatch.setattr(kernels, "sweep_accumulate", lambda *args: calls.append(args))
+    with pytest.raises(QuadratureError):
+        stein._sweep(SkellamParams(2.0, 1.0), 1, (1,), 3, 3, 1e-300)
+    assert calls == []
+
+
+def _complex_kernel_l1(params, order, x, y, u):
+    """L1 norm over k of the sweep integrand at state (x, y) and complex u,
+    from its factors' coefficients: complex Poisson and binomial laws."""
+    k = np.arange(90)
+    lgam = np.array([math.lgamma(j + 1.0) for j in k])
+
+    def poisson(lam):
+        mu = lam * (1.0 - u)
+        return np.exp(-mu + k * np.log(mu) - lgam) if lam else np.eye(1, 90)[0]
+
+    def binomial(n):
+        j = np.arange(n + 1)
+        return np.array([math.comb(n, i) for i in j]) * u**j * (1.0 - u) ** (n - j)
+
+    g = np.convolve(poisson(params.lambda1), poisson(params.lambda2)[::-1])  # k from -89
+    for _ in range(order):
+        g = np.diff(g, prepend=0.0, append=0.0)
+    g = np.convolve(np.convolve(g, binomial(x)), binomial(y)[::-1])
+    if order == 0:  # (K_u - pi) / u on k from -89 - y
+        ks = np.arange(g.size) - 89 - y
+        g = (g - sstats.skellam.pmf(ks, params.lambda1, params.lambda2)) / u
+    return float(np.abs(g * u ** max(order - 1, 0)).sum())
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_norm_bound_holds_on_bernstein_ellipses(order):
+    """The integrand's L1 norm on each ellipse E_rho stays below the bound
+    the rule's error is taken from, at a state far from (0, 0)."""
+    params, x, y = SkellamParams(3.0, 2.0), 12, 9
+    theta = np.linspace(0.0, 2.0 * math.pi, 12, endpoint=False)
+    for lo, hi in [(0.0, 1.0), (0.0, 0.125), (0.25, 0.5), (0.75, 1.0)]:
+        log_m = stein._log_norm_bound(lo, hi, order, x + y, params.total)
+        left, right, height = bernstein_box(lo, hi)
+        for j in (40, 120, 200):
+            centre, reach = 0.5 * (left[j] + right[j]), 0.5 * (right[j] - left[j])
+            norms = [
+                _complex_kernel_l1(params, order, x, y, centre + reach * math.cos(t) + 1j * height[j] * math.sin(t))
+                for t in theta
+            ]
+            assert max(norms) <= math.exp(log_m[j]), (lo, hi, j)
+
+
+def _state_l1_distance(a, b):
+    """Per-state L1 distance of two sweeps' kernels over their joint window."""
+    lo = min(a.lo, b.lo)
+    size = max(a.lo + a.tensor.shape[-1], b.lo + b.tensor.shape[-1]) - lo
+    padded = []
+    for res in (a, b):
+        full = np.zeros(res.tensor.shape[:-1] + (size,))
+        full[..., res.lo - lo : res.lo - lo + res.tensor.shape[-1]] = res.tensor
+        padded.append(full)
+    return np.abs(padded[0] - padded[1]).sum(axis=-1)
+
+
+def test_sweep_slack_bounds_every_state_at_coarse_tolerance():
+    # At quad_tol 1e-3 a partition sized for state (0, 0) alone errs by up
+    # to 20 times its slack at (29, 29).
+    params = SkellamParams(5.0, 5.0)
+    n = default_state_grid(params) + 1
+    for order in (0, 1, 2):
+        coarse = stein._sweep(params, order, (1,) * order, n, n, 1e-3)
+        fine = stein._sweep(params, order, (1,) * order, n, n, 1e-12)
+        assert coarse.slack <= 1e-3
+        assert _state_l1_distance(coarse, fine).max() <= coarse.slack + fine.slack, order
+
+
+def test_factor_error_within_tolerance_at_benchmark_rates():
+    for l1 in (3.0, 4.5, 6.0, 7.5, 9.0):
+        for order in (1, 2):
+            res = exact_stein_factor(SkellamParams(l1, 12.0 - l1), order, (1,) * order, None, QUAD_TOL)
+            assert res.quad_error <= QUAD_TOL, (l1, order)
+
+
+# VmHWM is the process's own peak RSS.  ru_maxrss is not: across fork and
+# exec it keeps the parent's, here the test runner's.
+_PEAK_RSS = """\
+from skellam_stein import SkellamParams
+from skellam_stein.stein import exact_stein_factor
+exact_stein_factor(SkellamParams(20.0, 20.0), 2, (1, 1), 78)
+print(next(ln.split()[1] for ln in open("/proc/self/status") if ln.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_factor_sweep_peak_memory():
+    """A sweep holds one running sum and one rule's accumulator: at (20, 20)
+    on grid 78, (79, 79, 271) floats each.  An adaptive heap of pending
+    tensors peaked at 181 MB here."""
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS], capture_output=True, text=True, check=True)
+    assert int(proc.stdout) / 1024 <= 120
 
 
 def test_solution_kernels_of_an_earlier_rate_pair_are_released():
