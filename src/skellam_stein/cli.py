@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import logging
 import math
@@ -301,7 +302,9 @@ def _cmd_stein_factors(args):
                 "factor": res.value,
                 "bound": closed_form,
                 "quad_error": res.quad_error,
+                "upper": res.upper,
                 "dominated": dominated,
+                "dominated_all_states": res.upper <= closed_form,
                 "argmax_x": res.argmax_state[0],
                 "argmax_y": res.argmax_state[1],
                 "grid_max": res.grid_max,
@@ -443,6 +446,13 @@ def _cmd_verify_haar(args):
 # ---------------------------------------------------------------------------
 # Parser.
 
+def _late(name: str):
+    """The handler bound to name in this module when it is called: main
+    reuses one parser per process (_parser), and a handler rebound after it
+    was built (unittest.mock.patch, say) must still run, as with a fresh one."""
+    return lambda args: globals()[name](args)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="skellam-stein",
@@ -464,13 +474,13 @@ def build_parser() -> argparse.ArgumentParser:
     dist_sub = dist.add_subparsers(dest="subcommand", required=True)
     p = dist_sub.add_parser("pmf", parents=[common, rates])
     p.add_argument("--k", type=int, required=True)
-    p.set_defaults(handler=_cmd_dist_pmf)
+    p.set_defaults(handler=_late("_cmd_dist_pmf"))
     p = dist_sub.add_parser("table", parents=[common, rates])
     p.add_argument("--tol", type=float, default=1e-12, help="tail mass outside the window")
-    p.set_defaults(handler=_cmd_dist_table)
+    p.set_defaults(handler=_late("_cmd_dist_table"))
     p = dist_sub.add_parser("sample", parents=[common, rates])
     p.add_argument("--n", type=int, required=True, help="number of draws")
-    p.set_defaults(handler=_cmd_dist_sample)
+    p.set_defaults(handler=_late("_cmd_dist_sample"))
 
     stein_cmd = top.add_parser("stein", help="Stein solutions, factors, bounds")
     stein_sub = stein_cmd.add_subparsers(dest="subcommand", required=True)
@@ -478,23 +488,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quad-tol", type=float, default=QUAD_TOL_DEFAULT)
     p.add_argument("--printed-max-form", action="store_true",
                    help="also evaluate the integral bound with max in place of min")
-    p.set_defaults(handler=_cmd_stein_bounds)
+    p.set_defaults(handler=_late("_cmd_stein_bounds"))
     p = stein_sub.add_parser("solve", parents=[common, rates])
     p.add_argument("--set", required=True, help="k>=a, k<=a, or {a,b,c}")
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--y", type=int, required=True)
     p.add_argument("--quad-tol", type=float, default=QUAD_TOL_DEFAULT)
-    p.set_defaults(handler=_cmd_stein_solve)
+    p.set_defaults(handler=_late("_cmd_stein_solve"))
     p = stein_sub.add_parser("factors", parents=[common, rates])
     p.add_argument("--order", type=int, choices=(1, 2), required=True)
     p.add_argument("--coords", help="restrict to one coordinate tuple, e.g. 1,2")
     p.add_argument("--grid", type=int, help="state grid maximum (default rate-driven)")
     p.add_argument("--quad-tol", type=float, default=QUAD_TOL_DEFAULT)
-    p.set_defaults(handler=_cmd_stein_factors)
+    p.set_defaults(handler=_late("_cmd_stein_factors"))
     p = stein_sub.add_parser("conjecture", parents=[common, rates])
     p.add_argument("--lo", type=int, help="window lower end")
     p.add_argument("--hi", type=int, help="window upper end")
-    p.set_defaults(handler=_cmd_stein_conjecture)
+    p.set_defaults(handler=_late("_cmd_stein_conjecture"))
 
     verify = top.add_parser("verify", help="application theorem verification")
     verify_sub = verify.add_subparsers(dest="subcommand", required=True)
@@ -503,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--model", help="JSON model file with p, r, s arrays")
     src.add_argument("--homogeneous", nargs=4, metavar=("N", "P", "R", "S"))
     p.add_argument("--tail-tol", type=float, default=1e-10)
-    p.set_defaults(handler=_cmd_verify_graph)
+    p.set_defaults(handler=_late("_cmd_verify_graph"))
     p = verify_sub.add_parser("haar", parents=[common])
     p.add_argument("--signal", required=True, help="newline-separated intensities")
     p.add_argument("--scale", type=int)
@@ -513,15 +523,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, required=True, help="spillover probability")
     p.add_argument("--sweep", action="store_true", help="verify every dyadic window")
     p.add_argument("--tail-tol", type=float, default=1e-10)
-    p.set_defaults(handler=_cmd_verify_haar)
+    p.set_defaults(handler=_late("_cmd_verify_haar"))
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built on first use: parsing leaves it as it
+    was, and building it takes milliseconds a call would otherwise repeat."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

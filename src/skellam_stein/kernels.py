@@ -38,6 +38,17 @@ def stack_bases(bases, offsets, nx, size):
     return frame
 
 
+def survive(rows, u, q, out):
+    """out = rows (*) Bernoulli(u), row by row, with q = 1 - u: the x step of
+    sweep_accumulate.  rows and out are (m, width) with u and q (m, 1)
+    columns, and out may be rows itself.  Column 0 is zero padding and is
+    left as it is; a row's mass in its last column is lost.
+    """
+    shifted = u * rows[:, :-1]
+    np.multiply(q, rows[:, 1:], out=out[:, 1:])
+    out[:, 1:] += shifted
+
+
 def sweep_accumulate(acc, frame, u, coef):
     """Add one rule's state-grid values into its accumulator.
 
@@ -56,7 +67,7 @@ def sweep_accumulate(acc, frame, u, coef):
     u = np.asarray(u, dtype=np.float64).reshape(m, 1)
     q = 1.0 - u
     for x in range(1, nx):
-        frame[:, x, 1:] = q * frame[:, x - 1, 1:] + u * frame[:, x - 1, :-1]
+        survive(frame[:, x - 1], u, q, frame[:, x])
     flat = frame.reshape(m, nx * width)
     head = flat[:, :-1]
     shifted = np.empty_like(head)

@@ -35,6 +35,7 @@ from .dists import WINDOW_CAP, IntegerDist, check_window_size
 MAX_EXP = 709.782712893384  # largest x with exp(x) finite in float64
 _SERIES_X_MAX = 30.0
 DEBYE_MIN_ORDER = 64  # orders from here on off the series take Olver's expansion
+_LGAMMA_1P = np.array([math.lgamma(k + 1.0) for k in range(DEBYE_MIN_ORDER)])  # log k!
 
 
 class QuadratureError(RuntimeError):
@@ -438,20 +439,56 @@ def poisson_dist(lam: float, tail_tol: float = 1e-12) -> IntegerDist:
         raise ValueError("rate must be non-negative")
     if not 0.0 < tail_tol < 1.0:
         raise ValueError("tail_tol must lie in (0, 1)")
-    lo, p = poisson_window(lam, tail_tol)
-    return IntegerDist(lo, p, max(0.0, 1.0 - math.fsum(p)))
-
-
-def poisson_window(lam: float, tail_tol: float) -> tuple[int, list[float]]:
-    """(lo, p) of poisson_dist's window, p[j] = P(X = lo + j), for a caller
-    that has checked lam >= 0 and tail_tol and reads the values only: a
-    Stein sweep builds two such windows per quadrature node."""
     if lam == 0.0:
-        return 0, [1.0]
+        return IntegerDist(0, [1.0], 0.0)
     lam = float(lam)  # a Python float steps faster than a numpy scalar, to the same bits
     lo, hi = window_ends(float(int(lam)), lam, 0.0, tail_tol)
     check_window_size(hi - lo + 1.0, "pmf window")
-    return int(lo), _poisson_walk(lam, int(lo), int(hi))
+    p = _poisson_walk(lam, int(lo), int(hi))
+    return IntegerDist(int(lo), p, max(0.0, 1.0 - math.fsum(p)))
+
+
+def poisson_rows(lams: np.ndarray, tail_tol: float) -> tuple[int, np.ndarray]:
+    """(lo, rows): row i is the Poisson(lams[i]) pmf on lo..hi, for a 1-D
+    array of rates >= 0, with lo the lower end of window_ends' window at the
+    smallest rate and hi its upper end at the largest.
+
+    Those windows nest as the rate falls, so each row's own window lies in
+    lo..hi, and each row leaves out at most tail_tol with no end solve of
+    its own.  Each row's mode value is log_poisson_pmf's formula.  The steps
+    lam / k above the mode and (k + 1) / lam below it are all at most 1, and
+    one cumprod per side multiplies them out, so no factorial is formed and
+    a value k points from its mode errs by at most about 2 |k - mode| + 3
+    units of roundoff, plus its mode value's.
+    """
+    lams = np.asarray(lams, dtype=np.float64)
+    small, large = float(lams.min()), float(lams.max())
+    t_max = math.log(2.0 / tail_tol)
+    lo = hi = 0.0
+    if small > 0.0:
+        lo = float(int(small)) - _end_distance(float(int(small)), small, 0.0, t_max, -1.0) + 1.0
+    if large > 0.0:
+        hi = float(int(large)) + _end_distance(float(int(large)), large, 0.0, t_max, 1.0) - 1.0
+    check_window_size(hi - lo + 1.0, "pmf window")
+    lo, hi = int(lo), int(hi)
+    modes = lams.astype(np.int64)
+    ks = np.arange(lo, hi + 1, dtype=np.float64)
+    lam, mode = lams[:, None], modes[:, None]
+    up, down = ks > mode, ks < mode  # below a mode of 1 or more, lam >= 1
+    steps = np.divide(lam, ks, out=np.ones((lams.size, ks.size)), where=up)
+    np.divide(ks + 1.0, lam, out=steps, where=down)
+    rows = np.cumprod(np.where(down, 1.0, steps), axis=1)
+    rows *= np.cumprod(np.where(up, 1.0, steps)[:, ::-1], axis=1)[:, ::-1]
+    low = modes < DEBYE_MIN_ORDER
+    log_mode = np.zeros(lams.size)
+    positive = low & (lams > 0.0)
+    log_mode[positive] = (
+        modes[positive] * np.log(lams[positive]) - lams[positive] - _LGAMMA_1P[modes[positive]]
+    )
+    for i in np.flatnonzero(~low):
+        log_mode[i] = _log_skellam_debye(float(modes[i]), float(lams[i]), 0.0)
+    rows *= np.exp(log_mode)[:, None]
+    return lo, rows
 
 
 def log_poisson_pmf(lam: float, k: int) -> float:

@@ -38,6 +38,7 @@ from functools import lru_cache
 from typing import Callable, Iterable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import kernels
 from .dists import IntegerDist, ResourceLimitError, convolve, negate
@@ -51,7 +52,7 @@ from .special import (
     kronrod_bound,
     kronrod_rule,
     poisson_dist,
-    poisson_window,
+    poisson_rows,
     window_ends,
 )
 
@@ -241,7 +242,8 @@ def intermediate_law(
 # The sweep engine.
 
 def _difference_base(k0: int, s: np.ndarray, order: int, coords: tuple[int, ...]):
-    """k-difference of the base window encoding a state increment.
+    """k-difference of the base windows (along the last axis) encoding a
+    state increment.
 
     Adding 1 to coordinate 1 adds a Bernoulli(u) survival to the
     difference; coordinate 2 subtracts one.  State differences of h_f
@@ -249,17 +251,31 @@ def _difference_base(k0: int, s: np.ndarray, order: int, coords: tuple[int, ...]
     """
     if order == 0:
         return k0, s
+    # d[m] = s[m] - s[m-1] at order 1, s[m] - 2 s[m-1] + s[m-2] at order 2
+    d = np.diff(np.pad(s, [(0, 0)] * (s.ndim - 1) + [(order, order)]), n=order)
     if order == 1:
-        d = np.diff(s, prepend=0.0, append=0.0)  # d[m] = s[m] - s[m-1]
         if coords == (1,):
             return k0, -d
         return k0 - 1, d  # coords == (2,)
-    c2 = np.convolve(s, np.array([1.0, -2.0, 1.0]))
     if coords == (1, 1):
-        return k0, c2
+        return k0, d
     if coords == (2, 2):
-        return k0 - 2, c2
-    return k0 - 1, -c2  # mixed (1,2)
+        return k0 - 2, d
+    return k0 - 1, -d  # mixed (1,2)
+
+
+def _skellam_rows(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+    """Row i is the law of A - B for A, B with pmf rows pa[i] and pb[i]: for
+    rows on lo_a..hi_a and lo_b..hi_b it covers lo_a - hi_b .. hi_a - lo_b.
+    Entry c of row i is pa[i] reversed dotted with a window of pb[i]
+    reversed and zero-padded, so one batched product forms every row, each
+    entry a sum of non-negative terms."""
+    m, na = pa.shape
+    nb = pb.shape[1]
+    padded = np.zeros((m, nb + 2 * (na - 1)))
+    padded[:, na - 1 : na - 1 + nb] = pb[:, ::-1]
+    windows = sliding_window_view(padded, na + nb - 1, axis=1)  # [i, j, c] = padded[i, j + c]
+    return np.matmul(pa[:, None, ::-1], windows)[:, 0]
 
 
 def _normalize_coords(order: int, coords) -> tuple[int, ...]:
@@ -312,6 +328,46 @@ def _log_norm_bound(lo: float, hi: float, order: int, states: int, rate: float) 
     return np.minimum(box, disk)
 
 
+def _pois_tol(quad_tol: float) -> float:
+    """The tail every Poisson window of a sweep or a certificate leaves out."""
+    if not quad_tol > 0:
+        raise ValueError("quad_tol must be positive")
+    return quad_tol / 800.0
+
+
+def _full_rate_tops(params: SkellamParams, pois_tol: float) -> tuple[float, float]:
+    """Upper ends, as floats, of the full-rate Poisson windows.  They never
+    decrease as the rate grows, so every window at rate l (1 - u) ends at or
+    below them; rate 0 is the point 0, and an infinite end is refused by
+    _check_cells."""
+    return tuple(
+        window_ends(float(int(lam)), lam, 0.0, pois_tol)[1] if lam > 0.0 else 0.0
+        for lam in (params.lambda1, params.lambda2)
+    )
+
+
+def _check_cells(cells: float, what: str) -> None:
+    if not cells <= SWEEP_TENSOR_CAP:
+        raise ResourceLimitError(
+            f"{what} is {cells:.0f} floats, exceeds cap {SWEEP_TENSOR_CAP} floats"
+        )
+
+
+def _sweep_window(
+    params: SkellamParams, nx: int, ny: int, pois_tol: float, single_state=None
+) -> tuple[float, float]:
+    """(top_b, size) of the global window of a sweep over the nx x ny grid,
+    refused (ResourceLimitError) if one accumulator, or a single state's
+    work, exceeds SWEEP_TENSOR_CAP."""
+    top_a, top_b = _full_rate_tops(params, pois_tol)
+    size = top_a + top_b + 4.0 + nx + ny - 1.0
+    if single_state is None:
+        _check_cells(nx * ny * size, f"sweep tensor of {nx}x{ny} states by {size:.0f} points")
+    else:
+        _check_cells((nx + ny - 1) * size, f"single-state sweep at {single_state} by {size:.0f} points")
+    return top_b, size
+
+
 def _sweep(
     params: SkellamParams,
     order: int,
@@ -329,10 +385,13 @@ def _sweep(
 
     The partition of [0, 1] is fixed before any node is evaluated, from each
     15-point rule's proven bound (special.kronrod_bound of _log_norm_bound at
-    the grid's largest x + y).  Each rule is one integrand call, whose node
-    bases kernels.sweep_accumulate adds into a fresh accumulator.  A single
-    state is a 1x1 grid whose node bases carry Bin(x, u) and -Bin(y, u),
-    about (x + y + 1) x window floats of work per node.
+    the grid's largest x + y).  Each rule is one integrand call: its node
+    bases come from one array of Poisson rows per rate (special.poisson_rows,
+    from the lower window end at the rule's smallest rate to the upper end
+    at its largest), and kernels.sweep_accumulate adds them into a fresh
+    accumulator.  A single state is a 1x1 grid whose node bases carry
+    Bin(x, u) and -Bin(y, u), about (x + y + 1) x window floats of work per
+    node.
 
     SWEEP_TENSOR_CAP bounds one accumulator (states x window floats), or a
     single state's work, before any window is built (ResourceLimitError).
@@ -349,27 +408,10 @@ def _sweep(
     node's place), and 8 (l1 + l2) + 200 for the mode values' logs and the
     sums over nodes and rules.
     """
-    if not quad_tol > 0:
-        raise ValueError("quad_tol must be positive")
-    pois_tol = quad_tol / 800.0
+    pois_tol = _pois_tol(quad_tol)
     l1, l2 = params.lambda1, params.lambda2
     states = nx + ny - 2  # the largest x + y the sweep covers
-
-    # Rate 0 is the point 0; an infinite end is refused by the size check.
-    top_a, top_b = (
-        window_ends(float(int(lam)), lam, 0.0, pois_tol)[1] if lam > 0.0 else 0.0
-        for lam in (l1, l2)
-    )
-    size = top_a + top_b + 4.0 + nx + ny - 1.0
-    if single_state is None:
-        cells, what = nx * ny * size, f"sweep tensor of {nx}x{ny} states"
-    else:
-        cells, what = (nx + ny - 1) * size, f"single-state sweep at {single_state}"
-    if not cells <= SWEEP_TENSOR_CAP:
-        raise ResourceLimitError(
-            f"{what} by {size:.0f} points is {cells:.0f} floats, "
-            f"exceeds cap {SWEEP_TENSOR_CAP} floats"
-        )
+    top_b, size = _sweep_window(params, nx, ny, pois_tol, single_state)
     size = int(size)
     lo = -int(top_b) - 2 - (ny - 1)
 
@@ -381,36 +423,38 @@ def _sweep(
         sx, sy = single_state
         nx = ny = 1  # the node bases carry the state; the kernel sees a 1x1 grid
 
-    def node_base(u) -> tuple[int, np.ndarray]:
-        """(window offset, signed base) of the node at u."""
-        grown = 1.0 - u
-        a_lo, pa = poisson_window(l1 * grown, pois_tol)
-        b_lo, pb = poisson_window(l2 * grown, pois_tol)
-        base = np.convolve(pa, pb[::-1])
-        k0 = a_lo - (b_lo + len(pb) - 1)
-        tk0, t_arr = _difference_base(k0, base, order, coords)
+    def node_bases(points) -> tuple[int, np.ndarray]:
+        """(window offset, signed bases) of the rule's nodes, one row each."""
+        grown = 1.0 - points
+        a_lo, pa = poisson_rows(l1 * grown, pois_tol)
+        b_lo, pb = poisson_rows(l2 * grown, pois_tol)
+        k0 = a_lo - (b_lo + pb.shape[1] - 1)
+        tk0, bases = _difference_base(k0, _skellam_rows(pa, pb), order, coords)
         if single_state is not None:
-            if sx:
-                t_arr = np.convolve(t_arr, binomial_thin_dist(sx, u).probabilities)
-            if sy:
-                t_arr = np.convolve(t_arr, binomial_thin_dist(sy, u).probabilities[::-1])
+            bases = np.array([
+                np.convolve(
+                    np.convolve(t_arr, binomial_thin_dist(sx, u).probabilities),
+                    binomial_thin_dist(sy, u).probabilities[::-1],
+                )
+                for t_arr, u in zip(bases, points.tolist())
+            ])
             tk0 -= sy
-        return tk0 - lo, t_arr
+        return tk0 - lo, bases
 
     weight = 0.0  # the summed node coefficients of every rule
 
     def rule_fn(points, wk):
         nonlocal weight
-        offsets, bases = zip(*(node_base(u) for u in points))
+        offset, bases = node_bases(points)
         # The window indices any node reaches at any state of the grid.
-        start = min(offsets) - (ny - 1)
-        stop = max(o + b.size for o, b in zip(offsets, bases)) + nx - 1
+        start = offset - (ny - 1)
+        stop = offset + bases.shape[1] + nx - 1
         if start < 0 or stop > size:
             raise RuntimeError("node window escaped the global window")
         coef = wk * points ** (order - 1)
         weight += coef.sum()
         acc = np.zeros((ny, nx, size))
-        frame = kernels.stack_bases(bases, [o - start for o in offsets], nx, stop - start)
+        frame = kernels.stack_bases(bases, [offset - start] * len(bases), nx, stop - start)
         kernels.sweep_accumulate(acc[:, :, start:stop], frame, points, coef)
         return acc
 
@@ -526,18 +570,119 @@ def difference_kernel(
 
 
 def default_state_grid(params: SkellamParams) -> int:
-    """Outer-sup grid: the coupling damps state dependence exponentially."""
+    """The largest state grid exact_stein_factor sweeps by default: where
+    the certificate proves no smaller grid, this one, lam + 6 sqrt(lam) on
+    a side (at least 10), is swept as the coupling damps state dependence
+    exponentially."""
     lam = params.total
     return max(10, int(math.ceil(lam + 6.0 * math.sqrt(lam))))
 
 
+# The certificate's mesh of [0, 1]: t uniform, u = 1 - (1 - t)^2, so the
+# intervals shrink toward u = 1, where the rates l (1 - u) vanish and the
+# k-differences of S_u grow fastest.
+_CERT_INTERVALS = 200
+_PILOT_GRID = 6  # the grid swept first; its sup is the certificate's target
+
+
+@dataclass(frozen=True)
+class _Certificate:
+    all_states: float  # U: bounds the factor at every state of Z_+^2
+    grid: int          # the grid G at which the search stopped
+    off_grid: float    # E(G): bounds the factor at every state off {0..G}^2
+
+
+def _certificate(
+    params: SkellamParams,
+    order: int,
+    quad_tol: float,
+    limit: int,
+    target: float = -math.inf,
+    intervals: int = _CERT_INTERVALS,
+) -> _Certificate:
+    """State-free bounds on the order-o factor (o = 1, 2), from one array of
+    Skellam rows S_b on a fixed mesh of [0, 1].
+
+    With n_u(x, y) the L1 norm of the sweep integrand u^(o-1) D^o S_u (*)
+    Bin(x, u) (*) -Bin(y, u) (D the k-difference), a state's factor is at
+    most (1/2) int n_u du: its kernel sums to 0, so the sup over indicators
+    is half the kernel's L1 norm.  Convolving with a law never raises an L1
+    norm, so n_u is non-increasing in x and in y.  Hence every state has
+    factor at most U = (1/2) int n_u(0, 0) du, and every state off the grid
+    {0..G}^2 at most E(G) = (1/2) max(int n_u(G+1, 0) du, int n_u(0, G+1) du);
+    n_u(0, y) at rates (l1, l2) is n_u(y, 0) at (l2, l1), whose Skellam rows
+    are the reversed rows.
+
+    On a mesh interval [a, b] of width h and midpoint m, S_u = S_b (*)
+    Skellam(l1 (b - u), l2 (b - u)) for u <= b, a law, and Bin(x, u) is
+    within L1 distance 2 x |u - m| of Bin(x, m), whose integral over [a, b]
+    is x h^2 / 2.  So int_a^b n_u(x, 0) du is at most
+    b^(o-1) min(h |D^o S_b|, h |D^o S_b (*) Bin(x, m)| + x h^2 |D^o S_b| / 2),
+    and at x = 0 this is the right-endpoint Riemann sum of U's integrand,
+    which is non-decreasing in u.  One pass of kernels.survive per x, with
+    u = m, gives every D^o S_b (*) Bin(x, m).
+
+    Each Skellam row is a product of Poisson rows on their full-rate windows,
+    leaving out at most 2 pois_tol, so 2^o (2 pois_tol) per unit of mesh
+    weight is added to both bounds, with a first-order count of roundings.
+
+    The search steps x = G + 1 from G = 0 and stops at the first G <= limit
+    whose E(G) (the least of the bounds at G' <= G, each of which covers the
+    states off {0..G}^2) is at most target, or at G = limit.  The frame is
+    checked against SWEEP_TENSOR_CAP before any row is built.
+    """
+    pois_tol = _pois_tol(quad_tol)
+    l1, l2 = params.lambda1, params.lambda2
+    top_a, top_b = _full_rate_tops(params, pois_tol)
+    # A zero pad column, the D^o S_b rows (at most top_a + top_b + 1 + order
+    # points), and one more point per step x = 1 .. limit + 1.
+    width = top_a + top_b + order + 3.0 + limit
+    _check_cells(2 * intervals * width, f"certificate frame of {2 * intervals} rows by {width:.0f} points")
+
+    u = 1.0 - (1.0 - np.linspace(0.0, 1.0, intervals + 1)) ** 2
+    a, b = u[:-1], u[1:]
+    h, mid = b - a, 0.5 * (a + b)
+    grown = 1.0 - b
+    pa, pb = (poisson_rows(lam * grown, pois_tol)[1] for lam in (l1, l2))
+    _, d = _difference_base(0, _skellam_rows(pa, pb), order, (1,) * order)
+    frame = np.zeros((2 * intervals, int(width)))
+    frame[:intervals, 1 : 1 + d.shape[1]] = d
+    frame[intervals:, 1 : 1 + d.shape[1]] = d[:, ::-1]
+    weight = np.tile(h * b ** (order - 1), 2)
+    full = np.abs(frame).sum(axis=1)  # |D^o S_b|
+    lipschitz = full * np.tile(h, 2) / 2.0
+
+    roundings = 8.0 * width + 6.0 * limit + 8.0 * (l1 + l2) + 200.0 + 2.0 * intervals
+    extra = 0.5 * 2.0**order * (2.0 * pois_tol + roundings * _EPS)
+    all_states = 0.5 * float(weight[:intervals] @ full[:intervals]) + extra
+
+    mid = np.tile(mid, 2)[:, None]
+    q = 1.0 - mid
+    reach = 1 + d.shape[1]  # columns holding the rows' support
+    magnitude = np.empty_like(frame)
+    off_grid = math.inf
+    for grid in range(limit + 1):
+        x = grid + 1
+        reach += 1
+        rows = frame[:, :reach]
+        kernels.survive(rows, mid, q, rows)
+        norms = np.abs(rows, out=magnitude[:, :reach]).sum(axis=1)
+        per_interval = weight * np.minimum(full, norms + x * lipschitz)
+        bound = 0.5 * max(per_interval[:intervals].sum(), per_interval[intervals:].sum()) + extra
+        off_grid = min(off_grid, bound)
+        if off_grid <= target:
+            break
+    return _Certificate(all_states, grid, off_grid)
+
+
 @dataclass(frozen=True)
 class SteinFactorResult:
-    """Exact sup over states and indicator test functions, annotated.
+    """Exact sup over the state grid {0..grid_max}^2 and indicator test
+    functions, annotated.
 
-    rim_max is the largest per-state sup on the grid's outer rim (x or y
-    equal to grid_max); saturated says the argmax lies off that rim, so
-    the grid did not cut the sup short.
+    upper bounds the factor over every state of Z_+^2: the certificate's U,
+    or, where smaller, the larger of value + quad_error and E(grid_max).  It
+    is never below value, which U may undercut at a coarse quad_tol.
     """
 
     value: float
@@ -547,39 +692,56 @@ class SteinFactorResult:
     order: int
     coords: tuple[int, ...]
     quad_tol: float
-    rim_max: float
-    saturated: bool
+    upper: float
 
     def __float__(self) -> float:
         return self.value
+
+
+def _grid_sup(params: SkellamParams, order: int, grid_max: int, quad_tol: float):
+    """(sup, slack, argmax) of the per-state indicator sups on {0..grid_max}^2."""
+    n = grid_max + 1
+    res = _sweep(params, order, (1,) * order, n, n, quad_tol)
+    part = np.maximum(res.tensor, 0.0)  # one scratch tensor serves both signs
+    pos = part.sum(axis=2)
+    neg = np.maximum(np.negative(res.tensor, out=part), 0.0, out=part).sum(axis=2)
+    per_state = np.maximum(pos, neg)
+    idx = np.unravel_index(int(per_state.argmax()), per_state.shape)
+    return float(per_state[idx]), res.slack, (int(idx[0]), int(idx[1]))
 
 
 @lru_cache(maxsize=256)
 def _exact_stein_factor_cached(
     params: SkellamParams,
     order: int,
-    grid_max: int,
+    grid_max: int | None,
     quad_tol: float,
 ) -> SteinFactorResult:
-    n = grid_max + 1
-    coords = (1,) * order
-    res = _sweep(params, order, coords, n, n, quad_tol)
-    part = np.maximum(res.tensor, 0.0)  # one scratch tensor serves both signs
-    pos = part.sum(axis=2)
-    neg = np.maximum(np.negative(res.tensor, out=part), 0.0, out=part).sum(axis=2)
-    per_state = np.maximum(pos, neg)
-    idx = np.unravel_index(int(per_state.argmax()), per_state.shape)
-    rim_max = max(float(per_state[-1, :].max()), float(per_state[:, -1].max()))
+    if grid_max is not None:
+        sup = _grid_sup(params, order, grid_max, quad_tol)
+        cert = _certificate(params, order, quad_tol, grid_max, sup[0] + sup[1])
+    else:
+        cap = default_state_grid(params)
+        _sweep_window(params, cap + 1, cap + 1, _pois_tol(quad_tol))  # refuse what the cap's sweep would
+        grid_max = _PILOT_GRID
+        sup = _grid_sup(params, order, grid_max, quad_tol)
+        # The pilot's sup is at most any larger grid's, so E(G) <= it proves
+        # grid G; a grid past the cap is never swept.
+        cert = _certificate(params, order, quad_tol, cap, sup[0])
+        if cert.grid > grid_max:
+            grid_max = cert.grid
+            sup = _grid_sup(params, order, grid_max, quad_tol)
+    value, slack, argmax = sup
+    upper = min(cert.all_states, max(value + slack, cert.off_grid))
     return SteinFactorResult(
-        value=float(per_state[idx]),
-        quad_error=res.slack,
-        argmax_state=(int(idx[0]), int(idx[1])),
+        value=value,
+        quad_error=slack,
+        argmax_state=argmax,
         grid_max=grid_max,
         order=order,
-        coords=coords,
+        coords=(1,) * order,
         quad_tol=quad_tol,
-        rim_max=rim_max,
-        saturated=bool(max(idx) < grid_max),
+        upper=float(max(value, upper)),
     )
 
 
@@ -590,7 +752,14 @@ def exact_stein_factor(
     state_grid_max: int | None = None,
     quad_tol: float = QUAD_TOL_DEFAULT,
 ) -> SteinFactorResult:
-    """Max over the state grid of the per-state exact indicator sup.
+    """Max over a state grid of the per-state exact indicator sup, with a
+    certified bound (upper) on the sup over every state.
+
+    With state_grid_max None the grid is sized by _certificate: the pilot
+    grid {0..6}^2 is swept, and the least G whose E(G) is at most the
+    pilot's sup is swept in its place (the pilot itself if G <= 6); where no
+    G up to default_state_grid qualifies, that cap is swept.  Inputs whose
+    cap grid exceeds SWEEP_TENSOR_CAP are refused before any sweep.
 
     The value does not depend on the coordinate tuple.  At every state the
     kernels of the different tuples of one order share the state
@@ -601,13 +770,11 @@ def exact_stein_factor(
     result carries the tuple asked for.
     """
     coords = _normalize_coords(order, coords)
-    if state_grid_max is None:
-        state_grid_max = default_state_grid(params)
-    if state_grid_max < 0:
-        raise ValueError("state_grid_max must be >= 0")
-    res = _exact_stein_factor_cached(
-        params, order, int(state_grid_max), float(quad_tol)
-    )
+    if state_grid_max is not None:
+        if state_grid_max < 0:
+            raise ValueError("state_grid_max must be >= 0")
+        state_grid_max = int(state_grid_max)
+    res = _exact_stein_factor_cached(params, order, state_grid_max, float(quad_tol))
     return replace(res, coords=coords)
 
 
@@ -629,7 +796,7 @@ def bound_first_diff(params: SkellamParams) -> float:
 def bound_second_diff(params: SkellamParams) -> float:
     """min{1, 1/(2 max^2) + sqrt(2) log+(sqrt(2) max) / max}."""
     m = max(params.lambda1, params.lambda2)
-    if m == 0.0:
+    if 2.0 * m * m == 0.0:  # m = 0, or m^2 underflows: the first term is past 1
         return 1.0
     return min(1.0, 1.0 / (2.0 * m * m) + _ROOT_2 * _log_plus(_ROOT_2 * m) / m)
 
@@ -643,7 +810,7 @@ def bound_relaxed(params: SkellamParams, order: int) -> float:
             return 1.0
         return min(1.0, math.sqrt(4.0 / (math.e * lam)))
     if order == 2:
-        if lam == 0.0:
+        if lam * lam == 0.0:  # lam = 0, or lam^2 underflows: the first term is past 1
             return 1.0
         return min(
             1.0, 2.0 / (lam * lam) + 2.0 * _ROOT_2 * _log_plus(_ROOT_2 * lam) / lam

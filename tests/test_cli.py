@@ -101,6 +101,8 @@ def test_stein_factors_dominated(capsys):
     row = doc["rows"][0]
     assert row["dominated"] is True
     assert row["factor"] <= row["bound"] + row["quad_error"]
+    assert row["factor"] + row["quad_error"] <= row["upper"] <= row["bound"]
+    assert row["dominated_all_states"] is True
 
 
 def test_stein_factors_default_coords(capsys):
@@ -109,6 +111,41 @@ def test_stein_factors_default_coords(capsys):
     assert code == 0
     doc = json.loads(out)
     assert [r["coords"] for r in doc["rows"]] == ["1", "2"]
+
+
+def test_stein_factors_default_grid_is_certified(capsys):
+    code, out, _ = run_cli(capsys, "stein", "factors", "--l1", "3.3", "--l2", "8.7",
+                           "--order", "2", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["params"]["grid"] < 33  # the rate-driven cap at total rate 12
+    for row in doc["rows"]:
+        assert row["grid_max"] == doc["params"]["grid"]
+        assert row["factor"] <= row["upper"] <= row["factor"] + row["quad_error"]
+        assert row["dominated_all_states"] is True
+
+
+def test_parser_built_once_per_process_with_unchanged_records(capsys):
+    calls = [
+        ("stein", "factors", "--l1", "3.3", "--l2", "8.7", "--order", "1", "--format", "json"),
+        ("dist", "table", "--l1", "1", "--l2", "2", "--format", "json"),
+        ("stein", "factors", "--l1", "3.3", "--l2", "8.7", "--order", "3"),
+        ("stein", "factors", "--l1", "3.3", "--l2", "8.7", "--order", "1", "--format", "json"),
+    ]
+    cli._parser.cache_clear()
+    with mock.patch.object(cli, "build_parser", wraps=cli.build_parser) as build:
+        cached = [run_cli(capsys, *args) for args in calls]
+    assert build.call_count == 1
+    uncached = []
+    for args in calls:
+        cli._parser.cache_clear()
+        uncached.append(run_cli(capsys, *args))
+    assert [record[0] for record in cached] == [0, 0, 2, 0]
+    assert cached == uncached
+    # Importing the CLI builds no parser; the first call does.
+    probe = "import skellam_stein.cli as c; print(c._parser.cache_info().currsize)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert proc.stdout == "0\n"
 
 
 def test_stein_conjecture_reports(capsys):
@@ -617,3 +654,43 @@ def test_dist_pmf_at_large_orders(capsys):
         code, out, _ = run_cli(capsys, "dist", "pmf", *args, "--format", "json")
         assert code == 0
         assert json.loads(out)["results"]["pmf"] == pytest.approx(ref, rel=1e-12)
+
+
+_FUZZ_RATES = st.one_of(
+    st.sampled_from([0.0, 1e-300, 1e6, math.nan, math.inf, -1.0, -1e-300]),
+    st.floats(min_value=0.0, max_value=30.0, exclude_min=True),
+)
+
+
+@given(
+    l1=_FUZZ_RATES,
+    l2=_FUZZ_RATES,
+    extended=st.booleans(),
+    order=st.sampled_from(["1", "2"]),
+    quad_tol=st.sampled_from([None, 1e-300, 1.0]),
+    grid=st.sampled_from([None, -1, 0, 3, 10**6]),
+)
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_fuzz_stein_factors(l1, l2, extended, order, quad_tol, grid):
+    """Any rates, tolerance and grid: a verdict or one error line, and every
+    row's interval ordered and consistent with its flags."""
+    # --opt=value: argparse reads a separate "-1e-300" as an option name.
+    args = ["stein", "factors", f"--l1={l1!r}", f"--l2={l2!r}", "--order", order,
+            "--format", "json"]
+    args += ["--extended"] if extended else []
+    args += [f"--quad-tol={quad_tol!r}"] if quad_tol is not None else []
+    args += [f"--grid={grid}"] if grid is not None else []
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdout", out), mock.patch.object(sys, "stderr", err):
+        code = main(args)
+    assert code in (0, 1, 2), (args, err.getvalue())
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert out.getvalue() == "" and len(lines) == 1 and lines[0].startswith("error: "), args
+        return
+    doc = json.loads(out.getvalue())
+    assert doc["results"]["all_dominated"] is (code == 0)
+    for row in doc["rows"]:
+        assert 0.0 <= row["factor"] <= row["upper"] and row["quad_error"] >= 0.0, (args, row)
+        assert row["dominated"] is (row["factor"] <= row["bound"] + row["quad_error"]), (args, row)
+        assert not row["dominated_all_states"] or row["upper"] <= row["bound"], (args, row)

@@ -290,6 +290,31 @@ def test_poisson_windows_nest_as_the_rate_falls():
             assert -pb.max_support <= d.min_support and d.max_support <= pa.max_support, (lam, lam2, tol)
 
 
+def test_poisson_rows_against_reference():
+    """Rows span the window from the smallest rate's lower end to the
+    largest rate's upper end; they agree with each rate's own ratio walk
+    (poisson_dist) to 4 roundings per step from the mode, and with scipy at
+    small rates, and each leaves out at most the window's tail_tol."""
+    rng = np.random.default_rng(20261019)
+    eps = 2.0**-53
+    for top in (1.0, 12.0, 90.0, 2e3):
+        for lams in (np.concatenate([[0.0, top], top * rng.random(40)]), top * (0.5 + 0.5 * rng.random(9))):
+            lo, rows = special.poisson_rows(lams, 1e-11)
+            small, large = (poisson_dist(float(f(lams)), 1e-11) for f in (np.min, np.max))
+            assert (lo, lo + rows.shape[1] - 1) == (small.min_support, large.max_support)
+            for lam, row in zip(lams.tolist(), rows):
+                own = poisson_dist(lam, 1e-11)
+                ks = own.support() - lo
+                steps = np.abs(own.support() - int(lam)) + 3.0
+                got = row[ks]
+                assert np.all(np.abs(got - own.probabilities) <= 4.0 * steps * eps * own.probabilities), lam
+                assert math.fsum(row) >= 1.0 - 1e-11 - 1e-12, lam
+                if top <= 90.0:
+                    ref = sstats.poisson.pmf(np.arange(lo, lo + row.size), lam)
+                    assert np.max(np.abs(row - ref)) <= 1e-13, lam
+    assert special.poisson_rows(np.array([0.0]), 1e-11)[1].tolist() == [[1.0]]
+
+
 def test_poisson_window_above_cap_refused_before_building():
     tracemalloc.start()
     try:

@@ -340,19 +340,117 @@ def test_single_state_sweeps_run_the_rule_kernel(monkeypatch):
     assert set(shapes) == {((1, 1), (15, 1))}
 
 
-def test_factor_grid_saturation_flag():
+def test_factor_grid_certificate():
+    # At (5, 5) the default grid is certified: E(G) is below its sup, so
+    # upper is the grid's own interval end.
     params = SkellamParams(5.0, 5.0)
     for order, coords in [(1, (1,)), (2, (1, 1))]:
         res = exact_stein_factor(params, order, coords, None, QUAD_TOL)
-        assert res.saturated is True
-        assert res.rim_max < res.value
-    # At (3, 9) the first-difference sup sits at state (0, 5): a grid that
-    # ends at y = 5 puts it on the rim, one that ends below cuts it short.
-    for grid_max in (4, 5):
-        res = exact_stein_factor(SkellamParams(3.0, 9.0), 1, (1,), grid_max, QUAD_TOL)
-        assert res.argmax_state == (0, grid_max)
-        assert res.saturated is False
-        assert res.rim_max == res.value
+        assert res.grid_max < default_state_grid(params)
+        assert res.value <= res.upper <= res.value + res.quad_error
+    # At (3, 9) the first-difference sup sits at state (0, 5): grid 4 cuts it
+    # short, and its upper end must say so and still cover that sup.
+    params = SkellamParams(3.0, 9.0)
+    short = exact_stein_factor(params, 1, (1,), 4, QUAD_TOL)
+    full = exact_stein_factor(params, 1, (1,), None, QUAD_TOL)
+    assert short.argmax_state == (0, 4) and full.argmax_state == (0, 5)
+    assert short.upper > short.value + short.quad_error
+    assert short.upper >= full.value - full.quad_error
+    assert full.upper <= full.value + full.quad_error
+
+
+def _per_state_factors(params, order, grid_max):
+    """(per-state indicator sups on {0..grid_max}^2, the sweep's slack)."""
+    res = stein._sweep(params, order, (1,) * order, grid_max + 1, grid_max + 1, QUAD_TOL)
+    pos = np.maximum(res.tensor, 0.0).sum(axis=2)
+    neg = np.maximum(-res.tensor, 0.0).sum(axis=2)
+    return np.maximum(pos, neg), res.slack
+
+
+def _midpoint_half_integrals(params, orders, xs, points=20_000):
+    """Midpoint estimates, per order, of (1/2) int_0^1 n_u(x, 0) du for each
+    x in xs, with n_u(x, y) the L1 norm over k of u^(o-1) D^o S_u (*)
+    Bin(x, u) (*) -Bin(y, u): Poisson pmfs from log-gamma at each point u,
+    their difference law by FFT, and direct binomial steps.  n_u(0, x) is
+    n_u(x, 0) at the swapped rates."""
+    u = (np.arange(points) + 0.5) / points
+    rows = []
+    for lam in (params.lambda1, params.lambda2):
+        k = np.arange(int(lam + 7.0 * math.sqrt(lam) + 10.0))  # past 1e-12 of the mass
+        mu = lam * (1.0 - u)[:, None]
+        rows.append(np.exp(k * np.log(mu) - mu - sps.gammaln(k + 1.0)) if lam else np.eye(1, k.size)[[0] * points])
+    width = rows[0].shape[1] + rows[1].shape[1] - 1
+    s = np.fft.irfft(np.fft.rfft(rows[0], width + 1) * np.fft.rfft(rows[1][:, ::-1], width + 1), width + 1)
+    s = s[:, :width]
+    q, p = (1.0 - u)[:, None], u[:, None]
+    out = {}
+    for order in orders:
+        g = np.diff(np.pad(s, [(0, 0), (order, order + max(xs))]), n=order)
+        weight = u ** (order - 1) / points
+        shifted, magnitude, ones = np.empty_like(g[:, :-1]), np.empty_like(g), np.ones(g.shape[1])
+        halves = {}
+        for x in range(max(xs) + 1):
+            if x:
+                np.multiply(p, g[:, :-1], out=shifted)
+                g *= q
+                g[:, 1:] += shifted
+            if x in xs:
+                halves[x] = 0.5 * float(weight @ (np.abs(g, out=magnitude) @ ones))
+        out[order] = halves
+    return out
+
+
+@pytest.mark.parametrize("l1", CRITERION_4_RATES)
+def test_certificate_bounds_every_state(l1):
+    """On criterion 4's rates: U is at least every grid sup, and E(G) at
+    least every factor off {0..G}^2 on a grid twice as large; both are at
+    least a 20,000-point midpoint estimate of the integral they bound."""
+    for l2 in CRITERION_4_RATES:
+        params = SkellamParams(l1, l2)
+        estimates = _midpoint_half_integrals(params, (1, 2), [0, 1, 3, 6])
+        for order in (1, 2):
+            per_state, slack = _per_state_factors(params, order, 10)
+            along_x = estimates[order]  # along y at (l1, l2) is along x at (l2, l1)
+            for grid in (0, 2, 5):
+                cert = stein._certificate(params, order, QUAD_TOL, grid)
+                assert cert.grid == grid
+                off = per_state.copy()
+                off[: grid + 1, : grid + 1] = 0.0
+                assert off.max() - slack <= cert.off_grid, (l2, order, grid)
+                assert along_x[grid + 1] <= cert.off_grid, (l2, order, grid)
+            assert per_state.max() - slack <= cert.all_states, (l2, order)
+            assert along_x[0] <= cert.all_states, (l2, order)
+
+
+def test_certificate_on_a_coarse_mesh_still_bounds():
+    """Eight mesh intervals: the right-end rows and the binomial term must
+    carry the bounds past the integrals at every x.  At rates 0 the law S_u
+    is the point 0 at every u, and the binomial term alone does."""
+    for params in (SkellamParams(0.0, 0.0, extended=True), SkellamParams(0.2, 1.0),
+                   SkellamParams(5.0, 1.0), SkellamParams(20.0, 20.0)):
+        estimates = _midpoint_half_integrals(params, (1, 2), [0, 4, 13])
+        for order, along_x in estimates.items():
+            for grid in (3, 12):
+                cert = stein._certificate(params, order, QUAD_TOL, grid, intervals=8)
+                assert along_x[0] <= cert.all_states, (params, order)
+                assert along_x[grid + 1] <= cert.off_grid, (params, order, grid)
+
+
+def test_certificate_is_tight_where_the_sup_sits_at_the_origin():
+    # At equal rates and order 1 the argmax is (0, 0), where the factor is
+    # half the integral U bounds: the mesh's excess alone separates them.
+    for lam in (0.5, 5.0, 20.0):
+        params = SkellamParams(lam, lam)
+        res = exact_stein_factor(params, 1, (1,), None, QUAD_TOL)
+        cert = stein._certificate(params, 1, QUAD_TOL, 0)
+        assert res.argmax_state == (0, 0)
+        assert res.value <= cert.all_states <= 1.01 * res.value
+
+
+def test_certificate_frame_beyond_cap_refused_before_rows_are_built(monkeypatch):
+    monkeypatch.setattr(stein, "poisson_rows", lambda *args: pytest.fail("rows built"))
+    with pytest.raises(ResourceLimitError, match="certificate frame"):
+        stein._certificate(SkellamParams(2.0, 1.0), 1, QUAD_TOL, 10**5)
 
 
 def test_sweep_tensor_beyond_cap_fails_fast():
@@ -473,10 +571,23 @@ def test_sweep_slack_bounds_every_state_at_coarse_tolerance():
 
 
 def test_factor_error_within_tolerance_at_benchmark_rates():
-    for l1 in (3.0, 4.5, 6.0, 7.5, 9.0):
+    """Every stein_factors rate pair (total 12, l1 in [3, 9]) is certified
+    at a grid of at most 12, within quad_tol."""
+    for l1 in np.linspace(3.0, 9.0, 13):
         for order in (1, 2):
             res = exact_stein_factor(SkellamParams(l1, 12.0 - l1), order, (1,) * order, None, QUAD_TOL)
             assert res.quad_error <= QUAD_TOL, (l1, order)
+            assert res.grid_max <= 12 and res.upper <= res.value + res.quad_error, (l1, order)
+
+
+def test_fallback_grid_is_the_cap():
+    # At (20, 0.2) the first-difference sup sits at (19, 0), far off the
+    # pilot grid, so no grid below the cap is proven and the cap is swept.
+    params = SkellamParams(20.0, 0.2)
+    res = exact_stein_factor(params, 1, (1,), None, QUAD_TOL)
+    assert res.grid_max == default_state_grid(params)
+    assert res.argmax_state == (19, 0)
+    assert res.value + res.quad_error <= res.upper <= bound_first_diff(params)
 
 
 # VmHWM is the process's own peak RSS.  ru_maxrss is not: across fork and
@@ -526,6 +637,10 @@ def test_second_diff_bound_values():
     assert bound_second_diff(SkellamParams(4.0, 4.0)) == pytest.approx(want)
     assert bound_second_diff(SkellamParams(4.0, 4.0)) == pytest.approx(0.6439, abs=2e-4)
     assert bound_second_diff(SkellamParams(0.5, 0.5)) == 1.0
+    # Rates whose square underflows once divided by zero.
+    for tiny in (5e-324, 1e-170):
+        assert bound_second_diff(SkellamParams(tiny, tiny)) == 1.0
+        assert bound_relaxed(SkellamParams(tiny, 0.0, extended=True), 2) == 1.0
 
 
 def test_second_diff_bound_monotone_for_large_rates():
