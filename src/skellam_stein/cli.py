@@ -21,6 +21,7 @@ import functools
 import json
 import logging
 import math
+import re
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -417,7 +418,7 @@ def _cmd_verify_haar(args):
     if args.sweep:
         f = haar_spillover.load_signal(args.signal)
         rows = haar_spillover.sweep_windows(f, args.p, args.tail_tol)
-        ok = all(r["satisfied"] for r in rows)
+        ok = bool(rows.columns["satisfied"].all())
         config = RunConfig(
             "verify haar",
             {"signal": args.signal, "n": f.size, "p": args.p, "sweep": True},
@@ -453,8 +454,19 @@ def _late(name: str):
     return lambda args: globals()[name](args)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and the class of its subparsers, that reads an
+    argument such as -1e-300 as a negative number: before Python 3.13,
+    argparse takes only -1 and -1.5 for numbers, and any other argument
+    beginning with - for an option name."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="skellam-stein",
         description="Skellam laws, Stein diagnostics, and TV bound verification.",
     )

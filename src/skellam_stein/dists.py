@@ -120,6 +120,58 @@ def tv_interval(lo1: int, p1: np.ndarray, tail1: float,
     return TVInterval(value, slack)
 
 
+# Union-window points that one tv_rows pass lays out at a time.
+_TV_POINTS = 1 << 15
+
+
+def tv_rows(values: np.ndarray, lo1, start1, size1, lo2, start2, size2) -> np.ndarray:
+    """tv_interval's value, bit for bit, of each pair of windows packed in
+    values: p of pair i is values[start1[i] : start1[i] + size1[i]] on
+    lo1[i].., and q is values[start2[i] : start2[i] + size2[i]] on lo2[i]...
+
+    Each pair's |p - q| is laid out on its union window, and the pairs of
+    one union length L are summed as the rows of one C-contiguous (m, L)
+    array: numpy sums each such row as it sums a 1-D array of length L,
+    where a zero-padded or reduceat sum would associate differently.
+    """
+    lo = np.minimum(lo1, lo2)
+    length = np.maximum(lo1 + size1, lo2 + size2) - lo
+    order = np.argsort(length, kind="stable")
+    lengths = length[order]
+    out = np.empty(order.size)
+    for i, j in blocks(lengths, _TV_POINTS):
+        sel, span = order[i:j], lengths[i:j]
+        pair = np.repeat(np.arange(sel.size), span)
+        offset = np.cumsum(span) - span
+        k = np.arange(pair.size) - offset[pair] + lo[sel][pair]  # the support point
+        diff = np.abs(_placed(values, k, pair, lo1[sel], start1[sel], size1[sel])
+                      - _placed(values, k, pair, lo2[sel], start2[sel], size2[sel]))
+        runs = np.flatnonzero(np.diff(span)) + 1
+        for a, b in zip([0, *runs.tolist()], [*runs.tolist(), sel.size]):
+            rows = diff[offset[a] : offset[a] + (b - a) * span[a]].reshape(b - a, span[a])
+            out[sel[a:b]] = rows.sum(axis=1)
+    return 0.5 * out
+
+
+def blocks(sizes: np.ndarray, cap: float):
+    """(i, j) of each run of consecutive items i..j - 1 whose sizes sum to
+    at most cap, or of one item alone where it is larger."""
+    ends = np.cumsum(sizes)
+    i = 0
+    while i < ends.size:
+        j = max(i + 1, int(np.searchsorted(ends, (ends[i - 1] if i else 0) + cap, "right")))
+        yield i, j
+        i = j
+
+
+def _placed(values, k, pair, lo, start, size) -> np.ndarray:
+    """The value at support point k[j] of window pair[j] (lo, start, size
+    per window), 0 off the window."""
+    at = k - lo[pair]
+    inside = (at >= 0) & (at < size[pair])
+    return np.where(inside, values[np.where(inside, start[pair] + at, 0)], 0.0)
+
+
 def convolve(d1: IntegerDist, d2: IntegerDist) -> IntegerDist:
     """Exact law of the sum of independent draws; tail masses combine."""
     n1, n2 = d1.probabilities.size, d2.probabilities.size

@@ -10,9 +10,12 @@ them, the closed-form bound on that TV, and simulation cross-checks.
 
 A model's four window sums are correctly rounded (math.fsum), so they do
 not depend on the order a BLAS build sums in.  The sweep over every dyadic
-window runs scale by scale: window sums over slices, bounds as arrays, and
-the Skellam windows of up to 256 windows from one skellam.windows batch;
-each of its records equals the single-window verify report bit for bit.
+window is one array pass over all scales: window sums over slices, one
+finiteness check and the bounds as arrays, the Skellam windows of every
+window whose laws differ from one skellam.windows call (one per
+_SWEEP_POINTS window points), their TVs from one dists.tv_rows pass, and
+its rows as columns.  A single window's verify is the same engine on a
+batch of one, so each sweep row equals its verify report bit for bit.
 """
 
 from __future__ import annotations
@@ -23,12 +26,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .dists import TVInterval, tv_interval
+from .dists import TVInterval, blocks, tv_rows
+from .jsonwriter import Rows
 from .skellam import SkellamParams, to_dist, windows
-from .verification import VerificationReport, make_report
+from .verification import VerificationReport, make_report, report_columns
 
 _SIM_BLOCK_CELLS = 10**7
-_SWEEP_BLOCK = 256  # windows per skellam.windows call in sweep_windows
+# Window points that the sweep holds live at once, bounded before any window
+# is built; a 2048-bin Gamma(2, 2.5) signal needs about 4e5, so one call.
+_SWEEP_POINTS = 1 << 20
 
 
 def _indicator_vector(name: str, values) -> np.ndarray:
@@ -211,12 +217,13 @@ def bound_theorem32(model: HaarSpilloverModel) -> SpilloverBound:
 
 def _bounds(p: float, pf, nf, pfs, nfs):
     """(value, shift_gap_pos, shift_gap_neg, max_rate) of SpilloverBound for
-    arrays of window sums: sqrt(2 p^2 / (e max_rate)) (gap_pos + gap_neg)."""
+    arrays of window sums: sqrt(2 p^2 / (e max_rate)) (gap_pos + gap_neg),
+    +inf where that leaves the float range."""
     gap_pos = np.abs(pf - pfs)
     gap_neg = np.abs(nf - nfs)
-    numerator = gap_pos + gap_neg
-    max_rate = np.maximum(pf, nf)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        numerator = gap_pos + gap_neg
+        max_rate = np.maximum(pf, nf)
         value = np.sqrt(2.0 * p**2 / (math.e * max_rate)) * numerator
     value[max_rate == 0.0] = math.inf
     if p == 0.0:
@@ -229,7 +236,8 @@ def tv_observed_vs_true(model: HaarSpilloverModel, tail_tol: float = 1e-10) -> T
     """Exact truncated TV between the observed and true coefficient laws,
     by _tv_pairs: coinciding parameters give an exact zero."""
     obs, true = observed_coeff_params(model), true_coeff_params(model)
-    return _tv_pairs([(obs.lambda1, obs.lambda2)], [(true.lambda1, true.lambda2)], tail_tol)[0]
+    tv, slack = _tv_pairs(*(np.array([v]) for v in (obs.lambda1, obs.lambda2, true.lambda1, true.lambda2)), tail_tol)
+    return TVInterval(float(tv[0]), float(slack[0]))
 
 
 def simulate_spillover(
@@ -267,74 +275,106 @@ def verify(model: HaarSpilloverModel, tail_tol: float = 1e-10) -> VerificationRe
     return make_report(tv, b.value)
 
 
-def sweep_windows(
-    model_f: np.ndarray, p: float, tail_tol: float = 1e-10
-) -> list[dict]:
+def sweep_windows(model_f: np.ndarray, p: float, tail_tol: float = 1e-10) -> Rows:
     """Verification reports for every dyadic window of the signal.
 
-    Returns one record per (scale, location) with the TV, bound and ratio;
-    useful for mapping where spillover distorts coefficients the most.
-    Each record is the verify() report of HaarSpilloverModel(f,
-    *haar_windows(n, scale, location), p), computed a scale at a time.
+    Returns the columns of one row per (scale, location), scale by scale,
+    with the TV, bound and ratio; useful for mapping where spillover
+    distorts coefficients the most.  Each row is the verify() report of
+    HaarSpilloverModel(f, *haar_windows(n, scale, location), p), bit for
+    bit.  A window whose total rate is not finite is refused, the first in
+    that order, before any Skellam window is built.
     """
     f = _check_signal(model_f).tolist()
     p = _check_p(p)
     fs = f[1:] + [0.0]
     n = len(f)
-    records = []
-    scale = 1
-    while (1 << scale) <= n:
-        width = 1 << scale
-        half = width // 2
-        count = n // width
-        # A block of windows at a time keeps the live Skellam windows few.
-        for first in range(0, count, _SWEEP_BLOCK):
-            sums = []
-            for location in range(first, min(count, first + _SWEEP_BLOCK)):
-                start = location * width
-                mid, end = start + half, start + width
-                row = (_fsum(f[start:mid]), _fsum(f[mid:end]),
-                       _fsum(fs[start:mid]), _fsum(fs[mid:end]))
-                _check_rates(lambda: f"window (scale {scale}, location {location})", p, *row)
-                sums.append(row)
-            pf, nf, pfs, nfs = np.array(sums).T
-            bounds = _bounds(p, pf, nf, pfs, nfs)[0].tolist()
-            true = list(zip(pf.tolist(), nf.tolist()))
-            obs = [(_mix(p, a, a_s), _mix(p, b, b_s)) for a, b, a_s, b_s in sums]
-            for location, tv, bound in zip(
-                range(first, count), _tv_pairs(obs, true, tail_tol), bounds
-            ):
-                report = make_report(tv, bound)
-                records.append(
-                    {
-                        "scale": scale,
-                        "location": location,
-                        "tv": report.tv.value,
-                        "tv_slack": report.tv.slack,
-                        "bound": report.bound,
-                        "satisfied": report.satisfied,
-                        "ratio": report.ratio,
-                    }
-                )
-        scale += 1
-    return records
+    scales = range(1, n.bit_length())  # every scale with 2^scale <= n
+    scale = np.repeat(np.arange(1, n.bit_length()), [n >> s for s in scales])
+    location = np.concatenate([np.arange(n >> s) for s in scales] or [np.zeros(0, np.int64)])
+    start = location << scale
+    mid, end = start + (1 << (scale - 1)), start + (1 << scale)
+    pos, neg = list(zip(start.tolist(), mid.tolist())), list(zip(mid.tolist(), end.tolist()))
+    pf, nf, pfs, nfs = (_fsums(v, w) for v, w in ((f, pos), (f, neg), (fs, pos), (fs, neg)))
+    o1, o2 = _mixes(p, pf, pfs), _mixes(p, nf, nfs)
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(np.stack([pf + nf, o1 + o2])).all(axis=0)
+    if not finite.all():
+        i = int(finite.argmin())
+        _check_rates(lambda: f"window (scale {scale[i]}, location {location[i]})", p,
+                     *(float(v[i]) for v in (pf, nf, pfs, nfs)))
+    bound = _bounds(p, pf, nf, pfs, nfs)[0]
+    tv, slack = _tv_pairs(o1, o2, pf, nf, tail_tol)
+    satisfied, ratio = report_columns(tv, slack, bound)
+    return Rows(scale=scale, location=location, tv=tv, tv_slack=slack, bound=bound,
+                satisfied=satisfied, ratio=ratio)
 
 
-def _tv_pairs(obs: list, true: list, tail_tol: float) -> list[TVInterval]:
-    """tv_observed_vs_true of each (observed, true) pair of rate pairs, with
-    the windows of all positive rate pairs from one skellam.windows call.
-    The windows of one block stay live until its TVs are taken."""
-    differ = [j for j, (o, t) in enumerate(zip(obs, true)) if o != t]
-    pairs = [obs[j] for j in differ] + [true[j] for j in differ]
-    positive = [i for i, (l1, l2) in enumerate(pairs) if l1 > 0.0 and l2 > 0.0]
-    built = dict(zip(positive, windows(
-        [pairs[i][0] for i in positive], [pairs[i][1] for i in positive], tail_tol
-    )))
-    for i, (l1, l2) in enumerate(pairs):
-        if i not in built:  # a zero rate: a Poisson window or a point mass
-            d = to_dist(SkellamParams(l1, l2, extended=True), tail_tol)
-            built[i] = (d.min_support, d.probabilities, d.tail_mass)
-    out = [TVInterval(0.0, 0.0)] * len(obs)
-    for i, j in enumerate(differ):
-        out[j] = tv_interval(*built[i], *built[len(differ) + i])
-    return out
+def _fsums(values: list, spans: list) -> np.ndarray:
+    """_fsum of values[a:b] for each (a, b) in spans."""
+    try:
+        return np.array([math.fsum(values[a:b]) for a, b in spans])
+    except OverflowError:
+        return np.array([_fsum(values[a:b]) for a, b in spans])
+
+
+def _mixes(p: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """_mix of each entry of a and b, by the same operations."""
+    if p == 0.0:
+        return a
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(a == b, a, (1.0 - p) * a + p * b)
+
+
+def _tv_pairs(o1, o2, t1, t2, tail_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(tv, slack) of tv_observed_vs_true for each window's observed rates
+    (o1, o2) and true rates (t1, t2); coinciding rates give an exact zero.
+
+    The other windows go to skellam.windows in blocks of at most
+    _SWEEP_POINTS window points, bounded by Bernstein's inequality before
+    any is built (to_dist where a rate is 0), and each block's TVs come from
+    one dists.tv_rows pass.
+    """
+    tv, slack = np.zeros(o1.size), np.zeros(o1.size)
+    differ = np.flatnonzero((o1 != t1) | (o2 != t2))
+    points = _width_bound(o1[differ] + o2[differ], tail_tol) + _width_bound(t1[differ] + t2[differ], tail_tol)
+    for i, j in blocks(points, _SWEEP_POINTS):
+        block = differ[i:j]
+        m = block.size
+        lo, size, start, tail, values = _packed_windows(
+            np.concatenate([o1[block], t1[block]]), np.concatenate([o2[block], t2[block]]), tail_tol
+        )
+        tv[block] = tv_rows(values, lo[:m], start[:m], size[:m], lo[m:], start[m:], size[m:])
+        slack[block] = 0.5 * (tail[:m] + tail[m:])
+    return tv, slack
+
+
+def _width_bound(total: np.ndarray, tail_tol: float) -> np.ndarray:
+    """At least the points of a pmf window of total rate v at tail_tol:
+    Bernstein's inequality, P(|X - EX| >= t) <= 2 exp(-t^2 / (2 (v + t / 3)))
+    for a difference of Poisson counts, is at most tail_tol / 2 on each side
+    at t = T / 3 + sqrt(T^2 / 9 + 2 T v), T = log(2 / tail_tol), and
+    Chernoff's window ends lie within t + 1 of the mean."""
+    t_max = math.log(2.0 / tail_tol)
+    with np.errstate(over="ignore"):
+        return 2.0 * (t_max / 3.0 + np.sqrt(t_max * t_max / 9.0 + 2.0 * t_max * total)) + 3.0
+
+
+def _packed_windows(l1: np.ndarray, l2: np.ndarray, tail_tol: float):
+    """(lo, size, start, tail, values): skellam.windows' packing of the
+    windows of every rate pair, zero rates among them (to_dist's Poisson
+    window or point mass)."""
+    positive = (l1 > 0.0) & (l2 > 0.0)
+    batch = windows(l1[positive], l2[positive], tail_tol)
+    lo, size, start = (np.zeros(l1.size, np.int64) for _ in range(3))
+    tail = np.zeros(l1.size)
+    lo[positive], size[positive], start[positive], tail[positive] = (
+        batch.lo, batch.size, batch.start, batch.tail
+    )
+    parts, used = [batch.values], batch.values.size
+    for i in np.flatnonzero(~positive).tolist():
+        d = to_dist(SkellamParams(float(l1[i]), float(l2[i]), extended=True), tail_tol)
+        lo[i], size[i], start[i], tail[i] = d.min_support, d.probabilities.size, used, d.tail_mass
+        parts.append(d.probabilities)
+        used += d.probabilities.size
+    return lo, size, start, tail, parts[0] if len(parts) == 1 else np.concatenate(parts)

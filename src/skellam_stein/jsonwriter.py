@@ -60,6 +60,8 @@ def dump(doc, out) -> None:
 
 
 def _numpy_default(value):
+    if isinstance(value, Rows):  # an empty one; others are streamed
+        return value[:]
     if isinstance(value, np.generic):
         return value.item()
     if isinstance(value, np.ndarray):

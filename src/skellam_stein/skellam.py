@@ -11,8 +11,9 @@ takes one pmf value at its centre and walks outward once by ratios
 p(k +- 1) / p(k) = (l1/l2)^(+-1/2) I_|k+-1|(x) / I_|k|(x), x = 2 sqrt(l1 l2),
 with the Bessel ratios from Miller's backward recurrence
 (special.backward_ratios).  `windows` builds the windows of many rate pairs
-at once, in lockstep numpy arrays; a pair's window depends on that pair
-alone, and `to_dist` is a batch of one.  Zero rates are admitted only
+at once, packed in one array and stepped in lockstep numpy chunks; a pair's
+window depends on that pair alone, and `to_dist` steps one pair on Python
+floats to the same bits.  Zero rates are admitted only
 through the explicit `extended` flag: they arise as continuity limits (the
 law degenerates to a single Poisson or a point mass) and downstream models
 can produce them.
@@ -21,12 +22,13 @@ can produce them.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import special
-from .dists import IntegerDist, check_window_size, negate
+from .dists import IntegerDist, blocks, check_window_size, negate
 
 
 @dataclass(frozen=True)
@@ -142,9 +144,12 @@ def moments(params: SkellamParams) -> tuple[float, float]:
 # Rows of a windows() batch step in lockstep chunks of at most _CHUNK_CELLS
 # points; a chunk of fewer than _LOCKSTEP_ROWS rows steps row by row on
 # Python floats.  On the Haar sweep's windows (scales 1-9) the two break even
-# near 16-20 rows; at 24 the lockstep costs 0.3-0.8 of the per-row time.
+# near 16-20 rows; at 24 the lockstep costs 0.3-0.8 of the per-row time.  In
+# one batch of a whole sweep only the chunks of its widest windows are that
+# small: a row of a 10^6-point window would take 10^6 numpy steps.
 _CHUNK_CELLS = 1 << 15
 _LOCKSTEP_ROWS = 24
+_TAIL_POINTS = 1 << 15  # window points whose tails _tails extracts at once
 
 
 def to_dist(params: SkellamParams, tail_tol: float = 1e-12) -> IntegerDist:
@@ -177,7 +182,7 @@ def pmf_window(params: SkellamParams, lo: int, hi: int) -> np.ndarray:
     a, b = min(lo, center), max(hi, center)
     check_window_size(b - a + 1, "pmf window")
     if l1 > 0.0 and l2 > 0.0:
-        values = _skellam_walk(l1, l2, center, a, b)
+        values = _skellam_walk(l1, l2, center, a, b, math.exp(_log_pmf_at(l1, l2, center)))
     elif l1 > 0.0:
         values = special._poisson_walk(l1, a, b)
     else:
@@ -185,14 +190,17 @@ def pmf_window(params: SkellamParams, lo: int, hi: int) -> np.ndarray:
     return np.array(values[lo - a : hi - a + 1])
 
 
-def windows(l1, l2, tail_tol: float = 1e-12) -> list[tuple[int, np.ndarray, float]]:
-    """(lo, p, tail) of each positive rate pair (l1[i], l2[i]), as to_dist.
+def windows(l1, l2, tail_tol: float = 1e-12) -> "Windows":
+    """to_dist's window of each positive rate pair (l1[i], l2[i]), packed in
+    one array: row i is P(X = lo + j) on special.window_ends' window around
+    round(l1 - l2), with tail = max(0, 1 - fsum(p)).
 
-    p[j] = P(X = lo + j) on special.window_ends' window around
-    round(l1 - l2), and tail = max(0, 1 - fsum(p)).  The value at the centre
-    is pmf's; the others are ratio steps from it.  Rows run in lockstep numpy
-    chunks, or row by row on Python floats where a chunk is too small to pay
-    for numpy calls; every row gets the same bits either way.
+    The ends and the centre values (pmf's) of all rows come from one array
+    pass; the other values are ratio steps from the centre.  Rows step in
+    lockstep numpy chunks, or row by row on Python floats where a chunk has
+    too few rows to pay for numpy calls.  Every row gets the same bits either
+    way, whatever else is in its batch.  The caller bounds the batch: its
+    values are all live at once.
     """
     if not 0.0 < tail_tol < 1.0:
         raise ValueError("tail_tol must lie in (0, 1)")
@@ -208,15 +216,72 @@ def windows(l1, l2, tail_tol: float = 1e-12) -> list[tuple[int, np.ndarray, floa
         # On floats: the ends of rates far past the cap are infinite.
         check_window_size(float(np.max(hi - lo)) + 1.0, "pmf window")
     rows = _Rows(l1, l2, center.astype(np.int64), lo.astype(np.int64), hi.astype(np.int64))
-    out: list = [None] * l1.size
+    anchor = special._libm(math.exp, _log_pmf_rows(l1, l2, rows.center))
+    size = rows.hi - rows.lo + 1
+    start = np.cumsum(size) - size
+    values = np.empty(int(size.sum()))
     for idx in _chunks(rows):
         if idx.size >= _LOCKSTEP_ROWS:
-            for i, w in zip(idx.tolist(), _lockstep(rows.take(idx))):
-                out[i] = w
-        else:
-            for i in idx.tolist():
-                out[i] = _window(float(l1[i]), float(l2[i]), tail_tol)
-    return out
+            _lockstep(rows.take(idx), anchor[idx], values, start[idx])
+            continue
+        for i in idx.tolist():
+            a, b = int(rows.lo[i]), int(rows.hi[i])
+            values[start[i] : start[i] + b - a + 1] = _skellam_walk(
+                float(l1[i]), float(l2[i]), int(rows.center[i]), a, b, float(anchor[i])
+            )
+    return Windows(rows.lo, size, start, _tails(values, start, size), values)
+
+
+class Windows(Sequence):
+    """windows()' rows, packed: row i is the window p = values[start[i] :
+    start[i] + size[i]] on lo[i].., with tail[i] the mass outside it, and
+    self[i] is (lo, p, tail), as to_dist gives them."""
+
+    def __init__(self, lo, size, start, tail, values):
+        self.lo, self.size, self.start, self.tail, self.values = lo, size, start, tail, values
+
+    def __len__(self) -> int:
+        return self.lo.size
+
+    def __getitem__(self, i):
+        a = int(self.start[i])
+        return int(self.lo[i]), self.values[a : a + int(self.size[i])], float(self.tail[i])
+
+
+def _tails(values: np.ndarray, start: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """max(0, 1 - fsum(p)) of each row p packed in values in row order.
+
+    fsum gives the correctly rounded exact sum, so fsum of any few floats
+    with a row's exact sum has the row's bits.  They come from error-free
+    extraction (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31, 2008): with
+    sigma = 2^e at least 2^b times every |value|, and every row shorter than
+    2^b (b <= 24 under WINDOW_CAP), q = (sigma + v) - sigma and v - q are
+    exact, and the q of a row sum exactly in any order.  Each pass leaves
+    residuals v - q of at most 2^-53 sigma, so the next takes sigma down by
+    2^(b - 53), until no residual is left: three passes on the Haar sweep.
+    A block of about _TAIL_POINTS values is extracted at a time.
+    """
+    sums = np.empty(size.size)
+    for i, j in blocks(size, _TAIL_POINTS):
+        rows = size[i:j]
+        block = values[start[i] : start[j - 1] + size[j - 1]]
+        bits = int(rows.max()).bit_length()
+        sigma = math.ldexp(1.0, math.frexp(float(block.max()))[1] + bits)
+        rest, row, parts = block, None, []  # row: each residual's row, once some are dropped
+        while rest.size and sigma > 0.0:  # sigma reaches 0 only past a non-finite value
+            q = sigma + rest
+            q -= sigma
+            parts.append(np.add.reduceat(q, np.cumsum(rows) - rows) if row is None
+                         else np.bincount(row, q, rows.size))
+            rest = rest - q
+            kept = rest != 0.0
+            if not kept.all():
+                row = np.repeat(np.arange(rows.size), rows) if row is None else row
+                rest, row = rest[kept], row[kept]
+            sigma = math.ldexp(sigma, bits - 53)
+        sums[i:j] = list(map(math.fsum, zip(*(part.tolist() for part in parts))))
+    tails = 1.0 - sums
+    return np.where(tails > 0.0, tails, 0.0)  # max(0.0, t): 0.0 where t is nan
 
 
 class _Rows:
@@ -262,9 +327,10 @@ def _chunks(rows: _Rows):
         start = stop
 
 
-def _lockstep(rows: _Rows) -> list:
+def _lockstep(rows: _Rows, anchor: np.ndarray, out: np.ndarray, start: np.ndarray) -> None:
     """windows() of one chunk (rows in order of m_top), a step at a time
-    for all rows in numpy arrays."""
+    for all rows in numpy arrays, from the centre values anchor: row i's
+    window goes to out[start[i]:]."""
     n = rows.x.size
     # Bessel ratios by absolute order: ratio[m - g0 - 1, i] = r_m of row i
     # for every order its walk reads, as _bessel_ratios gives them.
@@ -277,30 +343,24 @@ def _lockstep(rows: _Rows) -> list:
     # does.  Padding past a row's own window is never read.
     left, right = rows.center - rows.lo, rows.hi - rows.center
     big, steps = int(left.max()), max(int(left.max()), int(right.max()))
-    anchor = np.fromiter(
-        map(math.exp, _log_pmf_rows(rows.l1, rows.l2, rows.center).tolist()), float, n
-    )
     values = np.empty((n, big + int(right.max()) + 1))
     factors = np.empty((n, steps + 1))  # the anchor, then one factor per step
     factors[:, 0] = anchor
     col = np.arange(n)[:, None]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for side, tilt, out in ((1, rows.rho, values[:, big:]), (-1, rows.sigma, values[:, big::-1])):
-            width = out.shape[1]
+        for side, tilt, half in ((1, rows.rho, values[:, big:]), (-1, rows.sigma, values[:, big::-1])):
+            width = half.shape[1]
             k = np.abs(rows.center[:, None] + side * np.arange(width))
             up = k[:, 1:] > k[:, :-1]
             r_m = ratio[np.clip(np.maximum(k[:, 1:], k[:, :-1]) - g0 - 1, 0, g1 - g0 - 1), col]
             f = factors[:, :width]
             np.multiply(tilt[:, None], r_m, out=f[:, 1:], where=up)
             np.divide(tilt[:, None], r_m, out=f[:, 1:], where=~up)
-            np.cumprod(f, axis=1, out=out)
+            np.cumprod(f, axis=1, out=half)
     del ratio, factors, r_m, k, up
-    first, size = big - left, rows.hi - rows.lo + 1
-    out = []
-    for i, (lo, a, w) in enumerate(zip(rows.lo.tolist(), first.tolist(), size.tolist())):
-        p = values[i, a : a + w]
-        out.append((lo, p, max(0.0, 1.0 - math.fsum(p.tolist()))))
-    return out
+    offset = np.arange(values.shape[1]) - (big - left)[:, None]  # index in the row's window
+    inside = (offset >= 0) & (offset <= (rows.hi - rows.lo)[:, None])
+    out[(start[:, None] + offset)[inside]] = values[inside]
 
 
 def _window(l1: float, l2: float, tail_tol: float) -> tuple[int, np.ndarray, float]:
@@ -308,7 +368,7 @@ def _window(l1: float, l2: float, tail_tol: float) -> tuple[int, np.ndarray, flo
     center = round(l1 - l2)
     lo, hi = special.window_ends(float(center), l1, l2, tail_tol)
     check_window_size(hi - lo + 1.0, "pmf window")
-    p = _skellam_walk(l1, l2, center, int(lo), int(hi))
+    p = _skellam_walk(l1, l2, center, int(lo), int(hi), math.exp(_log_pmf_at(l1, l2, center)))
     return int(lo), np.array(p), max(0.0, 1.0 - math.fsum(p))
 
 
@@ -321,10 +381,10 @@ def _bessel_ratios(x: float, a: int, b: int) -> tuple[int, list[float]]:
     return lo, special.backward_ratios(x, top, lo, 0.0)
 
 
-def _skellam_walk(l1: float, l2: float, center: int, a: int, b: int) -> list[float]:
+def _skellam_walk(l1: float, l2: float, center: int, a: int, b: int, anchor: float) -> list[float]:
     """The Skellam(l1, l2) pmf on a..b, a <= center <= b, as a list.
 
-    center's value is pmf's, and the walk steps outward from it:
+    anchor is center's value, pmf's, and the walk steps outward from it:
     p(k + 1) = p(k) * (rho * r_{k+1}) for k >= 0, p(k) * (rho / r_|k|) below,
     and p(k - 1) = p(k) * (sigma * r_{|k|+1}) for k <= 0, p(k) * (sigma / r_k)
     above, with rho = sqrt(l1) / sqrt(l2) and sigma = sqrt(l2) / sqrt(l1)
@@ -334,7 +394,7 @@ def _skellam_walk(l1: float, l2: float, center: int, a: int, b: int) -> list[flo
     s1, s2 = math.sqrt(l1), math.sqrt(l2)
     x = 2.0 * s1 * s2
     rho, sigma = s1 / s2, s2 / s1
-    p = q = math.exp(_log_pmf_at(l1, l2, center))
+    p = q = anchor
     middle = [p]
     base, r = _bessel_ratios(x, a, b)
     left, right = [], []  # a..center - 1 reversed, and center + 1..b

@@ -73,14 +73,17 @@ def backward_ratios(x: float, top: int, low: int, seed: float) -> list[float]:
     return out
 
 
-def backward_ratios_lockstep(x: np.ndarray, top: np.ndarray, low: int, high: int) -> np.ndarray:
-    """ratios[m - low - 1, i] = the r_m of backward_ratios(x[i], top[i], low)
-    for low < m <= high, and 0 where m > top[i]: every row a step at a time."""
+def backward_ratios_lockstep(x: np.ndarray, top: np.ndarray, low: int, high: int,
+                             seed: np.ndarray | None = None) -> np.ndarray:
+    """ratios[m - low - 1, i] = the r_m of backward_ratios(x[i], top[i], low,
+    seed[i]) for low < m <= high, and 0 where m > top[i]: every row a step at
+    a time.  seed defaults to 0, ratio_start's seed."""
     order = np.argsort(top, kind="stable")
     xs, tops = x[order], top[order].tolist()
     n = x.size
     ratios = np.zeros((high - low, n))
-    r, tmp = np.zeros(n), np.empty(n)
+    r = np.zeros(n) if seed is None else seed[order].astype(np.float64)
+    tmp = np.empty(n)
     first = n  # rows first.. have started: their top is at least m
     with np.errstate(over="ignore"):  # 2m/x = inf at subnormal x gives r = 0, as on floats
         for m in range(tops[-1] if n else low, low, -1):
@@ -90,7 +93,7 @@ def backward_ratios_lockstep(x: np.ndarray, top: np.ndarray, low: int, high: int
             tmp[first:] += r[first:]
             np.divide(1.0, tmp[first:], out=r[first:])
             if m <= high:
-                ratios[m - low - 1] = r
+                ratios[m - low - 1, first:] = r[first:]
     out = np.empty_like(ratios)
     out[:, order] = ratios
     return out
@@ -166,19 +169,26 @@ def _log_scaled_iv_seeded(ks: np.ndarray, x: np.ndarray) -> np.ndarray:
     """log(exp(-x) * I_k(x)) for each order ks[i] < 64 at its own x[i] > 30.
 
     Olver's expansion at orders 64 and 65 gives the ratio I_65 / I_64, which
-    seeds backward_ratios down to order 1; downward, a seed error alternates
-    in sign from step to step and does not grow.  The value is log I_0 plus
-    the log of the product of r_m over 0 < m <= k, with log I_0 from Hankel's
-    expansion.  Anchored at order 64 instead, it would carry the rounding of
-    log I_64, a log of size 47 at x = 40: up to 1.4e-14 relative.
+    seeds the backward ratios down to order 1; downward, a seed error
+    alternates in sign from step to step and does not grow.  The value is
+    log I_0 plus the log of the product of r_m over 0 < m <= k, with log I_0
+    from Hankel's expansion.  Anchored at order 64 instead, it would carry
+    the rounding of log I_64, a log of size 47 at x = 40: up to 1.4e-14
+    relative.  One row steps on Python floats (backward_ratios, math.prod);
+    more rows step together (backward_ratios_lockstep, one cumprod along the
+    orders), by the same operations in the same order, so a value does not
+    depend on the batch it comes in.
     """
     n, top = ks.size, DEBYE_MIN_ORDER
     logs = _log_scaled_iv_debye(np.repeat([top, top + 1.0], n), np.concatenate([x, x]))
     seeds = _libm(math.exp, logs[n:] - logs[:n])
-    return _log_scaled_i0_hankel(x) + np.array([
-        math.log(math.prod(backward_ratios(xi, top, 0, seed)[:ki]))
-        for ki, xi, seed in zip(ks.tolist(), x.tolist(), seeds.tolist())
-    ])
+    if n == 1:  # one row: numpy's cost per step would outweigh the step
+        prods = np.array([math.prod(backward_ratios(float(x[0]), top, 0, float(seeds[0]))[: int(ks[0])])])
+    else:
+        ratios = backward_ratios_lockstep(x, np.full(n, top), 0, top, seeds)
+        np.cumprod(ratios, axis=0, out=ratios)  # ratios[m - 1, i] = r_1 ... r_m of row i
+        prods = np.where(ks > 0, ratios[np.maximum(ks - 1, 0), np.arange(n)], 1.0)
+    return _log_scaled_i0_hankel(x) + _libm(math.log, prods)
 
 
 def _log_scaled_i0_hankel(x: np.ndarray) -> np.ndarray:
@@ -297,7 +307,8 @@ def _end_distances(c, la, lb, t_max: float, side: float) -> np.ndarray:
     not yet done take a Newton step together."""
     v = la + lb
     huge = v > WINDOW_CAP**2  # inf, refused by the caller
-    guess = side * (la - lb - c) + np.sqrt(2.0 * t_max * v) + side * t_max * (la - lb) / (3.0 * v)
+    with np.errstate(over="ignore", invalid="ignore"):  # rows that are huge
+        guess = side * (la - lb - c) + np.sqrt(2.0 * t_max * v) + side * t_max * (la - lb) / (3.0 * v)
     t = np.where(huge, np.inf, np.maximum(np.ceil(guess), 1.0))
     rows = np.flatnonzero(~huge)
     rate, slope = _chernoff_rates(c[rows] + side * t[rows], la[rows], lb[rows])
@@ -335,6 +346,10 @@ def _chernoff_rate(k: float, la: float, lb: float) -> tuple[float, float]:
     return -exponent, -log_ratio
 
 
+_SERIES_BANDS = np.array([32, 64, 128])  # first-block sizes that share a group
+_SERIES_CELLS = 1 << 14  # terms of a group's first block summed at once
+
+
 def _log_scaled_iv_series(ks: np.ndarray, x: np.ndarray) -> np.ndarray:
     """log(exp(-x) * I_k(x)) by the ascending series, for each order ks[i] >= 0
     at its own argument x[i] > 0.
@@ -344,17 +359,41 @@ def _log_scaled_iv_series(ks: np.ndarray, x: np.ndarray) -> np.ndarray:
     term would; each order stops at its first term from m = 2 on below
     1e-18 of its sum.  So an order's value depends on its own (k, x) alone,
     not on the block size or on the other orders.  The lowest order needs
-    the most terms: about x + 10 for x <= 30 and at most about 150 beyond, so
-    the first block nearly always suffices.  Products m (k + m) are exact in
-    float64 here.
+    the most terms: about x + 10 for x <= 30 and at most about 150 beyond.
+    Rows are summed in groups of like x, each with a first block sized by
+    its own largest x, so it nearly always suffices and a small-x row does
+    not carry a large-x row's terms; a group's block holds at most
+    _SERIES_CELLS terms at once.  Products m (k + m) are exact in
+    float64 here.  Where 0.5 x underflows to 0 (x = 5e-324), log(0.5 x) is
+    taken as log(x) - log(2).
     """
+    sums = np.empty(ks.shape)
     kf = ks.astype(np.float64)
+    block = 16 + np.minimum(x, 144.0).astype(np.int64)
+    band = np.searchsorted(_SERIES_BANDS, block)
+    for b in np.unique(band).tolist():
+        rows = np.flatnonzero(band == b)
+        terms = int(block[rows].max())
+        for part in np.array_split(rows, -(-rows.size * terms // _SERIES_CELLS)):
+            sums[part] = _series_sums(kf[part], x[part], terms)
+    half = 0.5 * x
+    log_half = _libm(math.log, np.where(half > 0.0, half, 1.0))
+    tiny = half == 0.0
+    if tiny.any():
+        log_half[tiny] = _libm(math.log, x[tiny]) - math.log(2.0)
+    log_t0 = ks * log_half - _libm(math.lgamma, ks + 1) - x
+    return log_t0 + _libm(math.log, sums)
+
+
+def _series_sums(kf: np.ndarray, x: np.ndarray, rows: int) -> np.ndarray:
+    """sum_m (x^2 / 4)^m k! / (m! (k + m)!) of each row, _log_scaled_iv_series'
+    partial sums from a first block of rows terms."""
     q = 0.25 * x * x
     term = q / (kf + 1.0)  # m = 1
     s = 1.0 + term
-    sums = np.empty(ks.shape)
-    live = np.arange(ks.size)
-    m0, rows = 2.0, min(16 + int(x.max()), 160)
+    sums = np.empty(kf.shape)
+    live = np.arange(kf.size)
+    m0 = 2.0
     while live.size:
         m = np.arange(m0, m0 + rows)[:, None]
         terms = q[live] / (m * (kf[live] + m))
@@ -370,8 +409,7 @@ def _log_scaled_iv_series(ks: np.ndarray, x: np.ndarray) -> np.ndarray:
         sums[live[hit]] = part[first[hit], cols[hit]]
         live, term, s = live[~hit], terms[-1, ~hit], part[-1, ~hit]
         m0, rows = m0 + rows, 2 * rows
-    log_t0 = ks * _libm(math.log, 0.5 * x) - _libm(math.lgamma, ks + 1) - x
-    return log_t0 + _libm(math.log, sums)
+    return sums
 
 
 def log_scaled_iv_pairs(orders, xs) -> np.ndarray:

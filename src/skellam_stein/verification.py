@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .dists import TVInterval
 
 
@@ -26,12 +28,17 @@ class VerificationReport:
 
 def make_report(tv: TVInterval, bound: float, extra: dict | None = None) -> VerificationReport:
     bound = float(bound)
-    satisfied = math.isinf(bound) or tv.upper <= bound
-    if bound > 0.0:
-        ratio = tv.value / bound
-    else:
-        ratio = 0.0 if tv.value == 0.0 else math.inf
-    return VerificationReport(tv, bound, bool(satisfied), float(ratio), extra or {})
+    satisfied, ratio = report_columns(*(np.array([v]) for v in (tv.value, tv.slack, bound)))
+    return VerificationReport(tv, bound, bool(satisfied[0]), float(ratio[0]), extra or {})
+
+
+def report_columns(tv, slack, bound) -> tuple[np.ndarray, np.ndarray]:
+    """(satisfied, ratio) of VerificationReport for each entry of arrays of
+    TV values, slacks and bounds."""
+    satisfied = np.isinf(bound) | (tv + slack <= bound)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(bound > 0.0, tv / bound, np.where(tv == 0.0, 0.0, math.inf))
+    return satisfied, ratio
 
 
 def empirical_tv_threshold(trials: int, support_size: int, failure_prob: float = 1e-3) -> float:

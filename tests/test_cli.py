@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from unittest import mock
 
 import hypothesis.extra.numpy as hnp
@@ -694,3 +695,65 @@ def test_fuzz_stein_factors(l1, l2, extended, order, quad_tol, grid):
         assert 0.0 <= row["factor"] <= row["upper"] and row["quad_error"] >= 0.0, (args, row)
         assert row["dominated"] is (row["factor"] <= row["bound"] + row["quad_error"]), (args, row)
         assert not row["dominated_all_states"] or row["upper"] <= row["bound"], (args, row)
+
+
+@pytest.mark.parametrize("args", [
+    ["stein", "factors", "--l1", "1", "--l2", "-1e-300", "--order", "1"],
+    ["dist", "pmf", "--l1", "1", "--l2", "-1e-300", "--k", "0"],
+    ["dist", "pmf", "--l1", "-2.5E+3", "--l2", "1", "--k", "0"],
+])
+def test_negative_rates_with_exponents_reach_the_library_check(capsys, args):
+    """A rate such as -1e-300 is read as a number, not as an option name."""
+    code, out, err = run_cli(capsys, *args)
+    name = "lambda2" if args[5].startswith("-") else "lambda1"
+    assert (code, out, err) == (2, "", f"error: {name} must be non-negative\n")
+
+
+def test_stein_bounds_at_a_subnormal_rate(capsys):
+    # 0.5 x underflows to 0 in the Bessel series at x = 5e-324.
+    code, out, err = run_cli(capsys, "stein", "bounds", "--l1", "5e-324", "--l2", "0",
+                             "--extended", "--format", "json")
+    assert (code, err) == (0, "")
+    res = json.loads(out)["results"]
+    assert res["first_diff_integral"] == 1.0 and res["first_diff"] == 1.0
+
+
+_HAAR_BINS = st.one_of(st.sampled_from([0.0, 5e-324, 1e308]), st.floats(0.0, 50.0))
+
+
+@given(
+    bins=st.lists(_HAAR_BINS, min_size=1, max_size=64),
+    window=st.one_of(st.none(), st.tuples(st.integers(0, 7), st.integers(-1, 40))),
+    p=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    tail_tol=st.sampled_from([None, 1e-300, 0.5]),
+)
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_fuzz_verify_haar(tmp_path_factory, bins, window, p, tail_tol):
+    """Any signal, window, p and tolerance: a verdict or one error line, and
+    every reported TV interval inside [0, 1] with a non-negative slack."""
+    path = tmp_path_factory.mktemp("haar") / "signal.txt"
+    path.write_text("".join(f"{v!r}\n" for v in bins))
+    args = ["verify", "haar", "--signal", str(path), f"--p={p!r}", "--format", "json"]
+    args += ["--sweep"] if window is None else [f"--scale={window[0]}", f"--loc={window[1]}"]
+    args += [f"--tail-tol={tail_tol!r}"] if tail_tol is not None else []
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdout", out), mock.patch.object(sys, "stderr", err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would print beside the record: exit 3 here
+        code = main(args)
+    assert code in (0, 1, 2), (args, err.getvalue())
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert out.getvalue() == "" and len(lines) == 1 and lines[0].startswith("error: "), args
+        return
+    doc = json.loads(out.getvalue())
+    if window is None:
+        rows = doc["rows"]
+        assert doc["results"]["all_satisfied"] is (code == 0)
+        n = len(bins)
+        assert doc["results"]["windows"] == len(rows) == sum(n >> s for s in range(1, n.bit_length()))
+    else:
+        rows = [doc["results"]]
+        assert doc["results"]["satisfied"] is (code == 0)
+    for row in rows:
+        assert 0.0 <= row["tv"] <= 1.0 and row["tv_slack"] >= 0.0, (args, row)

@@ -241,6 +241,15 @@ def test_non_finite_window_rates_are_refused():
     f = np.full(4, 1e308)
     with pytest.raises(ValueError, match=r"window \(scale 1, location 0\): total rate"):
         sweep_windows(f, 0.1)
+    # Every window's rates are checked before any law is built: scale 1's
+    # windows past the size cap do not hide scale 2's non-finite rate, true
+    # or observed.
+    late = np.array([1.0, 1e308, 1e308, 1.0, 2.0, 3.0, 4.0, 5.0])
+    with pytest.raises(ValueError, match=r"window \(scale 2, location 0\): total rate 1e\+308 \+ 1e\+308"):
+        sweep_windows(late, 0.1)
+    observed = np.array([0.0, 1e308, 0.0, 0.0, 1e308, 0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match=r"window \(scale 2, location 0\): total rate 1e\+308 \+ 1e\+308"):
+        sweep_windows(observed, 1.0)
     model = HaarSpilloverModel(f, *haar_windows(4, 2, 0), 0.1)
     with pytest.raises(ValueError, match=r"window \(pos bins 0-1, neg bins 2-3\): total rate"):
         verify(model)
@@ -279,3 +288,27 @@ def test_sweep_tv_within_slack_of_scipy():
         t, o = true_coeff_params(model), observed_coeff_params(model)
         ref = _scipy_tv((o.lambda1, o.lambda2), (t.lambda1, t.lambda2))
         assert abs(r["tv"] - ref) <= r["tv_slack"] + 1e-12, (r, ref)
+
+
+@pytest.mark.parametrize("f", [
+    np.random.default_rng(512).gamma(2.0, 2.5, 512),
+    np.where(np.random.default_rng(3).random(128) < 0.4, 0.0,
+             np.random.default_rng(4).gamma(1.5, 3.0, 128)),
+])
+def test_sweep_tv_bit_identical_to_tv_distance_of_to_dist(f):
+    """Each row's TV interval is dists.tv_distance of the two laws' to_dist
+    windows, bit for bit; coinciding laws give an exact zero.  Coarse scales
+    of 512 bins hold fewer windows than a lockstep chunk, and zero bins give
+    Poisson windows and point masses."""
+    p, tail_tol = 0.2, 1e-10
+    rows = sweep_windows(f, p, tail_tol)
+    assert len(rows) == f.size - 1
+    for r in rows:
+        model = HaarSpilloverModel(f, *haar_windows(f.size, r["scale"], r["location"]), p)
+        obs, true = observed_coeff_params(model), true_coeff_params(model)
+        if (obs.lambda1, obs.lambda2) == (true.lambda1, true.lambda2):
+            want = (0.0, 0.0)
+        else:
+            tv = tv_distance(to_dist(obs, tail_tol), to_dist(true, tail_tol))
+            want = (tv.value, tv.slack)
+        assert (r["tv"], r["tv_slack"]) == want, (r, want)

@@ -187,6 +187,37 @@ def test_orders_below_64_match_mpmath():
             assert abs(math.expm1(got - float(ref))) <= 1e-14, (k, x, got, float(ref))
 
 
+def test_log_scaled_iv_pairs_in_one_batch_match_single_values():
+    # Seeded rows step together and series rows are summed in groups of like
+    # x; each value keeps the bits it has alone.
+    rng = np.random.default_rng(64)
+    ks = rng.integers(0, 64, 300)
+    xs = np.exp(rng.uniform(math.log(1e-3), math.log(1e9), 300))
+    got = log_scaled_iv_pairs(ks, xs)
+    want = [log_scaled_iv(int(k), float(x)) for k, x in zip(ks, xs)]
+    assert got.tolist() == want
+    seeded = (xs > 30.0) & (0.25 * xs * xs / (ks + 1.0) > 64.0)
+    assert 50 < seeded.sum() < 250
+
+
+def test_lockstep_ratios_from_per_row_seeds_match_floats():
+    x = np.array([35.0, 1e3, 2e5, 31.5])
+    seed = np.array([0.9, 0.99, 0.3, 0.0])
+    got = special.backward_ratios_lockstep(x, np.array([64, 64, 70, 40]), 0, 64, seed)
+    for i, top in enumerate((64, 64, 70, 40)):
+        want = special.backward_ratios(float(x[i]), top, 0, float(seed[i]))[:64]
+        assert got[:, i].tolist() == want + [0.0] * (64 - len(want))  # 0 above the row's top
+
+
+def test_log_scaled_iv_at_subnormal_argument():
+    # 0.5 x underflows to 0 at x = 5e-324: log(0.5 x) is log(x) - log(2) there.
+    assert log_scaled_iv(0, 5e-324) == -5e-324
+    assert log_scaled_iv(3, 5e-324) == 3 * (math.log(5e-324) - math.log(2.0)) - math.lgamma(4.0) - 5e-324
+    # where 0.5 x does not underflow, the series keeps its bits
+    assert log_scaled_iv(3, 1e-323) == _log_scaled_iv_series(3, 1e-323)
+    assert bessel_i(0, 5e-324) == 1.0
+
+
 def test_log_scaled_iv_orders_at_zero_argument():
     got = np.array([log_scaled_iv(k, 0.0) for k in (0, 1, 5, -3)])
     assert got[0] == 0.0
