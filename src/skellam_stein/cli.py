@@ -5,10 +5,11 @@ same table printed as csv and as json carries identical digit strings.
 The json record is byte for byte what ``json.dump(record, out, indent=2)``
 writes, but ``jsonwriter`` streams it: lists and 1-D arrays go out in blocks
 of a few hundred items, never as one whole-record string or one write per
-token, and row tables column by column.  csv and human records format rows
-the same way, a block at a time under the first row's keys: a column, or a
-block of an array or list value, of floats or of exact ints takes one repr
-map.
+token.  Every table a command returns is a ``jsonwriter.Rows`` of 1-D
+arrays, which every format reads column by column, a block of rows at a
+time, each column formatted by its dtype (one repr map for floats and
+ints); a 1-D array value prints the same way.  A list of dicts, such as
+csv's one-row table of results, is formatted value by value.
 Every record echoes the tool version, command, resolved parameters, seed,
 and tolerances; deterministic commands reproduce bit-for-bit from a record.
 """
@@ -23,9 +24,8 @@ import logging
 import math
 import re
 import sys
-from collections.abc import Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 
@@ -65,6 +65,13 @@ class RunConfig:
 # Rendering.
 
 def _fmt(value) -> str:
+    if isinstance(value, np.ndarray) and value.ndim == 1:
+        # A block at a time, as jsonwriter streams arrays: the texts of a
+        # whole 10^5-float array at once left csv and human slower than json.
+        step = jsonwriter._BLOCK
+        return " ".join([
+            " ".join(_texts(value[i : i + step])) for i in range(0, value.size, step)
+        ])
     if isinstance(value, (np.generic, np.ndarray)):
         value = value.tolist()
     if isinstance(value, bool):
@@ -72,35 +79,35 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, (list, tuple)):
-        # A block at a time, as jsonwriter streams lists: the texts of a
-        # whole 10^5-float list at once left csv and human slower than json.
-        step = jsonwriter._BLOCK
-        return " ".join([
-            " ".join(_fmt_column(value[i : i + step])) for i in range(0, len(value), step)
-        ])
+        return " ".join(map(_fmt, value))
     return str(value)
 
 
-def _fmt_column(values) -> list[str]:
-    """_fmt of each value: one float.__repr__ map when every value is a
-    float, one int.__repr__ map when every value is exactly an int (not a
-    bool)."""
-    try:
+def _texts(column: np.ndarray) -> list[str]:
+    """_fmt of each value of a 1-D array, by its dtype: one float.__repr__
+    or int.__repr__ map for floats and ints."""
+    kind = column.dtype.kind
+    values = column.tolist()
+    if kind == "f":
         return list(map(float.__repr__, values))
-    except TypeError:  # not all floats
-        pass
-    if set(map(type, values)) == {int}:
+    if kind in "iu":
         return list(map(int.__repr__, values))
     return list(map(_fmt, values))
 
 
-def _cells(rows: list) -> Iterator[list[tuple[str, ...]]]:
-    """The cells of rows under the first row's keys, a block of rows at a
-    time, each column through _fmt_column."""
+def _table(rows) -> tuple[list, Iterable[list[tuple[str, ...]]]]:
+    """The header and the cells of a non-empty table: a Rows' columns a
+    block of rows at a time, each through _texts; a list of dicts value by
+    value under the first row's keys."""
+    if isinstance(rows, jsonwriter.Rows):
+        columns = list(rows.columns.values())
+        step = jsonwriter._BLOCK
+        blocks = (
+            list(zip(*[_texts(c[i : i + step]) for c in columns])) for i in range(0, len(rows), step)
+        )
+        return list(rows.columns), blocks
     keys = list(rows[0])
-    for i in range(0, len(rows), jsonwriter._BLOCK):
-        block = rows[i : i + jsonwriter._BLOCK]
-        yield list(zip(*[_fmt_column(list(map(itemgetter(k), block))) for k in keys]))
+    return keys, [[tuple(_fmt(row[k]) for k in keys) for row in rows]]
 
 
 def _flat_meta(config: RunConfig) -> list[tuple[str, object]]:
@@ -131,9 +138,10 @@ def render(config: RunConfig, results: dict, rows, out) -> None:
             out.write(f"# {key}={_fmt(value)}\n")
         table = rows if rows is not None else [results]
         if table:
+            keys, blocks = _table(table)
             writer = csv.writer(out, lineterminator="\n")
-            writer.writerow(table[0].keys())
-            for block in _cells(table):
+            writer.writerow(keys)
+            for block in blocks:
                 writer.writerows(block)
     else:
         for key, value in _flat_meta(config):
@@ -141,8 +149,9 @@ def render(config: RunConfig, results: dict, rows, out) -> None:
         for key, value in results.items():
             out.write(f"{key} = {_fmt(value)}\n")
         if rows:
-            out.write("\t".join(rows[0].keys()) + "\n")
-            for block in _cells(rows):
+            keys, blocks = _table(rows)
+            out.write("\t".join(keys) + "\n")
+            for block in blocks:
                 out.write("\n".join(map("\t".join, block)) + "\n")
 
 
@@ -202,10 +211,9 @@ def _cmd_dist_table(args):
         "mean": mean,
         "variance": variance,
     }
-    rows = [
-        {"k": k, "pmf": p}
-        for k, p in enumerate(dist.probabilities.tolist(), dist.min_support)
-    ]
+    rows = jsonwriter.Rows(
+        k=np.arange(dist.min_support, dist.max_support + 1), pmf=dist.probabilities
+    )
     return config, results, rows, EXIT_OK
 
 
@@ -222,7 +230,7 @@ def _cmd_dist_sample(args):
         {},
         args.format,
     )
-    rows = jsonwriter.Rows(index=np.arange(args.n), draw=draws) if args.n else []
+    rows = jsonwriter.Rows(index=np.arange(args.n), draw=draws)
     return config, {"count": args.n}, rows, EXIT_OK
 
 
@@ -289,28 +297,29 @@ def _cmd_stein_factors(args):
     else:
         coord_list = list(_COORDS_BY_ORDER[args.order])
     closed_form = bound_first_diff(params) if args.order == 1 else bound_second_diff(params)
-    rows = []
-    code = EXIT_OK
-    for coords in coord_list:
-        res = exact_stein_factor(params, args.order, coords, args.grid, args.quad_tol)
-        dominated = res.value <= closed_form + res.quad_error
-        if not dominated:
-            code = EXIT_VIOLATION
-        rows.append(
-            {
-                "order": args.order,
-                "coords": ",".join(str(c) for c in coords),
-                "factor": res.value,
-                "bound": closed_form,
-                "quad_error": res.quad_error,
-                "upper": res.upper,
-                "dominated": dominated,
-                "dominated_all_states": res.upper <= closed_form,
-                "argmax_x": res.argmax_state[0],
-                "argmax_y": res.argmax_state[1],
-                "grid_max": res.grid_max,
-            }
-        )
+    found = [
+        exact_stein_factor(params, args.order, coords, args.grid, args.quad_tol)
+        for coords in coord_list
+    ]
+    factor = np.array([res.value for res in found])
+    quad_error = np.array([res.quad_error for res in found])
+    upper = np.array([res.upper for res in found])
+    argmax = np.array([res.argmax_state for res in found])
+    dominated = factor <= closed_form + quad_error
+    rows = jsonwriter.Rows(
+        order=np.full(len(found), args.order),
+        coords=np.array([",".join(str(c) for c in coords) for coords in coord_list]),
+        factor=factor,
+        bound=np.full(len(found), closed_form),
+        quad_error=quad_error,
+        upper=upper,
+        dominated=dominated,
+        dominated_all_states=upper <= closed_form,
+        argmax_x=argmax[:, 0],
+        argmax_y=argmax[:, 1],
+        grid_max=np.array([res.grid_max for res in found]),
+    )
+    code = EXIT_OK if dominated.all() else EXIT_VIOLATION
     config = RunConfig(
         "stein factors",
         {
@@ -318,7 +327,7 @@ def _cmd_stein_factors(args):
             "l2": params.lambda2,
             "extended": params.extended,
             "order": args.order,
-            "grid": rows[0]["grid_max"],
+            "grid": found[0].grid_max,
         },
         args.seed,
         {"quad_tol": args.quad_tol},

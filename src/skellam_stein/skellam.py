@@ -12,11 +12,11 @@ p(k +- 1) / p(k) = (l1/l2)^(+-1/2) I_|k+-1|(x) / I_|k|(x), x = 2 sqrt(l1 l2),
 with the Bessel ratios from Miller's backward recurrence
 (special.backward_ratios).  `windows` builds the windows of many rate pairs
 at once, packed in one array and stepped in lockstep numpy chunks; a pair's
-window depends on that pair alone, and `to_dist` steps one pair on Python
-floats to the same bits.  Zero rates are admitted only
-through the explicit `extended` flag: they arise as continuity limits (the
-law degenerates to a single Poisson or a point mass) and downstream models
-can produce them.
+window depends on that pair alone, and `to_dist` is a batch of one pair,
+stepped on Python floats as every chunk too small for the lockstep is.
+Zero rates are admitted only through the explicit `extended` flag: they
+arise as continuity limits (the law degenerates to a single Poisson or a
+point mass) and downstream models can produce them.
 """
 
 from __future__ import annotations
@@ -168,7 +168,7 @@ def to_dist(params: SkellamParams, tail_tol: float = 1e-12) -> IntegerDist:
         return special.poisson_dist(l1, tail_tol)
     if l1 == 0.0:
         return negate(special.poisson_dist(l2, tail_tol))
-    return IntegerDist(*_window(l1, l2, tail_tol))
+    return IntegerDist(*windows([l1], [l2], tail_tol)[0])
 
 
 def pmf_window(params: SkellamParams, lo: int, hi: int) -> np.ndarray:
@@ -361,15 +361,6 @@ def _lockstep(rows: _Rows, anchor: np.ndarray, out: np.ndarray, start: np.ndarra
     offset = np.arange(values.shape[1]) - (big - left)[:, None]  # index in the row's window
     inside = (offset >= 0) & (offset <= (rows.hi - rows.lo)[:, None])
     out[(start[:, None] + offset)[inside]] = values[inside]
-
-
-def _window(l1: float, l2: float, tail_tol: float) -> tuple[int, np.ndarray, float]:
-    """One row of windows(), on Python floats."""
-    center = round(l1 - l2)
-    lo, hi = special.window_ends(float(center), l1, l2, tail_tol)
-    check_window_size(hi - lo + 1.0, "pmf window")
-    p = _skellam_walk(l1, l2, center, int(lo), int(hi), math.exp(_log_pmf_at(l1, l2, center)))
-    return int(lo), np.array(p), max(0.0, 1.0 - math.fsum(p))
 
 
 def _bessel_ratios(x: float, a: int, b: int) -> tuple[int, list[float]]:

@@ -33,6 +33,9 @@ import numpy as np
 from .dists import WINDOW_CAP, IntegerDist, check_window_size
 
 MAX_EXP = 709.782712893384  # largest x with exp(x) finite in float64
+# Largest Bessel argument: below sqrt of the float max, so x * x stays
+# finite in Olver's s = sqrt(nu^2 + x^2) and in the series test.
+MAX_BESSEL_X = 1e154
 _SERIES_X_MAX = 30.0
 DEBYE_MIN_ORDER = 64  # orders from here on off the series take Olver's expansion
 _LGAMMA_1P = np.array([math.lgamma(k + 1.0) for k in range(DEBYE_MIN_ORDER)])  # log k!
@@ -413,7 +416,7 @@ def _series_sums(kf: np.ndarray, x: np.ndarray, rows: int) -> np.ndarray:
 
 
 def log_scaled_iv_pairs(orders, xs) -> np.ndarray:
-    """log(exp(-x) * I_k(x)) for each pair (orders[i], xs[i]); finite xs > 0.
+    """log(exp(-x) * I_k(x)) for each pair (orders[i], xs[i]); 0 < xs <= MAX_BESSEL_X.
 
     Pairs whose series converges in few terms (x <= 30 or 0.25 x^2 / (k + 1)
     <= 64) are summed together, those from order 64 on take Olver's expansion
@@ -422,8 +425,8 @@ def log_scaled_iv_pairs(orders, xs) -> np.ndarray:
     """
     k = np.abs(np.asarray(orders, dtype=np.int64))
     xs = np.asarray(xs, dtype=np.float64)
-    if not np.all((xs > 0.0) & (xs < np.inf)):
-        raise ValueError("arguments must be positive and finite")
+    if not np.all((xs > 0.0) & (xs <= MAX_BESSEL_X)):
+        raise ValueError(f"arguments must be positive and at most {MAX_BESSEL_X:g}")
     series = (xs <= _SERIES_X_MAX) | (0.25 * xs * xs / (k + 1.0) <= 64.0)
     debye = ~series & (k >= DEBYE_MIN_ORDER)
     out = np.empty(k.shape)
@@ -448,7 +451,8 @@ def log_scaled_iv(order: int, x: float) -> float:
 
 
 def bessel_i(order: int, x: float, scaled: bool = False) -> float:
-    """Modified Bessel I_order(x) for integer order |order| <= 10^6, x >= 0.
+    """Modified Bessel I_order(x) for integer order |order| <= 10^6,
+    0 <= x <= MAX_BESSEL_X.
 
     scaled=True returns exp(-x) * I_order(x), which never overflows.
     Unscaled values raise OverflowError once the result leaves float64
@@ -638,9 +642,13 @@ def kronrod_bound(lo: float, hi: float, log_m: np.ndarray) -> float:
     of degree 22 errs by at most 2 M rho^-22 / (rho - 1) on [lo, hi], also
     in the L1 norm of a vector integrand, and the rule integrates it exactly
     with positive weights summing to 2h (Trefethen, Approximation Theory and
-    Approximation Practice, Thms 8.2 and 19.3).
+    Approximation Practice, Thms 8.2 and 19.3).  A bound past the float range
+    is inf.
     """
-    return math.exp(float(np.min(math.log(0.5 * (hi - lo)) + log_m + _LOG_RHO_FACTOR)))
+    try:
+        return math.exp(float(np.min(math.log(0.5 * (hi - lo)) + log_m + _LOG_RHO_FACTOR)))
+    except OverflowError:
+        return math.inf
 
 
 def adaptive_gauss_kronrod(fn: Callable, a: float, b: float, abs_tol: float, bound: Callable):
@@ -648,11 +656,12 @@ def adaptive_gauss_kronrod(fn: Callable, a: float, b: float, abs_tol: float, bou
 
     bound(lo, hi) is a proven error of the 15-point rule on [lo, hi].  The
     interval with the largest bound is bisected until the bounds sum to at
-    most abs_tol; past _MAX_RULES intervals or depth _MAX_DEPTH,
-    QuadratureError is raised and fn is never called.  Then fn(points, wk)
-    (kronrod_rule's) is called once per interval, left to right, and returns
-    sum_i wk[i] f(points[i]), a float or an ndarray of one shape; the values
-    are summed into the first in place.  Returns (sum, summed bounds).
+    most abs_tol; past _MAX_RULES intervals or depth _MAX_DEPTH, or at an
+    infinite bound, QuadratureError is raised and fn is never called.  Then
+    fn(points, wk) (kronrod_rule's) is called once per interval, left to
+    right, and returns sum_i wk[i] f(points[i]), a float or an ndarray of
+    one shape; the values are summed into the first in place.  Returns
+    (sum, summed bounds).
     """
     if not b > a:
         raise ValueError("need b > a")
@@ -661,7 +670,7 @@ def adaptive_gauss_kronrod(fn: Callable, a: float, b: float, abs_tol: float, bou
     heap = [(-bound(a, b), a, b, 0)]
     while not (err := math.fsum(-e for e, _, _, _ in heap)) <= abs_tol:  # nan too
         e, lo, hi, depth = heapq.heappop(heap)
-        if depth >= _MAX_DEPTH or len(heap) >= _MAX_RULES:
+        if depth >= _MAX_DEPTH or len(heap) >= _MAX_RULES or e == -math.inf:
             raise QuadratureError(
                 f"tolerance {abs_tol} unmet on [{a}, {b}] by {len(heap) + 1} rules: "
                 f"the rule on [{lo}, {hi}] at depth {depth} bounds {-e:.3g}"

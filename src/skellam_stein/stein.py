@@ -44,6 +44,7 @@ from . import kernels
 from .dists import IntegerDist, ResourceLimitError, convolve, negate
 from .skellam import SkellamParams, pmf_window, to_dist
 from .special import (
+    MAX_BESSEL_X,
     QuadratureError,
     adaptive_gauss_kronrod,
     bernstein_box,
@@ -362,7 +363,7 @@ def _sweep_window(
     top_a, top_b = _full_rate_tops(params, pois_tol)
     size = top_a + top_b + 4.0 + nx + ny - 1.0
     if single_state is None:
-        _check_cells(nx * ny * size, f"sweep tensor of {nx}x{ny} states by {size:.0f} points")
+        _check_cells(float(nx) * ny * size, f"sweep tensor of {nx}x{ny} states by {size:.0f} points")
     else:
         _check_cells((nx + ny - 1) * size, f"single-state sweep at {single_state} by {size:.0f} points")
     return top_b, size
@@ -574,8 +575,20 @@ def default_state_grid(params: SkellamParams) -> int:
     the certificate proves no smaller grid, this one, lam + 6 sqrt(lam) on
     a side (at least 10), is swept as the coupling damps state dependence
     exponentially."""
-    lam = params.total
+    lam = _total_rate(params)
     return max(10, int(math.ceil(lam + 6.0 * math.sqrt(lam))))
+
+
+def _total_rate(params: SkellamParams) -> float:
+    """l1 + l2, refused (ValueError) above MAX_BESSEL_X: the integral bound
+    takes Bessel values at arguments up to it, and a sweep at such a rate is
+    far past SWEEP_TENSOR_CAP."""
+    lam = params.total
+    if not lam <= MAX_BESSEL_X:
+        raise ValueError(
+            f"total rate l1 + l2 = {lam:g} is above the largest supported, {MAX_BESSEL_X:g}"
+        )
+    return lam
 
 
 # The certificate's mesh of [0, 1]: t uniform, u = 1 - (1 - t)^2, so the
@@ -841,7 +854,7 @@ def bound_first_diff_integral(
     On [0, 1] the integrand is e^{-z} I_0(z), or 1, both entire in u; as
     |I_0(z)| <= e^{|Re z|}, its modulus is at most exp(2 L max(0, Re u - 1)).
     """
-    lam = params.total
+    lam = _total_rate(params)
     clamp = max if printed_max_form else min
 
     def rule(points, wk):

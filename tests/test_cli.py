@@ -360,7 +360,9 @@ def test_stein_factors_independent_of_thread_count(rates, order):
 def _native_recursive(value):
     """The recursive conversion `cli._native` used before arrays went
     straight through `tolist`, kept as the oracle; a 0-d array converts to
-    its scalar."""
+    its scalar, and a Rows table to its row dicts."""
+    if isinstance(value, jsonwriter.Rows):
+        return _native_recursive(value[:])
     if isinstance(value, np.generic):
         return value.item()
     if isinstance(value, np.ndarray):
@@ -486,57 +488,44 @@ def _rows_for(keys):
 
 
 _SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324]
+_STRINGS = ["a", '"q"', "a\nb", "%s", "\u00e9", "null", "\\"]
 
 
-def _column(kind: str, rng: np.random.Generator, n: int, share: float) -> list:
-    """n values of one kind; share of them special (NaN, +-inf, -0.0 or a
-    big int) where the kind has such values."""
+def _column(kind: str, rng: np.random.Generator, n: int, share: float) -> np.ndarray:
+    """n values of one dtype; share of them special (NaN, +-inf, -0.0, the
+    least subnormal, or an int64 end) where the dtype has such values."""
     special = rng.random(n) < share
-    if kind in ("float", "np.float64"):
+    if kind == "float64":
         col = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
-        col = np.where(special, rng.choice(_SPECIAL_FLOATS, n), col)
-        return col.tolist() if kind == "float" else list(col)
-    if kind == "int":
-        return [2**70 if s else v for v, s in zip(rng.integers(-10**9, 10**9, n).tolist(), special)]
-    if kind == "bool and int":
-        flip = (rng.random(n) < 0.5).tolist()
-        return [bool(v % 2) if f else v for v, f in zip(rng.integers(0, 4, n).tolist(), flip)]
-    if kind == "np.int64":
-        return list(rng.integers(-(2**63), 2**63 - 1, n, endpoint=True))
-    if kind == "np.bool_":
-        return list(rng.random(n) < 0.5)
-    return rng.choice(["a", '"q"', "a\nb", "%s", "\u00e9", "null"], n).tolist()
+        return np.where(special, rng.choice(_SPECIAL_FLOATS, n), col)
+    if kind == "int64":
+        ends = np.array([-(2**63), -(2**63) + 1, 2**63 - 2, 2**63 - 1])
+        return np.where(special, rng.choice(ends, n), rng.integers(-10**9, 10**9, n))
+    if kind == "bool":
+        return rng.random(n) < 0.5
+    return rng.choice(_STRINGS, n)
 
 
-_COLUMN_KINDS = ["float", "np.float64", "int", "bool and int", "np.int64", "np.bool_", "str"]
+_COLUMN_KINDS = ["float64", "int64", "bool", "str"]
 
 
 @st.composite
-def _long_tables(draw, odd: bool):
-    """A table of rows with one key order over two blocks of the writer and
-    more, each column of one kind; with odd, a few rows are replaced by one
-    with other keys, a nested value or the same keys in another order."""
+def _long_tables(draw):
+    """A Rows table over two blocks of the writer and more, each column of
+    one dtype."""
     keys = draw(st.lists(_KEYS, min_size=1, max_size=3, unique=True))
     kinds = draw(st.lists(st.sampled_from(_COLUMN_KINDS), min_size=len(keys), max_size=len(keys)))
     n = draw(st.integers(jsonwriter._BLOCK + 1, 2 * jsonwriter._BLOCK + 3))
     share = draw(st.sampled_from([0.0, 0.02]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    rows = [dict(zip(keys, values)) for values in zip(*[_column(k, rng, n, share) for k in kinds])]
-    for i in draw(st.lists(st.integers(0, n - 1), max_size=3)) if odd else ():
-        values = list(rows[i].values())
-        rows[i] = draw(st.sampled_from([
-            dict(zip(keys + ["odd key"], values + [1.5])) if "odd key" not in keys else {"k": 1},
-            dict(zip(keys, [[0.5, values[0]]] + values[1:])),
-            dict(zip(keys[::-1], values[::-1])),
-        ]))
-    return rows
+    return jsonwriter.Rows(**{key: _column(kind, rng, n, share) for key, kind in zip(keys, kinds)})
 
 
 _ROWS = st.one_of(
     st.none(),
     st.lists(_KEYS, min_size=1, max_size=4, unique=True).flatmap(_rows_for),
     st.lists(_VALUES, max_size=4),
-    _long_tables(odd=True),
+    _long_tables(),
 )
 
 
@@ -557,16 +546,81 @@ def test_render_json_byte_identical_to_json_dump(params, results, rows, command,
 
 
 @settings(max_examples=40, deadline=None)
-@given(rows=_long_tables(odd=False), fmt=st.sampled_from(["csv", "human"]),
+@given(rows=_long_tables(), fmt=st.sampled_from(["csv", "human"]),
        block=st.sampled_from([1, 3, jsonwriter._BLOCK]))
 def test_render_text_tables_byte_identical_to_per_value_formatting(rows, fmt, block):
-    # The first column also goes in as a list value, which prints on one line.
-    column = [next(iter(row.values())) for row in rows]
+    # The first column also goes in as an array value, which prints on one line.
+    column = next(iter(rows.columns.values()))
     config = cli.RunConfig("render check", {"n": len(rows), "column": column}, 7, {}, fmt)
     out = io.StringIO()
     with mock.patch.object(jsonwriter, "_BLOCK", block):
         cli.render(config, {"rows": len(rows)}, rows, out)
     assert out.getvalue() == _text_oracle(config, {"rows": len(rows)}, rows)
+
+
+_EDGE_ROWS = jsonwriter.Rows(
+    x=np.array([0.1, math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e16, -2.5]),
+    k=np.array([-(2**63), -(2**63) + 1, -1, 0, 1, 2**53 + 1, 2**63 - 2, 2**63 - 1]),
+    ok=np.array([True, False, True, True, False, False, True, False]),
+    name=np.array(["a", '"q"', "a\nb", "", "\\", "\u00e9", "t\tb", "null"]),
+)
+
+
+@pytest.mark.parametrize("block", [1, 3, 256])
+@pytest.mark.parametrize("fmt", ["json", "csv", "human"])
+def test_render_rows_formats_each_column_by_dtype(fmt, block):
+    """Each column of a Rows table is formatted by its dtype: float64 with
+    NaN, +-inf, -0.0 and the least subnormal, int64 at both ends, bool, and
+    str with quotes and newlines; the record is that of its row dicts."""
+    config = cli.RunConfig("render check", {"k": _EDGE_ROWS.columns["k"]}, 7, {}, fmt)
+    out = io.StringIO()
+    with mock.patch.object(jsonwriter, "_BLOCK", block):
+        cli.render(config, {"n": len(_EDGE_ROWS)}, _EDGE_ROWS, out)
+    oracle = _json_oracle if fmt == "json" else _text_oracle
+    assert out.getvalue() == oracle(config, {"n": len(_EDGE_ROWS)}, _EDGE_ROWS)
+
+
+def test_every_cli_table_reaches_render_as_rows(capsys, tmp_path):
+    signal = tmp_path / "signal.txt"
+    signal.write_text("3\n5\n2\n8\n")
+    commands = [
+        ["dist", "table", "--l1", "3.7", "--l2", "8.3"],
+        ["dist", "sample", "--l1", "3", "--l2", "2", "--n", "5"],
+        ["dist", "sample", "--l1", "3", "--l2", "2", "--n", "0"],
+        ["stein", "factors", "--l1", "2", "--l2", "1", "--order", "1"],
+        ["verify", "haar", "--signal", str(signal), "--p", "0.1", "--sweep"],
+    ]
+    for argv in commands:
+        with mock.patch.object(cli, "render", wraps=cli.render) as render:
+            code, out, err = run_cli(capsys, *argv, "--format", "json")
+        rows = render.call_args.args[2]
+        assert (code, err) == (0, "") and isinstance(rows, jsonwriter.Rows), argv
+        assert len(json.loads(out)["rows"]) == len(rows)
+
+
+_TOTAL_RATE = "error: total rate l1 + l2 = "
+_INFINITE_RULE = "error: tolerance "
+
+
+@pytest.mark.parametrize("args, message", [
+    (["stein", "bounds", "--l1", "1e308", "--l2", "1e308"], _TOTAL_RATE),
+    (["stein", "bounds", "--l1", "1e308", "--l2", "0", "--extended"], _TOTAL_RATE),
+    (["stein", "bounds", "--l1", "1e300", "--l2", "1e300"], _TOTAL_RATE),
+    (["stein", "factors", "--l1", "1e300", "--l2", "1e300", "--order", "1"], _TOTAL_RATE),
+    (["stein", "bounds", "--l1", "1e20", "--l2", "1e20"], _INFINITE_RULE),
+    (["stein", "factors", "--l1", "1e6", "--l2", "1e6", "--order", "2", "--grid", "0",
+      "--quad-tol", "1.0"], _INFINITE_RULE),
+])
+def test_huge_rates_exit_2_with_one_typed_line(capsys, args, message):
+    """A total rate above MAX_BESSEL_X is refused by name before any numpy
+    operation could warn; a rule bound past the float range is inf, and the
+    quadrature is refused before any node is evaluated."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *args)
+    assert (code, out) == (2, "")
+    assert err.startswith(message) and err.count("\n") == 1, err
+    assert message == _TOTAL_RATE or err.endswith(" bounds inf\n"), err
 
 
 def test_dist_table_record_byte_identical_to_json_dump(capsys):

@@ -227,9 +227,11 @@ def test_batch_rows_match_single_windows():
         # through chunks too small for them, stepped on Python floats.
         for size in (1, 5, skellam._LOCKSTEP_ROWS - 1, skellam._LOCKSTEP_ROWS, len(rates)):
             for (a, b), (lo, p, tail) in zip(rates[:size], windows(l1[:size], l2[:size], tail_tol)):
-                d = to_dist(SkellamParams(a, b), tail_tol)
-                assert (lo, tail) == (d.min_support, d.tail_mass), (a, b)
-                assert p.tobytes() == d.probabilities.tobytes(), (a, b)
+                # The oracle: one float walk on window_ends' ends, solved on floats.
+                ends = special.window_ends(float(round(a - b)), a, b, tail_tol)
+                want = skellam.pmf_window(SkellamParams(a, b), int(ends[0]), int(ends[1]))
+                assert (lo, tail) == (int(ends[0]), max(0.0, 1.0 - math.fsum(want.tolist()))), (a, b)
+                assert p.tobytes() == want.tobytes(), (a, b)
     assert len(windows([], [], 1e-12)) == 0
     with pytest.raises(ValueError):
         windows([1.0, 0.0], [1.0, 1.0])
