@@ -26,18 +26,6 @@ def convolve(a, b):
     return np.convolve(a, b)
 
 
-def stack_bases(bases, offsets, nx, size):
-    """Zero-padded (m, nx, size + 2) frame of m node bases.
-
-    Node i's base starts at window index offsets[i], i.e. frame column
-    offsets[i] + 1 of row 0; every other entry is zero.
-    """
-    frame = np.zeros((len(bases), nx, size + 2))
-    for i, (base, off) in enumerate(zip(bases, offsets)):
-        frame[i, 0, off + 1 : off + 1 + base.shape[0]] = base
-    return frame
-
-
 def survive(rows, u, q, out):
     """out = rows (*) Bernoulli(u), row by row, with q = 1 - u: the x step of
     sweep_accumulate.  rows and out are (m, width) with u and q (m, 1)
@@ -54,7 +42,7 @@ def sweep_accumulate(acc, frame, u, coef):
 
     acc   : (ny, nx, K) accumulator; entry [y, x, j] holds the value at
             window index j for the state (x, y).
-    frame : (m, nx, K + 2) node bases from stack_bases; overwritten.
+    frame : (m, nx, K + 2) zero-padded node bases, as above; overwritten.
     u     : (m,) survival probability of each node.
     coef  : (m,) weight of each node.
 

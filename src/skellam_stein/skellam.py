@@ -10,10 +10,11 @@ from special.window_ends, Chernoff's bound, before any value is built; it
 takes one pmf value at its centre and walks outward once by ratios
 p(k +- 1) / p(k) = (l1/l2)^(+-1/2) I_|k+-1|(x) / I_|k|(x), x = 2 sqrt(l1 l2),
 with the Bessel ratios from Miller's backward recurrence
-(special.backward_ratios).  `windows` builds the windows of many rate pairs
-at once, packed in one array and stepped in lockstep numpy chunks; a pair's
-window depends on that pair alone, and `to_dist` is a batch of one pair,
-stepped on Python floats as every chunk too small for the lockstep is.
+(special.backward_ratios_lockstep).  `windows` builds the windows of many
+rate pairs at once, packed in one array and stepped in lockstep numpy
+chunks, one cumprod along each window; a pair's window depends on that pair
+alone.  `to_dist` is a batch of one pair, and `pmf_window` the same walk
+over any range.
 Zero rates are admitted only through the explicit `extended` flag: they
 arise as continuity limits (the law degenerates to a single Poisson or a
 point mass) and downstream models can produce them.
@@ -142,13 +143,8 @@ def moments(params: SkellamParams) -> tuple[float, float]:
 
 
 # Rows of a windows() batch step in lockstep chunks of at most _CHUNK_CELLS
-# points; a chunk of fewer than _LOCKSTEP_ROWS rows steps row by row on
-# Python floats.  On the Haar sweep's windows (scales 1-9) the two break even
-# near 16-20 rows; at 24 the lockstep costs 0.3-0.8 of the per-row time.  In
-# one batch of a whole sweep only the chunks of its widest windows are that
-# small: a row of a 10^6-point window would take 10^6 numpy steps.
+# points.
 _CHUNK_CELLS = 1 << 15
-_LOCKSTEP_ROWS = 24
 _TAIL_POINTS = 1 << 15  # window points whose tails _tails extracts at once
 
 
@@ -182,7 +178,9 @@ def pmf_window(params: SkellamParams, lo: int, hi: int) -> np.ndarray:
     a, b = min(lo, center), max(hi, center)
     check_window_size(b - a + 1, "pmf window")
     if l1 > 0.0 and l2 > 0.0:
-        values = _skellam_walk(l1, l2, center, a, b, math.exp(_log_pmf_at(l1, l2, center)))
+        values = np.empty(b - a + 1)
+        rows = _Rows(*(np.array([v]) for v in (l1, l2, center, a, b)))
+        _lockstep(rows, np.array([math.exp(_log_pmf_at(l1, l2, center))]), values, np.zeros(1, np.int64))
     elif l1 > 0.0:
         values = special._poisson_walk(l1, a, b)
     else:
@@ -197,10 +195,9 @@ def windows(l1, l2, tail_tol: float = 1e-12) -> "Windows":
 
     The ends and the centre values (pmf's) of all rows come from one array
     pass; the other values are ratio steps from the centre.  Rows step in
-    lockstep numpy chunks, or row by row on Python floats where a chunk has
-    too few rows to pay for numpy calls.  Every row gets the same bits either
-    way, whatever else is in its batch.  The caller bounds the batch: its
-    values are all live at once.
+    lockstep numpy chunks, and every row gets the same bits whatever else is
+    in its batch.  The caller bounds the batch: its values are all live at
+    once.
     """
     if not 0.0 < tail_tol < 1.0:
         raise ValueError("tail_tol must lie in (0, 1)")
@@ -221,14 +218,7 @@ def windows(l1, l2, tail_tol: float = 1e-12) -> "Windows":
     start = np.cumsum(size) - size
     values = np.empty(int(size.sum()))
     for idx in _chunks(rows):
-        if idx.size >= _LOCKSTEP_ROWS:
-            _lockstep(rows.take(idx), anchor[idx], values, start[idx])
-            continue
-        for i in idx.tolist():
-            a, b = int(rows.lo[i]), int(rows.hi[i])
-            values[start[i] : start[i] + b - a + 1] = _skellam_walk(
-                float(l1[i]), float(l2[i]), int(rows.center[i]), a, b, float(anchor[i])
-            )
+        _lockstep(rows.take(idx), anchor[idx], values, start[idx])
     return Windows(rows.lo, size, start, _tails(values, start, size), values)
 
 
@@ -285,8 +275,9 @@ def _tails(values: np.ndarray, start: np.ndarray, size: np.ndarray) -> np.ndarra
 
 
 class _Rows:
-    """Per-row constants of a windows() batch, as arrays: the same
-    expressions, operation for operation, as _skellam_walk."""
+    """Per-row constants of a windows() batch, as arrays: x = 2 sqrt(l1 l2),
+    the tilts rho = sqrt(l1) / sqrt(l2) and sigma = sqrt(l2) / sqrt(l1)
+    (neither overflows where l1 / l2 would), and each row's orders."""
 
     def __init__(self, l1, l2, center, lo, hi):
         self.l1, self.l2 = l1, l2
@@ -295,7 +286,7 @@ class _Rows:
         self.rho, self.sigma = s1 / s2, s2 / s1
         self.center, self.lo, self.hi = center, lo, hi
         # The walk over lo..hi steps by the ratios of orders lo_ord < m <= hi_ord,
-        # whose recurrence starts at m_top (_bessel_ratios).
+        # whose recurrence starts at m_top (special.ratio_start).
         self.lo_ord = np.where((lo <= 0) & (hi >= 0), 0, np.minimum(np.abs(lo), np.abs(hi)))
         self.hi_ord = np.maximum(np.abs(lo), np.abs(hi))
         self.m_top = special.ratio_start(self.hi_ord, self.x)
@@ -328,19 +319,21 @@ def _chunks(rows: _Rows):
 
 
 def _lockstep(rows: _Rows, anchor: np.ndarray, out: np.ndarray, start: np.ndarray) -> None:
-    """windows() of one chunk (rows in order of m_top), a step at a time
-    for all rows in numpy arrays, from the centre values anchor: row i's
-    window goes to out[start[i]:]."""
+    """The walk of every row of one chunk (a windows() chunk, or
+    pmf_window's one row) from the centre values anchor: row i's window
+    goes to out[start[i]:].  Each side of every row is one cumprod of
+    ratio steps."""
     n = rows.x.size
     # Bessel ratios by absolute order: ratio[m - g0 - 1, i] = r_m of row i
-    # for every order its walk reads, as _bessel_ratios gives them.
+    # for every order its walk reads, recurred from m_top.
     g0, g1 = int(rows.lo_ord.min()), int(rows.hi_ord.max())
     ratio = special.backward_ratios_lockstep(rows.x, rows.m_top, g0, g1)
     # values[i, big + j] = p(center + j), big = the longest left walk.  A
     # step from k to k + side crosses to order |k + side|: times tilt * r_m
     # on the way up, tilt / r_m on the way down, m the larger order.
-    # cumprod multiplies in sequence, exactly as the walk on Python floats
-    # does.  Padding past a row's own window is never read.
+    # cumprod multiplies in sequence, p(k + side) = p(k) * factor, so each
+    # value depends on its own row alone.  Padding past a row's own window
+    # is never read.
     left, right = rows.center - rows.lo, rows.hi - rows.center
     big, steps = int(left.max()), max(int(left.max()), int(right.max()))
     values = np.empty((n, big + int(right.max()) + 1))
@@ -361,41 +354,6 @@ def _lockstep(rows: _Rows, anchor: np.ndarray, out: np.ndarray, start: np.ndarra
     offset = np.arange(values.shape[1]) - (big - left)[:, None]  # index in the row's window
     inside = (offset >= 0) & (offset <= (rows.hi - rows.lo)[:, None])
     out[(start[:, None] + offset)[inside]] = values[inside]
-
-
-def _bessel_ratios(x: float, a: int, b: int) -> tuple[int, list[float]]:
-    """(lo, r) with r[m - lo - 1] = I_m(x) / I_{m-1}(x) for lo < m <= hi,
-    the orders whose ratios a walk across a..b steps by: the backward
-    recurrence runs from special.ratio_start(hi, x) down to lo + 1 only."""
-    lo = 0 if a <= 0 <= b else min(abs(a), abs(b))
-    top = special.ratio_start(max(abs(a), abs(b)), x)
-    return lo, special.backward_ratios(x, top, lo, 0.0)
-
-
-def _skellam_walk(l1: float, l2: float, center: int, a: int, b: int, anchor: float) -> list[float]:
-    """The Skellam(l1, l2) pmf on a..b, a <= center <= b, as a list.
-
-    anchor is center's value, pmf's, and the walk steps outward from it:
-    p(k + 1) = p(k) * (rho * r_{k+1}) for k >= 0, p(k) * (rho / r_|k|) below,
-    and p(k - 1) = p(k) * (sigma * r_{|k|+1}) for k <= 0, p(k) * (sigma / r_k)
-    above, with rho = sqrt(l1) / sqrt(l2) and sigma = sqrt(l2) / sqrt(l1)
-    (neither overflows where l1 / l2 would), and the ratios r from one
-    backward recurrence over the orders of a..b.
-    """
-    s1, s2 = math.sqrt(l1), math.sqrt(l2)
-    x = 2.0 * s1 * s2
-    rho, sigma = s1 / s2, s2 / s1
-    p = q = anchor
-    middle = [p]
-    base, r = _bessel_ratios(x, a, b)
-    left, right = [], []  # a..center - 1 reversed, and center + 1..b
-    for k in range(center, a, -1):
-        p *= sigma * r[-k - base] if k <= 0 else sigma / r[k - base - 1]
-        left.append(p)
-    for k in range(center, b):
-        q *= rho / r[-k - base - 1] if k < 0 else rho * r[k - base]
-        right.append(q)
-    return left[::-1] + middle + right
 
 
 def cdf(params: SkellamParams, k: int, tail_tol: float = 1e-12) -> float:

@@ -455,7 +455,8 @@ def _sweep(
         coef = wk * points ** (order - 1)
         weight += coef.sum()
         acc = np.zeros((ny, nx, size))
-        frame = kernels.stack_bases(bases, [offset - start] * len(bases), nx, stop - start)
+        frame = np.zeros((len(bases), nx, stop - start + 2))
+        frame[:, 0, offset - start + 1 : offset - start + 1 + bases.shape[1]] = bases
         kernels.sweep_accumulate(acc[:, :, start:stop], frame, points, coef)
         return acc
 
@@ -646,11 +647,7 @@ def _certificate(
     """
     pois_tol = _pois_tol(quad_tol)
     l1, l2 = params.lambda1, params.lambda2
-    top_a, top_b = _full_rate_tops(params, pois_tol)
-    # A zero pad column, the D^o S_b rows (at most top_a + top_b + 1 + order
-    # points), and one more point per step x = 1 .. limit + 1.
-    width = top_a + top_b + order + 3.0 + limit
-    _check_cells(2 * intervals * width, f"certificate frame of {2 * intervals} rows by {width:.0f} points")
+    width = _certificate_width(params, order, quad_tol, limit, intervals)
 
     u = 1.0 - (1.0 - np.linspace(0.0, 1.0, intervals + 1)) ** 2
     a, b = u[:-1], u[1:]
@@ -686,6 +683,20 @@ def _certificate(
         if off_grid <= target:
             break
     return _Certificate(all_states, grid, off_grid)
+
+
+def _certificate_width(
+    params: SkellamParams, order: int, quad_tol: float, limit: int, intervals: int = _CERT_INTERVALS
+) -> float:
+    """Points per row of _certificate's frame, refused (ResourceLimitError)
+    where its 2 * intervals rows exceed SWEEP_TENSOR_CAP: a zero pad column,
+    the D^o S_b rows (at most top_a + top_b + 1 + order points), and one
+    more point per step x = 1 .. limit + 1.  It depends on the rates, the
+    order and the limit alone, so it is checked before any sweep."""
+    top_a, top_b = _full_rate_tops(params, _pois_tol(quad_tol))
+    width = top_a + top_b + order + 3.0 + limit
+    _check_cells(2 * intervals * width, f"certificate frame of {2 * intervals} rows by {width:.0f} points")
+    return width
 
 
 @dataclass(frozen=True)
@@ -730,12 +741,14 @@ def _exact_stein_factor_cached(
     grid_max: int | None,
     quad_tol: float,
 ) -> SteinFactorResult:
+    cap = default_state_grid(params) if grid_max is None else grid_max
+    # Refuse what the largest sweep, then the certificate's frame, would.
+    _sweep_window(params, cap + 1, cap + 1, _pois_tol(quad_tol))
+    _certificate_width(params, order, quad_tol, cap)
     if grid_max is not None:
         sup = _grid_sup(params, order, grid_max, quad_tol)
         cert = _certificate(params, order, quad_tol, grid_max, sup[0] + sup[1])
     else:
-        cap = default_state_grid(params)
-        _sweep_window(params, cap + 1, cap + 1, _pois_tol(quad_tol))  # refuse what the cap's sweep would
         grid_max = _PILOT_GRID
         sup = _grid_sup(params, order, grid_max, quad_tol)
         # The pilot's sup is at most any larger grid's, so E(G) <= it proves
@@ -772,7 +785,9 @@ def exact_stein_factor(
     grid {0..6}^2 is swept, and the least G whose E(G) is at most the
     pilot's sup is swept in its place (the pilot itself if G <= 6); where no
     G up to default_state_grid qualifies, that cap is swept.  Inputs whose
-    cap grid exceeds SWEEP_TENSOR_CAP are refused before any sweep.
+    largest sweep (the given grid, or the cap) or certificate frame exceeds
+    SWEEP_TENSOR_CAP are refused before any sweep, the sweep's refusal
+    first.
 
     The value does not depend on the coordinate tuple.  At every state the
     kernels of the different tuples of one order share the state

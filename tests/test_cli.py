@@ -608,7 +608,7 @@ _INFINITE_RULE = "error: tolerance "
     (["stein", "bounds", "--l1", "1e300", "--l2", "1e300"], _TOTAL_RATE),
     (["stein", "factors", "--l1", "1e300", "--l2", "1e300", "--order", "1"], _TOTAL_RATE),
     (["stein", "bounds", "--l1", "1e20", "--l2", "1e20"], _INFINITE_RULE),
-    (["stein", "factors", "--l1", "1e6", "--l2", "1e6", "--order", "2", "--grid", "0",
+    (["stein", "solve", "--l1", "1e6", "--l2", "1e6", "--set", "k>=0", "--x", "0", "--y", "0",
       "--quad-tol", "1.0"], _INFINITE_RULE),
 ])
 def test_huge_rates_exit_2_with_one_typed_line(capsys, args, message):
@@ -621,6 +621,22 @@ def test_huge_rates_exit_2_with_one_typed_line(capsys, args, message):
     assert (code, out) == (2, "")
     assert err.startswith(message) and err.count("\n") == 1, err
     assert message == _TOTAL_RATE or err.endswith(" bounds inf\n"), err
+
+
+@pytest.mark.parametrize("rate, width", [("1e5", 202439), ("1e6", 2007691)])
+def test_certificate_frame_refused_before_any_sweep(capsys, rate, width):
+    """The certificate's frame depends on the rates, the order and the grid
+    alone, so a frame past the cap is refused before the grid is swept.
+    The one-state sweep at (1e5, 1e5) alone takes about 18 s."""
+    start = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "stein", "factors", "--l1", rate, "--l2", rate, "--order", "2",
+                                 "--grid", "0", "--quad-tol", "1")
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (2, "")
+    assert err == (f"error: certificate frame of 400 rows by {width} points is {400 * width} floats, "
+                   "exceeds cap 10000000 floats\n")
 
 
 def test_dist_table_record_byte_identical_to_json_dump(capsys):

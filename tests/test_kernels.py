@@ -60,7 +60,11 @@ def _run_rule(nx, ny, bases, offsets, size, us, coef, shift=0):
     """The rule kernel on an accumulator that sits `shift` points into a
     wider array, as the sweep hands it the part of its window a rule reaches."""
     acc = np.zeros((ny, nx, size + shift))
-    frame = kernels.stack_bases(bases, offsets, nx, size)
+    # Node i's base starts at window index offsets[i], frame column
+    # offsets[i] + 1 of its row 0; every other entry is zero padding.
+    frame = np.zeros((len(bases), nx, size + 2))
+    for i, (base, off) in enumerate(zip(bases, offsets)):
+        frame[i, 0, off + 1 : off + 1 + base.size] = base
     kernels.sweep_accumulate(acc[:, :, shift:], frame, np.array(us), coef)
     assert not acc[:, :, :shift].any()
     return acc[:, :, shift:].transpose(1, 0, 2)  # [x, y, j]

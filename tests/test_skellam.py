@@ -216,22 +216,62 @@ def test_window_values_match_scipy():
             assert rel.max() <= 5e-12, (l1, l2, tail_tol, rel.max())
 
 
+def _float_walk(l1: float, l2: float, a: int, b: int) -> list[float]:
+    """The Skellam(l1, l2) pmf on a..b by a walk on Python floats, one step
+    at a time, from the centre c = round(l1 - l2), a <= c <= b, whose value
+    is pmf's: p(k + 1) = p(k) * (rho * r_{k+1}) for k >= 0, p(k) * (rho /
+    r_|k|) below, and p(k - 1) = p(k) * (sigma * r_{|k|+1}) for k <= 0,
+    p(k) * (sigma / r_k) above, with rho = sqrt(l1) / sqrt(l2), sigma =
+    sqrt(l2) / sqrt(l1), and the ratios r from one backward recurrence over
+    the orders of a..b.  The reference that every window walk matches bit
+    for bit."""
+    center = round(l1 - l2)
+    s1, s2 = math.sqrt(l1), math.sqrt(l2)
+    x = 2.0 * s1 * s2
+    rho, sigma = s1 / s2, s2 / s1
+    base = 0 if a <= 0 <= b else min(abs(a), abs(b))
+    r = special.backward_ratios(x, special.ratio_start(max(abs(a), abs(b)), x), base, 0.0)
+    p = q = anchor = math.exp(skellam._log_pmf_at(l1, l2, center))
+    left, right = [], []  # a..center - 1 reversed, and center + 1..b
+    for k in range(center, a, -1):
+        p *= sigma * r[-k - base] if k <= 0 else sigma / r[k - base - 1]
+        left.append(p)
+    for k in range(center, b):
+        q *= rho / r[-k - base - 1] if k < 0 else rho * r[k - base]
+        right.append(q)
+    return left[::-1] + [anchor] + right
+
+
+def test_pmf_window_matches_float_walk():
+    # Ranges wider than to_dist's, and ranges off the centre, which the walk
+    # reaches from the centre.
+    for l1, l2 in [(3.0, 2.0), (2e4, 1e4), (0.01, 5.0), (6.8, 5.2), (3e4, 1e-200), (7e5, 3e5)]:
+        params = SkellamParams(l1, l2)
+        d = to_dist(params, 1e-12)
+        center = round(l1 - l2)
+        for lo, hi in [(d.min_support - 20, d.max_support + 30), (d.max_support - 4, d.max_support + 30),
+                       (d.min_support - 200, d.min_support + 2), (center, center)]:
+            a, b = min(lo, center), max(hi, center)
+            want = np.array(_float_walk(l1, l2, a, b)[lo - a : hi - a + 1])
+            assert skellam.pmf_window(params, lo, hi).tobytes() == want.tobytes(), (l1, l2, lo, hi)
+
+
 def test_batch_rows_match_single_windows():
     rng = np.random.default_rng(7)
-    rates = [tuple(10.0 ** rng.uniform(-3, 2.5, 2)) for _ in range(2 * skellam._LOCKSTEP_ROWS)]
+    rates = [tuple(10.0 ** rng.uniform(-3, 2.5, 2)) for _ in range(2 * special._LOCKSTEP_ROWS)]
     rates += [(0.01, 5.0), (3.0, 3.0), (1e-6, 1e-6), (3e4, 1e-200), (2e4, 1e4)]
     rng.shuffle(rates)
     l1, l2 = np.array(rates).T
     for tail_tol in (1e-10, 1e-12, 1e-15):
-        # Batches of every size, so rows go through lockstep chunks and
-        # through chunks too small for them, stepped on Python floats.
-        for size in (1, 5, skellam._LOCKSTEP_ROWS - 1, skellam._LOCKSTEP_ROWS, len(rates)):
+        # Batches of every size, so the ratios of a chunk step in lockstep
+        # and, in chunks too small for that, row by row on Python floats.
+        for size in (1, 5, special._LOCKSTEP_ROWS - 1, special._LOCKSTEP_ROWS, len(rates)):
             for (a, b), (lo, p, tail) in zip(rates[:size], windows(l1[:size], l2[:size], tail_tol)):
-                # The oracle: one float walk on window_ends' ends, solved on floats.
+                # The oracle: the float walk on window_ends' ends, solved on floats.
                 ends = special.window_ends(float(round(a - b)), a, b, tail_tol)
-                want = skellam.pmf_window(SkellamParams(a, b), int(ends[0]), int(ends[1]))
-                assert (lo, tail) == (int(ends[0]), max(0.0, 1.0 - math.fsum(want.tolist()))), (a, b)
-                assert p.tobytes() == want.tobytes(), (a, b)
+                want = _float_walk(a, b, int(ends[0]), int(ends[1]))
+                assert (lo, tail) == (int(ends[0]), max(0.0, 1.0 - math.fsum(want))), (a, b)
+                assert p.tobytes() == np.array(want).tobytes(), (a, b)
     assert len(windows([], [], 1e-12)) == 0
     with pytest.raises(ValueError):
         windows([1.0, 0.0], [1.0, 1.0])

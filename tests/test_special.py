@@ -203,10 +203,14 @@ def test_log_scaled_iv_pairs_in_one_batch_match_single_values():
 def test_lockstep_ratios_from_per_row_seeds_match_floats():
     x = np.array([35.0, 1e3, 2e5, 31.5])
     seed = np.array([0.9, 0.99, 0.3, 0.0])
-    got = special.backward_ratios_lockstep(x, np.array([64, 64, 70, 40]), 0, 64, seed)
-    for i, top in enumerate((64, 64, 70, 40)):
-        want = special.backward_ratios(float(x[i]), top, 0, float(seed[i]))[:64]
-        assert got[:, i].tolist() == want + [0.0] * (64 - len(want))  # 0 above the row's top
+    tops = [64, 64, 70, 40]
+    # 4 rows step row by row; 28 rows step in lockstep.
+    for reps in (1, special._LOCKSTEP_ROWS // 4 + 1):
+        got = special.backward_ratios_lockstep(np.tile(x, reps), np.array(tops * reps), 0, 64,
+                                               np.tile(seed, reps))
+        for i, top in enumerate(tops * reps):
+            want = special.backward_ratios(float(x[i % 4]), top, 0, float(seed[i % 4]))[:64]
+            assert got[:, i].tolist() == want + [0.0] * (64 - len(want))  # 0 above the row's top
 
 
 def test_log_scaled_iv_at_subnormal_argument():

@@ -451,6 +451,9 @@ def test_certificate_frame_beyond_cap_refused_before_rows_are_built(monkeypatch)
     monkeypatch.setattr(stein, "poisson_rows", lambda *args: pytest.fail("rows built"))
     with pytest.raises(ResourceLimitError, match="certificate frame"):
         stein._certificate(SkellamParams(2.0, 1.0), 1, QUAD_TOL, 10**5)
+    # Where the sweep's cap fails too, its message comes first.
+    with pytest.raises(ResourceLimitError, match="^sweep tensor of 30001x30001 states"):
+        exact_stein_factor(SkellamParams(2.0, 1.0), 1, (1,), 30000)
 
 
 def test_sweep_tensor_beyond_cap_fails_fast():
