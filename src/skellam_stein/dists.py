@@ -20,6 +20,10 @@ from . import kernels
 MASS_ATOL = 1e-9         # |sum + tail - 1| tolerated on construction
 DIRECT_CONV_LIMIT = 4096  # windows below this convolve by the direct kernel
 WINDOW_CAP = 10**7        # points in any pmf span, convolution output or sample batch
+# Points that one numpy pass over packed windows holds live: a lockstep chunk
+# of skellam's walk, a block of its tail extraction, a tv_rows block.
+PASS_POINTS = 1 << 15
+SIM_BLOCK_CELLS = 10**7   # draws that one block of a Monte Carlo simulation holds
 
 
 class ResourceLimitError(RuntimeError):
@@ -120,10 +124,6 @@ def tv_interval(lo1: int, p1: np.ndarray, tail1: float,
     return TVInterval(value, slack)
 
 
-# Union-window points that one tv_rows pass lays out at a time.
-_TV_POINTS = 1 << 15
-
-
 def tv_rows(values: np.ndarray, lo1, start1, size1, lo2, start2, size2) -> np.ndarray:
     """tv_interval's value, bit for bit, of each pair of windows packed in
     values: p of pair i is values[start1[i] : start1[i] + size1[i]] on
@@ -132,14 +132,15 @@ def tv_rows(values: np.ndarray, lo1, start1, size1, lo2, start2, size2) -> np.nd
     Each pair's |p - q| is laid out on its union window, and the pairs of
     one union length L are summed as the rows of one C-contiguous (m, L)
     array: numpy sums each such row as it sums a 1-D array of length L,
-    where a zero-padded or reduceat sum would associate differently.
+    where a zero-padded or reduceat sum would associate differently.  A
+    block of about PASS_POINTS union-window points is laid out at a time.
     """
     lo = np.minimum(lo1, lo2)
     length = np.maximum(lo1 + size1, lo2 + size2) - lo
     order = np.argsort(length, kind="stable")
     lengths = length[order]
     out = np.empty(order.size)
-    for i, j in blocks(lengths, _TV_POINTS):
+    for i, j in blocks(lengths, PASS_POINTS):
         sel, span = order[i:j], lengths[i:j]
         pair = np.repeat(np.arange(sel.size), span)
         offset = np.cumsum(span) - span

@@ -12,10 +12,11 @@ A model's four window sums are correctly rounded (math.fsum), so they do
 not depend on the order a BLAS build sums in.  The sweep over every dyadic
 window is one array pass over all scales: window sums over slices, one
 finiteness check and the bounds as arrays, the Skellam windows of every
-window whose laws differ from one skellam.windows call (one per
-_SWEEP_POINTS window points), their TVs from one dists.tv_rows pass, and
-its rows as columns.  A single window's verify is the same engine on a
-batch of one, so each sweep row equals its verify report bit for bit.
+window whose laws differ, zero rates among them, from one skellam.windows
+call (one per _SWEEP_POINTS window points), their TVs from one
+dists.tv_rows pass, and its rows as columns.  A single window's verify is
+the same engine on a batch of one, so each sweep row equals its verify
+report bit for bit.
 """
 
 from __future__ import annotations
@@ -26,12 +27,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .dists import TVInterval, blocks, tv_rows
+from .dists import SIM_BLOCK_CELLS, TVInterval, blocks, tv_rows
 from .jsonwriter import Rows
-from .skellam import SkellamParams, to_dist, windows
+from .skellam import SkellamParams, windows
 from .verification import VerificationReport, make_report, report_columns
 
-_SIM_BLOCK_CELLS = 10**7
 # Window points that the sweep holds live at once, bounded before any window
 # is built; a 2048-bin Gamma(2, 2.5) signal needs about 4e5, so one call.
 _SWEEP_POINTS = 1 << 20
@@ -254,7 +254,7 @@ def simulate_spillover(
     weights = (model.pos - model.neg).astype(np.int64)
     true_out = np.zeros(trials, dtype=np.int64)
     obs_out = np.zeros(trials, dtype=np.int64)
-    block = max(1, _SIM_BLOCK_CELLS // model.n)
+    block = max(1, SIM_BLOCK_CELLS // model.n)
     for start in range(0, trials, block):
         stop = min(trials, start + block)
         m = stop - start
@@ -330,10 +330,10 @@ def _tv_pairs(o1, o2, t1, t2, tail_tol: float) -> tuple[np.ndarray, np.ndarray]:
     """(tv, slack) of tv_observed_vs_true for each window's observed rates
     (o1, o2) and true rates (t1, t2); coinciding rates give an exact zero.
 
-    The other windows go to skellam.windows in blocks of at most
-    _SWEEP_POINTS window points, bounded by Bernstein's inequality before
-    any is built (to_dist where a rate is 0), and each block's TVs come from
-    one dists.tv_rows pass.
+    The other windows, zero rates among them, go to skellam.windows in
+    blocks of at most _SWEEP_POINTS window points, bounded by Bernstein's
+    inequality before any is built, and each block's TVs come from one
+    dists.tv_rows pass.
     """
     tv, slack = np.zeros(o1.size), np.zeros(o1.size)
     differ = np.flatnonzero((o1 != t1) | (o2 != t2))
@@ -341,11 +341,9 @@ def _tv_pairs(o1, o2, t1, t2, tail_tol: float) -> tuple[np.ndarray, np.ndarray]:
     for i, j in blocks(points, _SWEEP_POINTS):
         block = differ[i:j]
         m = block.size
-        lo, size, start, tail, values = _packed_windows(
-            np.concatenate([o1[block], t1[block]]), np.concatenate([o2[block], t2[block]]), tail_tol
-        )
-        tv[block] = tv_rows(values, lo[:m], start[:m], size[:m], lo[m:], start[m:], size[m:])
-        slack[block] = 0.5 * (tail[:m] + tail[m:])
+        w = windows(np.concatenate([o1[block], t1[block]]), np.concatenate([o2[block], t2[block]]), tail_tol)
+        tv[block] = tv_rows(w.values, w.lo[:m], w.start[:m], w.size[:m], w.lo[m:], w.start[m:], w.size[m:])
+        slack[block] = 0.5 * (w.tail[:m] + w.tail[m:])
     return tv, slack
 
 
@@ -358,23 +356,3 @@ def _width_bound(total: np.ndarray, tail_tol: float) -> np.ndarray:
     t_max = math.log(2.0 / tail_tol)
     with np.errstate(over="ignore"):
         return 2.0 * (t_max / 3.0 + np.sqrt(t_max * t_max / 9.0 + 2.0 * t_max * total)) + 3.0
-
-
-def _packed_windows(l1: np.ndarray, l2: np.ndarray, tail_tol: float):
-    """(lo, size, start, tail, values): skellam.windows' packing of the
-    windows of every rate pair, zero rates among them (to_dist's Poisson
-    window or point mass)."""
-    positive = (l1 > 0.0) & (l2 > 0.0)
-    batch = windows(l1[positive], l2[positive], tail_tol)
-    lo, size, start = (np.zeros(l1.size, np.int64) for _ in range(3))
-    tail = np.zeros(l1.size)
-    lo[positive], size[positive], start[positive], tail[positive] = (
-        batch.lo, batch.size, batch.start, batch.tail
-    )
-    parts, used = [batch.values], batch.values.size
-    for i in np.flatnonzero(~positive).tolist():
-        d = to_dist(SkellamParams(float(l1[i]), float(l2[i]), extended=True), tail_tol)
-        lo[i], size[i], start[i], tail[i] = d.min_support, d.probabilities.size, used, d.tail_mass
-        parts.append(d.probabilities)
-        used += d.probabilities.size
-    return lo, size, start, tail, parts[0] if len(parts) == 1 else np.concatenate(parts)

@@ -17,12 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dists import IntegerDist, ResourceLimitError, tv_distance
+from .dists import SIM_BLOCK_CELLS, IntegerDist, ResourceLimitError, tv_distance
 from .skellam import SkellamParams, to_dist
 from .verification import VerificationReport, make_report
 
 EXACT_EDGE_CAP = 10**5
-_SIM_BLOCK_CELLS = 10**7
 # Rows at most this wide are convolved by shift-and-add, wider ones by one
 # batched rfft per level.  Measured on a 2-core host at n = 10^5 (p in
 # U[0.05, 0.5], r and s in U[0, 0.2], the benchmark's graph inputs), with
@@ -229,7 +228,7 @@ def simulate(model: NoisyGraphModel, rng: np.random.Generator, trials: int) -> n
     if trials < 0:
         raise ValueError("trials must be >= 0")
     out = np.zeros(trials, dtype=np.int64)
-    block = max(1, _SIM_BLOCK_CELLS // model.n)
+    block = max(1, SIM_BLOCK_CELLS // model.n)
     for start in range(0, trials, block):
         stop = min(trials, start + block)
         m = stop - start

@@ -11,13 +11,16 @@ takes one pmf value at its centre and walks outward once by ratios
 p(k +- 1) / p(k) = (l1/l2)^(+-1/2) I_|k+-1|(x) / I_|k|(x), x = 2 sqrt(l1 l2),
 with the Bessel ratios from Miller's backward recurrence
 (special.backward_ratios_lockstep).  `windows` builds the windows of many
-rate pairs at once, packed in one array and stepped in lockstep numpy
-chunks, one cumprod along each window; a pair's window depends on that pair
-alone.  `to_dist` is a batch of one pair, and `pmf_window` the same walk
-over any range.
+rate pairs at once, packed in one array: the ends of all rows first, then one
+walk over given ends, whose positive pairs step in lockstep numpy chunks, one
+cumprod along each window; a pair's window depends on that pair alone.
+`to_dist` is a batch of one pair, and `pmf_window` the same walk over any
+range.
 Zero rates are admitted only through the explicit `extended` flag: they
 arise as continuity limits (the law degenerates to a single Poisson or a
-point mass) and downstream models can produce them.
+point mass) and downstream models can produce them.  The walk takes them as
+rows like any other: a Poisson row is special's Poisson walk from the mode,
+reflected where l1 = 0, and a row of two zero rates the point mass at 0.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import special
-from .dists import IntegerDist, blocks, check_window_size, negate
+from .dists import PASS_POINTS, IntegerDist, blocks, check_window_size
 
 
 @dataclass(frozen=True)
@@ -142,62 +145,38 @@ def moments(params: SkellamParams) -> tuple[float, float]:
     return params.lambda1 - params.lambda2, params.lambda1 + params.lambda2
 
 
-# Rows of a windows() batch step in lockstep chunks of at most _CHUNK_CELLS
-# points.
-_CHUNK_CELLS = 1 << 15
-_TAIL_POINTS = 1 << 15  # window points whose tails _tails extracts at once
-
-
 def to_dist(params: SkellamParams, tail_tol: float = 1e-12) -> IntegerDist:
-    """Window around the mean capturing at least 1 - tail_tol of the mass.
-
-    windows() of the one rate pair; a zero rate leaves a
-    special.poisson_dist window.  Raises ResourceLimitError when the window
-    would exceed dists.WINDOW_CAP points.
-    """
-    if not 0.0 < tail_tol < 1.0:
-        raise ValueError("tail_tol must lie in (0, 1)")
-    l1, l2 = params.lambda1, params.lambda2
-    if l1 == 0.0 and l2 == 0.0:
-        return IntegerDist.point_mass(0)
-    if l2 == 0.0:
-        return special.poisson_dist(l1, tail_tol)
-    if l1 == 0.0:
-        return negate(special.poisson_dist(l2, tail_tol))
-    return IntegerDist(*windows([l1], [l2], tail_tol)[0])
+    """Window around the mean capturing at least 1 - tail_tol of the mass:
+    windows() of the one rate pair.  Raises ResourceLimitError when the
+    window would exceed dists.WINDOW_CAP points."""
+    return IntegerDist(*windows([params.lambda1], [params.lambda2], tail_tol)[0])
 
 
 def pmf_window(params: SkellamParams, lo: int, hi: int) -> np.ndarray:
     """P(X = k) for k = lo..hi by to_dist's walk from the centre, run over
     the orders from the centre to lo..hi; where to_dist's window reaches,
     within a few units of roundoff of its values."""
-    l1, l2 = params.lambda1, params.lambda2
-    if l1 == 0.0 and l2 == 0.0:
-        return (np.arange(lo, hi + 1) == 0).astype(np.float64)
-    center = round(l1 - l2) if l1 > 0.0 and l2 > 0.0 else int(l1) - int(l2)
-    a, b = min(lo, center), max(hi, center)
+    l1, l2 = np.array([params.lambda1]), np.array([params.lambda2])
+    center = _centers(l1, l2).astype(np.int64)
+    a, b = min(lo, int(center[0])), max(hi, int(center[0]))
     check_window_size(b - a + 1, "pmf window")
-    if l1 > 0.0 and l2 > 0.0:
-        values = np.empty(b - a + 1)
-        rows = _Rows(*(np.array([v]) for v in (l1, l2, center, a, b)))
-        _lockstep(rows, np.array([math.exp(_log_pmf_at(l1, l2, center))]), values, np.zeros(1, np.int64))
-    elif l1 > 0.0:
-        values = special._poisson_walk(l1, a, b)
-    else:
-        values = special._poisson_walk(l2, -b, -a)[::-1]
+    _, _, values = _walk(l1, l2, center, np.array([a]), np.array([b]))
     return np.array(values[lo - a : hi - a + 1])
 
 
 def windows(l1, l2, tail_tol: float = 1e-12) -> "Windows":
-    """to_dist's window of each positive rate pair (l1[i], l2[i]), packed in
-    one array: row i is P(X = lo + j) on special.window_ends' window around
-    round(l1 - l2), with tail = max(0, 1 - fsum(p)).
+    """to_dist's window of each finite, non-negative rate pair (l1[i],
+    l2[i]), packed in one array: row i is P(X = lo + j) on its window around
+    its centre, with tail = max(0, 1 - fsum(p)).
 
-    The ends and the centre values (pmf's) of all rows come from one array
-    pass; the other values are ratio steps from the centre.  Rows step in
-    lockstep numpy chunks, and every row gets the same bits whatever else is
-    in its batch.  The caller bounds the batch: its values are all live at
-    once.
+    A positive pair's window is special.window_ends' around round(l1 - l2),
+    from one array pass; a pair with one zero rate has
+    special.poisson_dist's window of the other, reflected where l1 = 0; a
+    pair of zeros has the point mass at 0.  A window past dists.WINDOW_CAP
+    is refused before any value is built: the widest positive one, else the
+    first zero-rate one.  Then _walk builds every row, and each row gets the
+    same bits whatever else is in its batch.  The caller bounds the batch:
+    its values are all live at once.
     """
     if not 0.0 < tail_tol < 1.0:
         raise ValueError("tail_tol must lie in (0, 1)")
@@ -205,21 +184,59 @@ def windows(l1, l2, tail_tol: float = 1e-12) -> "Windows":
     l2 = np.asarray(l2, dtype=np.float64)
     if l1.ndim != 1 or l1.shape != l2.shape:
         raise ValueError("l1 and l2 must be 1-D arrays of one length")
-    if not np.all(np.isfinite(l1) & np.isfinite(l2) & (l1 > 0.0) & (l2 > 0.0)):
-        raise ValueError("windows() takes finite positive rates")
-    center = np.rint(l1 - l2)
-    lo, hi = special.window_ends(center, l1, l2, tail_tol)
-    if l1.size:
+    if not np.all(np.isfinite(l1) & np.isfinite(l2) & (l1 >= 0.0) & (l2 >= 0.0)):
+        raise ValueError("windows() takes finite non-negative rates")
+    center = _centers(l1, l2)
+    lo, hi = center.copy(), center.copy()
+    positive = (l1 > 0.0) & (l2 > 0.0)
+    if positive.any():
+        lo[positive], hi[positive] = special.window_ends(center[positive], l1[positive], l2[positive], tail_tol)
         # On floats: the ends of rates far past the cap are infinite.
-        check_window_size(float(np.max(hi - lo)) + 1.0, "pmf window")
-    rows = _Rows(l1, l2, center.astype(np.int64), lo.astype(np.int64), hi.astype(np.int64))
-    anchor = special._libm(math.exp, _log_pmf_rows(l1, l2, rows.center))
-    size = rows.hi - rows.lo + 1
+        check_window_size(float(np.max(hi[positive] - lo[positive])) + 1.0, "pmf window")
+    for i in np.flatnonzero(~positive & ((l1 > 0.0) | (l2 > 0.0))).tolist():
+        lam = float(max(l1[i], l2[i]))  # the one positive rate
+        a, b = special.window_ends(float(int(lam)), lam, 0.0, tail_tol)
+        check_window_size(b - a + 1.0, "pmf window")
+        lo[i], hi[i] = (a, b) if l2[i] == 0.0 else (-b, -a)
+    lo, hi = lo.astype(np.int64), hi.astype(np.int64)
+    start, size, values = _walk(l1, l2, center.astype(np.int64), lo, hi)
+    return Windows(lo, size, start, _tails(values, start, size), values)
+
+
+def _centers(l1: np.ndarray, l2: np.ndarray) -> np.ndarray:
+    """Each row's centre, as integral floats: round(l1 - l2) for positive
+    rates, the Poisson mode int(l1) - int(l2) where a rate is 0."""
+    return np.where((l1 > 0.0) & (l2 > 0.0), np.rint(l1 - l2), np.trunc(l1) - np.trunc(l2))
+
+
+def _walk(l1, l2, center, lo, hi):
+    """(start, size, values): row i's pmf on lo[i]..hi[i], lo <= center <=
+    hi, is values[start[i] : start[i] + size[i]].
+
+    Positive rows walk from their centre values (pmf's, from one array pass)
+    by Bessel ratio steps, in lockstep chunks; a row with one zero rate is
+    special._poisson_walk of the other rate, reflected where l1 = 0; a row
+    of two zeros is the point mass at 0.
+    """
+    size = hi - lo + 1
     start = np.cumsum(size) - size
     values = np.empty(int(size.sum()))
+    positive = (l1 > 0.0) & (l2 > 0.0)
+    sel = np.flatnonzero(positive)
+    rows = _Rows(l1[sel], l2[sel], center[sel], lo[sel], hi[sel])
+    anchor = special._libm(math.exp, _log_pmf_rows(rows.l1, rows.l2, rows.center))
     for idx in _chunks(rows):
-        _lockstep(rows.take(idx), anchor[idx], values, start[idx])
-    return Windows(rows.lo, size, start, _tails(values, start, size), values)
+        _lockstep(rows.take(idx), anchor[idx], values, start[sel[idx]])
+    for i in np.flatnonzero(~positive).tolist():
+        a, b = int(lo[i]), int(hi[i])
+        row = values[start[i] : start[i] + size[i]]
+        if l2[i] > 0.0:
+            row[:] = special._poisson_walk(float(l2[i]), -b, -a)[::-1]
+        elif l1[i] > 0.0:
+            row[:] = special._poisson_walk(float(l1[i]), a, b)
+        else:
+            row[:] = np.arange(a, b + 1) == 0
+    return start, size, values
 
 
 class Windows(Sequence):
@@ -249,10 +266,10 @@ def _tails(values: np.ndarray, start: np.ndarray, size: np.ndarray) -> np.ndarra
     exact, and the q of a row sum exactly in any order.  Each pass leaves
     residuals v - q of at most 2^-53 sigma, so the next takes sigma down by
     2^(b - 53), until no residual is left: three passes on the Haar sweep.
-    A block of about _TAIL_POINTS values is extracted at a time.
+    A block of about dists.PASS_POINTS values is extracted at a time.
     """
     sums = np.empty(size.size)
-    for i, j in blocks(size, _TAIL_POINTS):
+    for i, j in blocks(size, PASS_POINTS):
         rows = size[i:j]
         block = values[start[i] : start[j - 1] + size[j - 1]]
         bits = int(rows.max()).bit_length()
@@ -275,7 +292,7 @@ def _tails(values: np.ndarray, start: np.ndarray, size: np.ndarray) -> np.ndarra
 
 
 class _Rows:
-    """Per-row constants of a windows() batch, as arrays: x = 2 sqrt(l1 l2),
+    """Per-row constants of _walk's positive rows, as arrays: x = 2 sqrt(l1 l2),
     the tilts rho = sqrt(l1) / sqrt(l2) and sigma = sqrt(l2) / sqrt(l1)
     (neither overflows where l1 / l2 would), and each row's orders."""
 
@@ -300,11 +317,11 @@ class _Rows:
 
 def _chunks(rows: _Rows):
     """Index arrays of the rows in order of m_top, each chunk holding at most
-    _CHUNK_CELLS points of its padded ratio and value arrays."""
+    dists.PASS_POINTS points of its padded ratio and value arrays."""
     order = np.argsort(rows.m_top, kind="stable")
     top, low = rows.m_top[order], rows.lo_ord[order]
     left, right = (rows.center - rows.lo)[order], (rows.hi - rows.center)[order]
-    reach = _CHUNK_CELLS // int((left + right).min() + 1) + 1 if order.size else 0
+    reach = PASS_POINTS // int((left + right).min() + 1) + 1 if order.size else 0
     start = 0
     while start < order.size:
         end = min(order.size, start + reach)
@@ -312,16 +329,15 @@ def _chunks(rows: _Rows):
             top[start:end] - np.minimum.accumulate(low[start:end]),
             np.maximum.accumulate(left[start:end]) + np.maximum.accumulate(right[start:end]) + 1,
         )
-        over = np.arange(1, end - start + 1) * width > _CHUNK_CELLS
+        over = np.arange(1, end - start + 1) * width > PASS_POINTS
         stop = start + (max(1, int(over.argmax())) if over.any() else end - start)
         yield order[start:stop]
         start = stop
 
 
 def _lockstep(rows: _Rows, anchor: np.ndarray, out: np.ndarray, start: np.ndarray) -> None:
-    """The walk of every row of one chunk (a windows() chunk, or
-    pmf_window's one row) from the centre values anchor: row i's window
-    goes to out[start[i]:].  Each side of every row is one cumprod of
+    """The walk of every row of one of _walk's chunks from the centre values
+    anchor: row i's window goes to out[start[i]:].  Each side of every row is one cumprod of
     ratio steps."""
     n = rows.x.size
     # Bessel ratios by absolute order: ratio[m - g0 - 1, i] = r_m of row i

@@ -318,9 +318,9 @@ def _end_distance(c: float, la: float, lb: float, t_max: float, side: float) -> 
 def _end_distances(c, la, lb, t_max: float, side: float) -> np.ndarray:
     """_end_distance of each row of 1-D arrays of positive rates: the rows
     not yet done take a Newton step together."""
-    v = la + lb
-    huge = v > WINDOW_CAP**2  # inf, refused by the caller
     with np.errstate(over="ignore", invalid="ignore"):  # rows that are huge
+        v = la + lb
+        huge = v > WINDOW_CAP**2  # inf, refused by the caller
         guess = side * (la - lb - c) + np.sqrt(2.0 * t_max * v) + side * t_max * (la - lb) / (3.0 * v)
     t = np.where(huge, np.inf, np.maximum(np.ceil(guess), 1.0))
     rows = np.flatnonzero(~huge)

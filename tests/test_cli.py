@@ -623,6 +623,14 @@ def test_huge_rates_exit_2_with_one_typed_line(capsys, args, message):
     assert message == _TOTAL_RATE or err.endswith(" bounds inf\n"), err
 
 
+def test_dist_table_past_the_float_range_exits_2_with_one_typed_line(capsys):
+    # l1 + l2 overflows in the window-end solve: a refusal, not a warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "dist", "table", "--l1", "1e308", "--l2", "1e308")
+    assert (code, out, err) == (2, "", "error: pmf window of inf points exceeds cap 10000000\n")
+
+
 @pytest.mark.parametrize("rate, width", [("1e5", 202439), ("1e6", 2007691)])
 def test_certificate_frame_refused_before_any_sweep(capsys, rate, width):
     """The certificate's frame depends on the rates, the order and the grid
@@ -827,3 +835,47 @@ def test_fuzz_verify_haar(tmp_path_factory, bins, window, p, tail_tol):
         assert doc["results"]["satisfied"] is (code == 0)
     for row in rows:
         assert 0.0 <= row["tv"] <= 1.0 and row["tv_slack"] >= 0.0, (args, row)
+
+
+_DIST_RATES = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-300, 1e6, 1e300, math.nan, math.inf, -1e-300]),
+    st.floats(0.0, 50.0),
+)
+
+
+@given(
+    command=st.sampled_from(["pmf", "table", "sample"]),
+    l1=_DIST_RATES,
+    l2=_DIST_RATES,
+    extended=st.booleans(),
+    k=st.one_of(st.integers(-60, 60), st.sampled_from([-(2**53) - 1, 2**53, 10**20])),
+    tol=st.sampled_from([None, 1e-300, 1e-15, 0.5, 1.0]),
+    n=st.integers(0, 1000),
+)
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_fuzz_dist(command, l1, l2, extended, k, tol, n):
+    """Any rates, order, tolerance and count: a record or one error line,
+    and every table's window and tail consistent."""
+    args = ["dist", command, f"--l1={l1!r}", f"--l2={l2!r}", "--format", "json"]
+    args += ["--extended"] if extended else []
+    if command == "pmf":
+        args += [f"--k={k}"]
+    elif command == "table":
+        args += [f"--tol={tol!r}"] if tol is not None else []
+    else:
+        args += [f"--n={n}"]
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdout", out), mock.patch.object(sys, "stderr", err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would print beside the record: exit 3 here
+        code = main(args)
+    assert code in (0, 2), (args, err.getvalue())
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert out.getvalue() == "" and len(lines) == 1 and lines[0].startswith("error: "), args
+        return
+    res = json.loads(out.getvalue())["results"]
+    if command == "table":
+        assert res["window_lo"] <= res["window_hi"], (args, res)
+        assert 0.0 <= res["tail_mass"] < 1.0, (args, res)
+        assert abs(res["window_mass"] + res["tail_mass"] - 1.0) <= 1e-9, (args, res)

@@ -7,7 +7,7 @@ import scipy.special as sps
 import scipy.stats as sstats
 
 from skellam_stein import skellam, special
-from skellam_stein.dists import ResourceLimitError, convolve, negate, tv_distance
+from skellam_stein.dists import IntegerDist, ResourceLimitError, convolve, negate, tv_distance
 from skellam_stein.skellam import (
     SkellamParams,
     cdf,
@@ -273,8 +273,68 @@ def test_batch_rows_match_single_windows():
                 assert (lo, tail) == (int(ends[0]), max(0.0, 1.0 - math.fsum(want))), (a, b)
                 assert p.tobytes() == np.array(want).tobytes(), (a, b)
     assert len(windows([], [], 1e-12)) == 0
-    with pytest.raises(ValueError):
-        windows([1.0, 0.0], [1.0, 1.0])
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            windows([1.0, bad], [1.0, 1.0])
+
+
+@pytest.mark.parametrize("positives", [special._LOCKSTEP_ROWS - 13, special._LOCKSTEP_ROWS - 12,
+                                       special._LOCKSTEP_ROWS])
+def test_zero_rate_rows_match_poisson_windows(positives):
+    # Zero-rate rows share a batch with positive pairs: batches of 23 and 24
+    # rows, and one whose positive rows alone step in lockstep.  Each row is
+    # the old zero-rate branch bit for bit, and each positive row its window
+    # alone.
+    rng = np.random.default_rng(21)
+    pos = [tuple(10.0 ** rng.uniform(-3, 3, 2)) for _ in range(positives)]
+    zero = [pair for lam in (5e-324, 0.3, 38.0, 1e5) for pair in ((lam, 0.0), (0.0, lam), (0.0, 0.0))]
+    rates = pos + zero
+    rng.shuffle(rates)
+    l1, l2 = np.array(rates).T
+    for tail_tol in (1e-10, 1e-15):
+        for (a, b), (lo, p, tail) in zip(rates, windows(l1, l2, tail_tol)):
+            if a == 0.0 and b == 0.0:
+                want = IntegerDist.point_mass(0)
+            elif b == 0.0:
+                want = poisson_dist(a, tail_tol)
+            elif a == 0.0:
+                want = negate(poisson_dist(b, tail_tol))
+            else:
+                want = IntegerDist(*windows([a], [b], tail_tol)[0])
+            assert (lo, tail) == (want.min_support, want.tail_mass), (a, b)
+            assert p.tobytes() == want.probabilities.tobytes(), (a, b)
+
+
+def test_pmf_window_at_zero_rates_matches_poisson_walk():
+    # Ranges that reach below 0 and past the window on either side.
+    for lam in (5e-324, 0.3, 38.0, 1e5):
+        d = poisson_dist(lam, 1e-12)
+        mode = int(lam)
+        for lo, hi in [(-10, d.max_support + 20), (d.min_support - 5, mode), (mode, d.max_support + 3),
+                       (-3, -1), (d.max_support + 1, d.max_support + 9)]:
+            a, b = min(lo, mode), max(hi, mode)
+            right = special._poisson_walk(lam, a, b)[lo - a : hi - a + 1]
+            got = skellam.pmf_window(SkellamParams(lam, 0.0, extended=True), lo, hi)
+            assert got.tobytes() == np.array(right).tobytes(), (lam, lo, hi)
+            left = skellam.pmf_window(SkellamParams(0.0, lam, extended=True), -hi, -lo)
+            assert left.tobytes() == np.array(right[::-1]).tobytes(), (lam, lo, hi)
+    both = SkellamParams(0.0, 0.0, extended=True)
+    assert skellam.pmf_window(both, -2, 1).tolist() == [0.0, 0.0, 1.0, 0.0]
+    assert skellam.pmf_window(both, 3, 5).tolist() == [0.0, 0.0, 0.0]
+
+
+def test_window_beyond_cap_names_the_widest_positive_then_the_first_zero_rate_window():
+    def refusal(l1, l2):
+        with pytest.raises(ResourceLimitError) as info:
+            to_dist(SkellamParams(l1, l2, extended=True))
+        return str(info.value)
+
+    with pytest.raises(ResourceLimitError) as info:
+        windows([0.0, 1e13, 3.0, 2e13, 0.0], [5e13, 1e13, 2.0, 0.0, 0.0])
+    assert str(info.value) == refusal(1e13, 1e13)
+    with pytest.raises(ResourceLimitError) as info:
+        windows([0.0, 3.0, 2e13], [5e13, 2.0, 0.0])
+    assert str(info.value) == refusal(0.0, 5e13) != refusal(2e13, 0.0)
 
 
 def test_window_beyond_cap_fails_fast():
