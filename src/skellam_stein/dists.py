@@ -104,15 +104,7 @@ class TVInterval:
 
 def tv_distance(d1: IntegerDist, d2: IntegerDist) -> TVInterval:
     """Total variation over the union window, with slack from the tails."""
-    return tv_interval(
-        d1.min_support, d1.probabilities, d1.tail_mass,
-        d2.min_support, d2.probabilities, d2.tail_mass,
-    )
-
-
-def tv_interval(lo1: int, p1: np.ndarray, tail1: float,
-                lo2: int, p2: np.ndarray, tail2: float) -> TVInterval:
-    """tv_distance of the windows p1 on lo1.. and p2 on lo2.. with those tails."""
+    lo1, p1, lo2, p2 = d1.min_support, d1.probabilities, d2.min_support, d2.probabilities
     lo = min(lo1, lo2)
     hi = max(lo1 + p1.size, lo2 + p2.size)
     p = np.zeros(hi - lo)
@@ -120,12 +112,12 @@ def tv_interval(lo1: int, p1: np.ndarray, tail1: float,
     p[lo1 - lo : lo1 - lo + p1.size] = p1
     q[lo2 - lo : lo2 - lo + p2.size] = p2
     value = 0.5 * float(np.abs(p - q).sum())
-    slack = 0.5 * (tail1 + tail2)
+    slack = 0.5 * (d1.tail_mass + d2.tail_mass)
     return TVInterval(value, slack)
 
 
 def tv_rows(values: np.ndarray, lo1, start1, size1, lo2, start2, size2) -> np.ndarray:
-    """tv_interval's value, bit for bit, of each pair of windows packed in
+    """tv_distance's value, bit for bit, of each pair of windows packed in
     values: p of pair i is values[start1[i] : start1[i] + size1[i]] on
     lo1[i].., and q is values[start2[i] : start2[i] + size2[i]] on lo2[i]...
 

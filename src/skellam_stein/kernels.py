@@ -30,7 +30,8 @@ def survive(rows, u, q, out):
     """out = rows (*) Bernoulli(u), row by row, with q = 1 - u: the x step of
     sweep_accumulate.  rows and out are (m, width) with u and q (m, 1)
     columns, and out may be rows itself.  Column 0 is zero padding and is
-    left as it is; a row's mass in its last column is lost.
+    left as it is; a row's mass in its last column is lost.  On reversed
+    rows it is the y step, q p[j] + u p[j + 1], to the same bits.
     """
     shifted = u * rows[:, :-1]
     np.multiply(q, rows[:, 1:], out=out[:, 1:])

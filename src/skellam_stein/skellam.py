@@ -73,15 +73,11 @@ MAX_RATE = 1e10
 
 
 def _log_pmf_at(l1: float, l2: float, k: int) -> float:
-    """log P(X = k); -inf where the mass is exactly zero.  On Python floats,
-    to the same bits as on arrays, except below |k| = 64 at positive rates:
-    _log_pmf_rows on one row."""
+    """log P(X = k); -inf where the mass is exactly zero.  A zero rate takes
+    special.log_poisson_pmf; a positive pair is _log_pmf_rows on one row."""
     if l1 == 0.0 or l2 == 0.0:
         return special.log_poisson_pmf(l1, k) if l2 == 0.0 else special.log_poisson_pmf(l2, -k)
-    if abs(k) < special.DEBYE_MIN_ORDER:
-        return float(_log_pmf_rows(np.array([l1]), np.array([l2]), np.array([k]))[0])
-    a, b = (l1, l2) if k >= 0 else (l2, l1)
-    return special._log_skellam_debye(float(abs(k)), a, b)
+    return float(_log_pmf_rows(np.array([l1]), np.array([l2]), np.array([k]))[0])
 
 
 def _log_pmf_rows(l1: np.ndarray, l2: np.ndarray, ks: np.ndarray) -> np.ndarray:

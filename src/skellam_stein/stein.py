@@ -279,6 +279,16 @@ def _skellam_rows(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
     return np.matmul(pa[:, None, ::-1], windows)[:, 0]
 
 
+def _base_rows(params: SkellamParams, grown: np.ndarray, pois_tol: float, order: int, coords):
+    """(k0, rows): row i is D^o S_b at b = 1 - grown[i] (_difference_base),
+    k0 the first k of every row; S_b is _skellam_rows of one
+    special.poisson_rows array per rate, each row leaving out at most
+    pois_tol per rate.  Every sweep node base and certificate row is one."""
+    a_lo, pa = poisson_rows(params.lambda1 * grown, pois_tol)
+    b_lo, pb = poisson_rows(params.lambda2 * grown, pois_tol)
+    return _difference_base(a_lo - (b_lo + pb.shape[1] - 1), _skellam_rows(pa, pb), order, coords)
+
+
 def _normalize_coords(order: int, coords) -> tuple[int, ...]:
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
@@ -387,12 +397,14 @@ def _sweep(
     The partition of [0, 1] is fixed before any node is evaluated, from each
     15-point rule's proven bound (special.kronrod_bound of _log_norm_bound at
     the grid's largest x + y).  Each rule is one integrand call: its node
-    bases come from one array of Poisson rows per rate (special.poisson_rows,
-    from the lower window end at the rule's smallest rate to the upper end
-    at its largest), and kernels.sweep_accumulate adds them into a fresh
-    accumulator.  A single state is a 1x1 grid whose node bases carry
-    Bin(x, u) and -Bin(y, u), about (x + y + 1) x window floats of work per
-    node.
+    bases are _base_rows at the rule's nodes (one array of Poisson rows per
+    rate, from the lower window end at the rule's smallest rate to the
+    upper end at its largest), and kernels.sweep_accumulate adds them into
+    a fresh accumulator.  A single state (x, y) keeps the (x+1) x (y+1)
+    grid's window and partition and takes the kernel's own x and y steps on
+    one row, about (x + y + 1) x window floats of work per node; added as a
+    1x1 grid, it is the grid's [x, y] kernel up to the rounding of the
+    weighted node sum.
 
     SWEEP_TENSOR_CAP bounds one accumulator (states x window floats), or a
     single state's work, before any window is built (ResourceLimitError).
@@ -410,7 +422,6 @@ def _sweep(
     sums over nodes and rules.
     """
     pois_tol = _pois_tol(quad_tol)
-    l1, l2 = params.lambda1, params.lambda2
     states = nx + ny - 2  # the largest x + y the sweep covers
     top_b, size = _sweep_window(params, nx, ny, pois_tol, single_state)
     size = int(size)
@@ -420,33 +431,13 @@ def _sweep(
         pi = to_dist(params, pois_tol)
         pi_row = np.zeros(size)
         pi_row[pi.min_support - lo : pi.max_support - lo + 1] = pi.probabilities
-    if single_state is not None:
-        sx, sy = single_state
-        nx = ny = 1  # the node bases carry the state; the kernel sees a 1x1 grid
-
-    def node_bases(points) -> tuple[int, np.ndarray]:
-        """(window offset, signed bases) of the rule's nodes, one row each."""
-        grown = 1.0 - points
-        a_lo, pa = poisson_rows(l1 * grown, pois_tol)
-        b_lo, pb = poisson_rows(l2 * grown, pois_tol)
-        k0 = a_lo - (b_lo + pb.shape[1] - 1)
-        tk0, bases = _difference_base(k0, _skellam_rows(pa, pb), order, coords)
-        if single_state is not None:
-            bases = np.array([
-                np.convolve(
-                    np.convolve(t_arr, binomial_thin_dist(sx, u).probabilities),
-                    binomial_thin_dist(sy, u).probabilities[::-1],
-                )
-                for t_arr, u in zip(bases, points.tolist())
-            ])
-            tk0 -= sy
-        return tk0 - lo, bases
-
+    gx, gy = (1, 1) if single_state is not None else (nx, ny)  # the kernel's grid
     weight = 0.0  # the summed node coefficients of every rule
 
     def rule_fn(points, wk):
         nonlocal weight
-        offset, bases = node_bases(points)
+        k0, bases = _base_rows(params, 1.0 - points, pois_tol, order, coords)
+        offset = k0 - lo
         # The window indices any node reaches at any state of the grid.
         start = offset - (ny - 1)
         stop = offset + bases.shape[1] + nx - 1
@@ -454,9 +445,16 @@ def _sweep(
             raise RuntimeError("node window escaped the global window")
         coef = wk * points ** (order - 1)
         weight += coef.sum()
-        acc = np.zeros((ny, nx, size))
-        frame = np.zeros((len(bases), nx, stop - start + 2))
+        acc = np.zeros((gy, gx, size))
+        frame = np.zeros((len(bases), gx, stop - start + 2))
         frame[:, 0, offset - start + 1 : offset - start + 1 + bases.shape[1]] = bases
+        if single_state is not None:
+            # The kernel's x steps, then its y steps: survive on the reversed row.
+            u = points[:, None]
+            q = 1.0 - u
+            row = frame[:, 0]
+            for rows in [row] * (nx - 1) + [row[:, ::-1]] * (ny - 1):
+                kernels.survive(rows, u, q, rows)
         kernels.sweep_accumulate(acc[:, :, start:stop], frame, points, coef)
         return acc
 
@@ -465,13 +463,13 @@ def _sweep(
     def rule_bound(a: float, b: float) -> float:
         points, wk = kronrod_rule(a, b)
         trunc = node_trunc * float((wk * points ** (order - 1)).sum())
-        return kronrod_bound(a, b, _log_norm_bound(a, b, order, states, l1 + l2)) + trunc
+        return kronrod_bound(a, b, _log_norm_bound(a, b, order, states, params.total)) + trunc
 
     tensor, err = adaptive_gauss_kronrod(rule_fn, 0.0, 1.0, _RULE_SHARE * quad_tol, rule_bound)
     if order == 0:
         tensor -= weight * pi_row
     tensor = tensor[0, 0] if single_state is not None else tensor.transpose(1, 0, 2)
-    roundings = 8.0 * size + 6.0 * states + 8.0 * (l1 + l2) + 200.0
+    roundings = 8.0 * size + 6.0 * states + 8.0 * params.total + 200.0
     slack = err + 2.0 ** max(order, 1) * weight * roundings * _EPS
     return _SweepResult(lo, tensor, slack)
 
@@ -636,9 +634,11 @@ def _certificate(
     which is non-decreasing in u.  One pass of kernels.survive per x, with
     u = m, gives every D^o S_b (*) Bin(x, m).
 
-    Each Skellam row is a product of Poisson rows on their full-rate windows,
-    leaving out at most 2 pois_tol, so 2^o (2 pois_tol) per unit of mesh
-    weight is added to both bounds, with a first-order count of roundings.
+    The rows D^o S_b are _base_rows at the mesh's right ends, as a sweep's
+    node bases are.  Each Skellam row is a product of Poisson rows on their
+    full-rate windows, leaving out at most 2 pois_tol, so 2^o (2 pois_tol)
+    per unit of mesh weight is added to both bounds, with a first-order
+    count of roundings.
 
     The search steps x = G + 1 from G = 0 and stops at the first G <= limit
     whose E(G) (the least of the bounds at G' <= G, each of which covers the
@@ -646,15 +646,12 @@ def _certificate(
     checked against SWEEP_TENSOR_CAP before any row is built.
     """
     pois_tol = _pois_tol(quad_tol)
-    l1, l2 = params.lambda1, params.lambda2
     width = _certificate_width(params, order, quad_tol, limit, intervals)
 
     u = 1.0 - (1.0 - np.linspace(0.0, 1.0, intervals + 1)) ** 2
     a, b = u[:-1], u[1:]
     h, mid = b - a, 0.5 * (a + b)
-    grown = 1.0 - b
-    pa, pb = (poisson_rows(lam * grown, pois_tol)[1] for lam in (l1, l2))
-    _, d = _difference_base(0, _skellam_rows(pa, pb), order, (1,) * order)
+    _, d = _base_rows(params, 1.0 - b, pois_tol, order, (1,) * order)
     frame = np.zeros((2 * intervals, int(width)))
     frame[:intervals, 1 : 1 + d.shape[1]] = d
     frame[intervals:, 1 : 1 + d.shape[1]] = d[:, ::-1]
@@ -662,7 +659,7 @@ def _certificate(
     full = np.abs(frame).sum(axis=1)  # |D^o S_b|
     lipschitz = full * np.tile(h, 2) / 2.0
 
-    roundings = 8.0 * width + 6.0 * limit + 8.0 * (l1 + l2) + 200.0 + 2.0 * intervals
+    roundings = 8.0 * width + 6.0 * limit + 8.0 * params.total + 200.0 + 2.0 * intervals
     extra = 0.5 * 2.0**order * (2.0 * pois_tol + roundings * _EPS)
     all_states = 0.5 * float(weight[:intervals] @ full[:intervals]) + extra
 

@@ -300,8 +300,8 @@ def test_dist_sample_oversized_n_refused(capsys):
 
 
 def test_stein_solve_oversized_state_refused(capsys):
-    """Each node of a single-state sweep builds Bin(x, u) in a Python loop;
-    at x = 10^5 that ran for minutes.  It is refused before any node."""
+    """A single-state sweep at x = 10^5 takes 10^5 steps per rule over a
+    window of 10^5 points; it is refused before any node."""
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "stein", "solve", "--l1", "1", "--l2", "1",
                              "--set", "k>=0", "--x", "100000", "--y", "0")
@@ -773,6 +773,46 @@ def test_fuzz_stein_factors(l1, l2, extended, order, quad_tol, grid):
         assert 0.0 <= row["factor"] <= row["upper"] and row["quad_error"] >= 0.0, (args, row)
         assert row["dominated"] is (row["factor"] <= row["bound"] + row["quad_error"]), (args, row)
         assert not row["dominated_all_states"] or row["upper"] <= row["bound"], (args, row)
+
+
+_SOLVE_RATES = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-300, 1e6, math.nan, math.inf, -1e-300]),
+    st.floats(min_value=0.0, max_value=30.0, exclude_min=True),
+)
+_SOLVE_SETS = st.one_of(
+    st.builds("k>={}".format, st.integers(-40, 40)),
+    st.builds("k<={}".format, st.integers(-40, 40)),
+    st.builds("{{{},{}}}".format, st.integers(-40, 40), st.integers(-40, 40)),
+    st.just("k>>1"),
+)
+
+
+@given(
+    l1=_SOLVE_RATES,
+    l2=_SOLVE_RATES,
+    extended=st.booleans(),
+    x=st.sampled_from([0, 1, 7, 40, 10**5]),
+    y=st.sampled_from([0, 1, 7, 40, 10**5]),
+    test_set=_SOLVE_SETS,
+    quad_tol=st.sampled_from([1e-300, 1e-13, 1.0]),
+)
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_fuzz_stein_solve(l1, l2, extended, x, y, test_set, quad_tol):
+    """Any rates, state, set and tolerance: a finite value or one error line."""
+    args = ["stein", "solve", f"--l1={l1!r}", f"--l2={l2!r}", f"--x={x}", f"--y={y}",
+            f"--set={test_set}", f"--quad-tol={quad_tol!r}", "--format", "json"]
+    args += ["--extended"] if extended else []
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdout", out), mock.patch.object(sys, "stderr", err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would print beside the record: exit 3 here
+        code = main(args)
+    assert code in (0, 2), (args, err.getvalue())
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert out.getvalue() == "" and len(lines) == 1 and lines[0].startswith("error: "), args
+        return
+    assert math.isfinite(json.loads(out.getvalue())["results"]["value"]), args
 
 
 @pytest.mark.parametrize("args", [

@@ -148,7 +148,33 @@ def test_solution_grid_matches_single_state():
     assert grid.shape == (4, 5)
     for state in [(0, 0), (2, 3), (3, 1)]:
         single = stein_solution(params, f, state, QUAD_TOL)
-        assert single == pytest.approx(grid[state], abs=2 * QUAD_TOL)
+        assert single == pytest.approx(grid[state], abs=1e-14)
+
+
+@pytest.mark.parametrize("l1, l2", [(0.3, 7.0), (40.0, 25.0), (2.0, 1.0)])
+def test_single_state_kernel_is_its_grid_corner(l1, l2):
+    """A single state (x, y) is the (x+1) x (y+1) grid's [x, y] kernel, on
+    the same window and with the same slack, up to the rounding of the
+    weighted node sum."""
+    params = SkellamParams(l1, l2)
+    for order, tuples in {0: [()], **ALL_TUPLES}.items():
+        for coords in tuples:
+            for x, y in [(0, 0), (2, 3), (5, 0), (0, 4), (7, 6)]:
+                grid = stein._sweep(params, order, coords, x + 1, y + 1, QUAD_TOL)
+                single = stein._sweep(params, order, coords, x + 1, y + 1, QUAD_TOL, single_state=(x, y))
+                assert (single.lo, single.slack) == (grid.lo, grid.slack)
+                assert np.abs(single.tensor - grid.tensor[x, y]).sum() <= 1e-20, (order, coords, x, y)
+
+
+def test_solution_at_zero_rates_is_a_harmonic_number():
+    """At rates (0, 0), W_{x,0}(t) is Bin(x, u) and pi the point mass at 0, so
+    h_f(x, 0) = -int_0^1 (1 - (1 - u)^x) du / u = -H_x for f = 1{k >= 1};
+    likewise h_f(0, y) = -H_y for f = 1{k <= -1}."""
+    params = SkellamParams(0.0, 0.0, extended=True)
+    for n in range(1, 9):
+        harmonic = math.fsum(1.0 / j for j in range(1, n + 1))
+        assert abs(stein_solution(params, TestSet.geq(1), (n, 0), QUAD_TOL) + harmonic) <= QUAD_TOL
+        assert abs(stein_solution(params, TestSet.leq(-1), (0, n), QUAD_TOL) + harmonic) <= QUAD_TOL
 
 
 def test_stein_equation_residuals_on_declared_grid():
@@ -323,7 +349,8 @@ def test_factor_runs_one_sweep_per_order(monkeypatch):
 
 
 def test_single_state_sweeps_run_the_rule_kernel(monkeypatch):
-    """A single state is a 1x1 grid of the one stacked-rule kernel."""
+    """A single state is a 1x1 grid of the one stacked-rule kernel, stepped
+    to its state by the kernel's own steps: no binomial window is built."""
     shapes = []
     real_kernel = kernels.sweep_accumulate
 
@@ -331,7 +358,11 @@ def test_single_state_sweeps_run_the_rule_kernel(monkeypatch):
         shapes.append((acc.shape[:2], frame.shape[:2]))
         return real_kernel(acc, frame, u, coef)
 
+    def no_binomial(*args):
+        raise AssertionError("binomial_thin_dist called")
+
     monkeypatch.setattr(kernels, "sweep_accumulate", counting_kernel)
+    monkeypatch.setattr(stein, "binomial_thin_dist", no_binomial)
     params = SkellamParams(1.5, 2.5)
     stein_solution(params, TestSet.geq(1), (2, 3), QUAD_TOL)
     solution_calls = len(shapes)
