@@ -126,10 +126,14 @@ def log_pmf(params: SkellamParams, k: int) -> float:
     k = int(k)
     if abs(k) > MAX_ABS_K:
         raise ValueError(f"|k| = {abs(k)} is above the largest supported |k|, 2**53")
+    _check_pmf_rates(params)
+    return _log_pmf_at(params.lambda1, params.lambda2, k)
+
+
+def _check_pmf_rates(params: SkellamParams) -> None:
     for name, rate in (("lambda1", params.lambda1), ("lambda2", params.lambda2)):
         if rate > MAX_RATE:
             raise ValueError(f"{name} = {rate:g} is above the largest supported pmf rate, {MAX_RATE:g}")
-    return _log_pmf_at(params.lambda1, params.lambda2, k)
 
 
 def pmf(params: SkellamParams, k: int) -> float:
@@ -152,6 +156,7 @@ def pmf_window(params: SkellamParams, lo: int, hi: int) -> np.ndarray:
     """P(X = k) for k = lo..hi by to_dist's walk from the centre, run over
     the orders from the centre to lo..hi; where to_dist's window reaches,
     within a few units of roundoff of its values."""
+    _check_pmf_rates(params)
     l1, l2 = np.array([params.lambda1]), np.array([params.lambda2])
     center = _centers(l1, l2).astype(np.int64)
     a, b = min(lo, int(center[0])), max(hi, int(center[0]))

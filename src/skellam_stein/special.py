@@ -661,7 +661,7 @@ def kronrod_bound(lo: float, hi: float, log_m: np.ndarray) -> float:
         return math.inf
 
 
-def adaptive_gauss_kronrod(fn: Callable, a: float, b: float, abs_tol: float, bound: Callable):
+def adaptive_gauss_kronrod(fn: Callable, a: float, b: float, abs_tol: float, bound: Callable) -> float:
     """Integrate over [a, b] on a partition fixed before any node is evaluated.
 
     bound(lo, hi) is a proven error of the 15-point rule on [lo, hi].  The
@@ -669,9 +669,8 @@ def adaptive_gauss_kronrod(fn: Callable, a: float, b: float, abs_tol: float, bou
     most abs_tol; past _MAX_RULES intervals or depth _MAX_DEPTH, or at an
     infinite bound, QuadratureError is raised and fn is never called.  Then
     fn(points, wk) (kronrod_rule's) is called once per interval, left to
-    right, and returns sum_i wk[i] f(points[i]), a float or an ndarray of
-    one shape; the values are summed into the first in place.  Returns
-    (sum, summed bounds).
+    right: the integrand accumulates sum_i wk[i] f(points[i]) itself, and its
+    return value is ignored.  Returns the summed bounds.
     """
     if not b > a:
         raise ValueError("need b > a")
@@ -688,8 +687,6 @@ def adaptive_gauss_kronrod(fn: Callable, a: float, b: float, abs_tol: float, bou
         mid = 0.5 * (lo + hi)
         for c_lo, c_hi in ((lo, mid), (mid, hi)):
             heapq.heappush(heap, (-bound(c_lo, c_hi), c_lo, c_hi, depth + 1))
-    values = (fn(*kronrod_rule(lo, hi)) for _, lo, hi, _ in sorted(heap, key=itemgetter(1)))
-    total = next(values)
-    for value in values:
-        total += value
-    return total, err
+    for _, lo, hi, _ in sorted(heap, key=itemgetter(1)):
+        fn(*kronrod_rule(lo, hi))
+    return err

@@ -83,9 +83,9 @@ __all__ = [
 ]
 
 QUAD_TOL_DEFAULT = 1e-8
-# Floats in one accumulator of a sweep (states x window).  A sweep's live
-# footprint is two accumulators (the running sum and the rule being added)
-# and a frame of 15 x (states along x) x window floats.
+# Floats in a sweep's state tensor (states x window).  A sweep's live
+# footprint is that one tensor, into which every rule adds, and a frame of
+# 15 x (states along x) x window floats.
 SWEEP_TENSOR_CAP = 10**7
 _RULE_SHARE = 0.99  # of quad_tol, for the rules' bounds; the rest covers rounding
 _EPS = 2.0**-53  # unit roundoff
@@ -341,8 +341,8 @@ def _log_norm_bound(lo: float, hi: float, order: int, states: int, rate: float) 
 
 def _pois_tol(quad_tol: float) -> float:
     """The tail every Poisson window of a sweep or a certificate leaves out."""
-    if not quad_tol > 0:
-        raise ValueError("quad_tol must be positive")
+    if not 0.0 < quad_tol / 800.0 < 1.0:  # every pmf window's tail_tol lies in (0, 1)
+        raise ValueError(f"quad_tol / 800, each Poisson window's tail, must lie in (0, 1): got {quad_tol!r}")
     return quad_tol / 800.0
 
 
@@ -366,17 +366,17 @@ def _check_cells(cells: float, what: str) -> None:
 
 def _sweep_window(
     params: SkellamParams, nx: int, ny: int, pois_tol: float, single_state=None
-) -> tuple[float, float]:
+) -> tuple[float, int]:
     """(top_b, size) of the global window of a sweep over the nx x ny grid,
-    refused (ResourceLimitError) if one accumulator, or a single state's
-    work, exceeds SWEEP_TENSOR_CAP."""
+    size an int, refused (ResourceLimitError) if its state tensor, or a
+    single state's work, exceeds SWEEP_TENSOR_CAP."""
     top_a, top_b = _full_rate_tops(params, pois_tol)
     size = top_a + top_b + 4.0 + nx + ny - 1.0
     if single_state is None:
         _check_cells(float(nx) * ny * size, f"sweep tensor of {nx}x{ny} states by {size:.0f} points")
     else:
         _check_cells((nx + ny - 1) * size, f"single-state sweep at {single_state} by {size:.0f} points")
-    return top_b, size
+    return top_b, int(size)
 
 
 def _sweep(
@@ -400,13 +400,13 @@ def _sweep(
     bases are _base_rows at the rule's nodes (one array of Poisson rows per
     rate, from the lower window end at the rule's smallest rate to the
     upper end at its largest), and kernels.sweep_accumulate adds them into
-    a fresh accumulator.  A single state (x, y) keeps the (x+1) x (y+1)
-    grid's window and partition and takes the kernel's own x and y steps on
-    one row, about (x + y + 1) x window floats of work per node; added as a
-    1x1 grid, it is the grid's [x, y] kernel up to the rounding of the
-    weighted node sum.
+    the sweep's one state tensor.  A single state (x, y) keeps the (x+1) x
+    (y+1) grid's window and partition and takes the kernel's own x and y
+    steps on one row, about (x + y + 1) x window floats of work per node;
+    added as a 1x1 grid, it is the grid's [x, y] kernel up to the rounding
+    of the weighted node sum.
 
-    SWEEP_TENSOR_CAP bounds one accumulator (states x window floats), or a
+    SWEEP_TENSOR_CAP bounds the state tensor (states x window floats), or a
     single state's work, before any window is built (ResourceLimitError).
     The global window is sized by the full-rate Poisson windows' ends, which
     never decrease as the rate grows, so every node window nests in it.
@@ -424,14 +424,10 @@ def _sweep(
     pois_tol = _pois_tol(quad_tol)
     states = nx + ny - 2  # the largest x + y the sweep covers
     top_b, size = _sweep_window(params, nx, ny, pois_tol, single_state)
-    size = int(size)
     lo = -int(top_b) - 2 - (ny - 1)
 
-    if order == 0:
-        pi = to_dist(params, pois_tol)
-        pi_row = np.zeros(size)
-        pi_row[pi.min_support - lo : pi.max_support - lo + 1] = pi.probabilities
     gx, gy = (1, 1) if single_state is not None else (nx, ny)  # the kernel's grid
+    tensor = np.zeros((gy, gx, size))  # every rule adds into it
     weight = 0.0  # the summed node coefficients of every rule
 
     def rule_fn(points, wk):
@@ -445,7 +441,6 @@ def _sweep(
             raise RuntimeError("node window escaped the global window")
         coef = wk * points ** (order - 1)
         weight += coef.sum()
-        acc = np.zeros((gy, gx, size))
         frame = np.zeros((len(bases), gx, stop - start + 2))
         frame[:, 0, offset - start + 1 : offset - start + 1 + bases.shape[1]] = bases
         if single_state is not None:
@@ -455,8 +450,7 @@ def _sweep(
             row = frame[:, 0]
             for rows in [row] * (nx - 1) + [row[:, ::-1]] * (ny - 1):
                 kernels.survive(rows, u, q, rows)
-        kernels.sweep_accumulate(acc[:, :, start:stop], frame, points, coef)
-        return acc
+        kernels.sweep_accumulate(tensor[:, :, start:stop], frame, points, coef)
 
     node_trunc = pois_tol * (3.0 if order == 0 else 2.0 ** (order + 1))
 
@@ -465,9 +459,10 @@ def _sweep(
         trunc = node_trunc * float((wk * points ** (order - 1)).sum())
         return kronrod_bound(a, b, _log_norm_bound(a, b, order, states, params.total)) + trunc
 
-    tensor, err = adaptive_gauss_kronrod(rule_fn, 0.0, 1.0, _RULE_SHARE * quad_tol, rule_bound)
+    err = adaptive_gauss_kronrod(rule_fn, 0.0, 1.0, _RULE_SHARE * quad_tol, rule_bound)
     if order == 0:
-        tensor -= weight * pi_row
+        pi = to_dist(params, pois_tol)
+        tensor[:, :, pi.min_support - lo : pi.max_support - lo + 1] -= weight * pi.probabilities
     tensor = tensor[0, 0] if single_state is not None else tensor.transpose(1, 0, 2)
     roundings = 8.0 * size + 6.0 * states + 8.0 * params.total + 200.0
     slack = err + 2.0 ** max(order, 1) * weight * roundings * _EPS
@@ -723,10 +718,12 @@ def _grid_sup(params: SkellamParams, order: int, grid_max: int, quad_tol: float)
     """(sup, slack, argmax) of the per-state indicator sups on {0..grid_max}^2."""
     n = grid_max + 1
     res = _sweep(params, order, (1,) * order, n, n, quad_tol)
-    part = np.maximum(res.tensor, 0.0)  # one scratch tensor serves both signs
-    pos = part.sum(axis=2)
-    neg = np.maximum(np.negative(res.tensor, out=part), 0.0, out=part).sum(axis=2)
-    per_state = np.maximum(pos, neg)
+    per_state = np.empty((n, n))
+    part = np.empty(res.tensor.shape[::2])  # one (nx, K) scratch, a y-slice at a time, both signs
+    for y, rows in enumerate(res.tensor.transpose(1, 0, 2)):
+        pos = np.maximum(rows, 0.0, out=part).sum(axis=1)
+        neg = np.maximum(np.negative(rows, out=part), 0.0, out=part).sum(axis=1)
+        per_state[:, y] = np.maximum(pos, neg)
     idx = np.unravel_index(int(per_state.argmax()), per_state.shape)
     return float(per_state[idx]), res.slack, (int(idx[0]), int(idx[1]))
 
@@ -867,21 +864,25 @@ def bound_first_diff_integral(
     |I_0(z)| <= e^{|Re z|}, its modulus is at most exp(2 L max(0, Re u - 1)).
     """
     lam = _total_rate(params)
+    if not quad_tol > 0:
+        raise ValueError("quad_tol must be positive")
     clamp = max if printed_max_form else min
+    value = 0.0
 
     def rule(points, wk):
-        return sum(
-            w * clamp(1.0, bessel_i(0, lam * (1.0 - u), scaled=True))
-            for u, w in zip(points.tolist(), wk.tolist())
-        )
+        nonlocal value
+        part = 0.0  # plain + in node order: from Python 3.12 the builtin sum is compensated
+        for u, w in zip(points.tolist(), wk.tolist()):
+            part += w * clamp(1.0, bessel_i(0, lam * (1.0 - u), scaled=True))
+        value += part
 
     def rule_bound(a: float, b: float) -> float:
         right = bernstein_box(a, b)[1]
         return kronrod_bound(a, b, 2.0 * lam * np.maximum(right - 1.0, 0.0))
 
-    value, _ = adaptive_gauss_kronrod(rule, 0.0, 1.0, _RULE_SHARE * quad_tol, rule_bound)
+    adaptive_gauss_kronrod(rule, 0.0, 1.0, _RULE_SHARE * quad_tol, rule_bound)
     asym = math.sqrt(2.0 / (math.pi * lam)) if lam > 0 else math.inf
-    return IntegralBound(value=float(value), asymptote=asym)
+    return IntegralBound(value=value, asymptote=asym)
 
 
 def prior_bound_comparison(lam: float) -> tuple[float, float]:

@@ -827,6 +827,33 @@ def test_negative_rates_with_exponents_reach_the_library_check(capsys, args):
     assert (code, out, err) == (2, "", f"error: {name} must be non-negative\n")
 
 
+@pytest.mark.parametrize("args", [
+    ["stein", "factors", "--l1", "3", "--l2", "4", "--order", "1", "--quad-tol", "800"],
+    ["stein", "factors", "--l1", "3", "--l2", "4", "--order", "2", "--quad-tol", "2000"],
+    ["stein", "factors", "--l1", "3", "--l2", "4", "--order", "1", "--quad-tol", "inf"],
+    ["stein", "solve", "--l1", "3", "--l2", "4", "--set", "k>=1", "--x", "3", "--y", "2", "--quad-tol", "1000"],
+    ["stein", "solve", "--l1", "3", "--l2", "4", "--set", "k>=1", "--x", "3", "--y", "2", "--quad-tol", "inf"],
+    ["stein", "bounds", "--l1", "3", "--l2", "4", "--quad-tol", "0"],
+    ["stein", "bounds", "--l1", "3", "--l2", "4", "--quad-tol", "nan"],
+])
+def test_a_tolerance_out_of_range_is_refused_by_name(capsys, args):
+    """Once a math domain error, a tail_tol refusal or the integrator's
+    abs_tol: each refusal names quad_tol."""
+    code, out, err = run_cli(capsys, *args)
+    assert (code, out) == (2, "") and len(err.splitlines()) == 1
+    assert err.startswith("error: quad_tol "), err
+
+
+def test_stein_conjecture_window_refuses_rates_past_the_pmf_range(capsys):
+    # The walk's Bessel ratios would start some 10 sqrt(l1 l2) orders out:
+    # past int64 at (1e300, 1e300), where numpy warned of a nan cast.
+    for l1, l2 in (("1e300", "1e300"), ("0", "1e300"), ("1e11", "1")):
+        code, out, err = run_cli(capsys, "stein", "conjecture", "--l1", l1, "--l2", l2,
+                                 "--extended", "--lo", "-40", "--hi", "40")
+        assert (code, out) == (2, ""), (l1, l2, err)
+        assert "above the largest supported pmf rate" in err, err
+
+
 def test_stein_bounds_at_a_subnormal_rate(capsys):
     # 0.5 x underflows to 0 in the Bessel series at x = 5e-324.
     code, out, err = run_cli(capsys, "stein", "bounds", "--l1", "5e-324", "--l2", "0",
@@ -919,3 +946,80 @@ def test_fuzz_dist(command, l1, l2, extended, k, tol, n):
         assert res["window_lo"] <= res["window_hi"], (args, res)
         assert 0.0 <= res["tail_mass"] < 1.0, (args, res)
         assert abs(res["window_mass"] + res["tail_mass"] - 1.0) <= 1e-9, (args, res)
+
+
+_OTHER_RATES = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e6, 1e300, math.nan, math.inf]),
+    st.floats(0.0, 50.0),
+)
+_GRAPH_PROBABILITIES = st.one_of(
+    st.sampled_from(["0", "1", "-0.25", "1.5", "nan", "inf"]),
+    st.floats(0.0, 1.0).map(repr),
+)
+_GRAPH_MODELS = [
+    "{not json",
+    "[0.5, 0.1, 0.1]",
+    '{"p": [0.5], "r": [0.1]}',
+    '{"p": [0.5], "r": [0.1, 0.2], "s": [0.1]}',
+    '{"p": [], "r": [], "s": []}',
+    '{"p": [0.5, NaN], "r": [0.1, 0.1], "s": [0.1, 0.1]}',
+    '{"n": 2.7, "p": 0.5, "r": 0.1, "s": 0.1}',
+    '{"n": true, "p": 0.5, "r": 0.1, "s": 0.1}',
+    '{"n": 100001, "p": 0.5, "r": 0.1, "s": 0.1}',
+    '{"n": 40, "p": 0.5, "r": 0.1, "s": 0.1}',
+    '{"p": [0.5, 0.2, 0.9], "r": [0.1, 0.0, 1.0], "s": [0.3, 0.2, 0.0]}',
+]
+
+
+@given(
+    command=st.sampled_from(["bounds", "conjecture", "graph"]),
+    l1=_OTHER_RATES,
+    l2=_OTHER_RATES,
+    extended=st.booleans(),
+    quad_tol=st.sampled_from([None, 1e-300, 1.0, 2000.0, 0.0]),
+    window=st.sampled_from([None, (-40, 40), (5, -5), (-(10**7), 10**7)]),
+    n=st.sampled_from(["0", "1", "2.5", "12", str(10**5 + 1)]),
+    prs=st.tuples(_GRAPH_PROBABILITIES, _GRAPH_PROBABILITIES, _GRAPH_PROBABILITIES),
+    model=st.one_of(st.none(), st.sampled_from(_GRAPH_MODELS)),
+)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_fuzz_stein_bounds_conjecture_and_verify_graph(
+    tmp_path_factory, command, l1, l2, extended, quad_tol, window, n, prs, model
+):
+    """Any rates, tolerance, window or graph model: a record or one error
+    line, exit 1 only for a graph whose bound fails, and no nan bound."""
+    if command == "graph":
+        args = ["verify", "graph", "--format", "json"]
+        if model is None:
+            args += ["--homogeneous", n, *prs]
+        else:
+            path = tmp_path_factory.mktemp("graph") / "model.json"
+            path.write_text(model)
+            args += ["--model", str(path)]
+    else:
+        args = ["stein", command, f"--l1={l1!r}", f"--l2={l2!r}", "--format", "json"]
+        args += ["--extended"] if extended else []
+        if command == "bounds":
+            args += [f"--quad-tol={quad_tol!r}"] if quad_tol is not None else []
+        elif window is not None:
+            args += [f"--lo={window[0]}", f"--hi={window[1]}"]
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdout", out), mock.patch.object(sys, "stderr", err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would print beside the record: exit 3 here
+        code = main(args)
+    assert code in ((0, 1, 2) if command == "graph" else (0, 2)), (args, err.getvalue())
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert out.getvalue() == "" and len(lines) == 1 and lines[0].startswith("error: "), args
+        return
+    res = json.loads(out.getvalue())["results"]
+    if command == "graph":
+        assert res["satisfied"] is (code == 0), (args, res)
+        assert 0.0 <= res["tv"] <= 1.0 and res["tv_slack"] >= 0.0, (args, res)
+        bounds = [res["bound"]]
+    elif command == "bounds":
+        bounds = list(res.values())
+    else:
+        bounds = [res["second_diff_sum"], res["reference_rate"], res["tail_bound"]]
+    assert not any(math.isnan(b) for b in bounds), (args, res)

@@ -383,7 +383,8 @@ def test_binomial_degenerate_points():
 
 
 def _pointwise(fn, calls=None):
-    """The rule integrand of a pointwise f(u): its values summed node by node."""
+    """The rule integrand of a pointwise f(u): its values summed node by
+    node, and each rule's sum added into rule.total, rule after rule."""
 
     def rule(points, wk):
         if calls is not None:
@@ -391,8 +392,9 @@ def _pointwise(fn, calls=None):
         acc = None
         for u, w in zip(points, wk):
             acc = w * fn(u) if acc is None else acc + w * fn(u)
-        return acc
+        rule.total = acc if rule.total is None else rule.total + acc
 
+    rule.total = None
     return rule
 
 
@@ -402,7 +404,9 @@ def _exact(lo, hi):
 
 
 def test_quadrature_polynomial_exact():
-    value, err = adaptive_gauss_kronrod(_pointwise(lambda u: 3.0 * u * u), 0.0, 1.0, 1e-12, _exact)
+    rule = _pointwise(lambda u: 3.0 * u * u)
+    err = adaptive_gauss_kronrod(rule, 0.0, 1.0, 1e-12, _exact)
+    value = rule.total
     assert value == pytest.approx(1.0, abs=1e-12)
     assert err <= 1e-12
 
@@ -414,17 +418,17 @@ def _cos40_bound(lo, hi):
 
 def test_quadrature_oscillatory_error_is_honest():
     truth = math.sin(40.0) / 40.0
-    value, err = adaptive_gauss_kronrod(
-        _pointwise(lambda u: math.cos(40.0 * u)), 0.0, 1.0, 1e-10, _cos40_bound
-    )
+    rule = _pointwise(lambda u: math.cos(40.0 * u))
+    err = adaptive_gauss_kronrod(rule, 0.0, 1.0, 1e-10, _cos40_bound)
+    value = rule.total
     assert err <= 1e-10
     assert abs(value - truth) <= err
 
 
 def test_quadrature_vector_integrand():
-    value, err = adaptive_gauss_kronrod(
-        _pointwise(lambda u: np.array([1.0, u, u * u])), 0.0, 1.0, 1e-12, _exact
-    )
+    rule = _pointwise(lambda u: np.array([1.0, u, u * u]))
+    err = adaptive_gauss_kronrod(rule, 0.0, 1.0, 1e-12, _exact)
+    value = rule.total
     assert np.allclose(value, [1.0, 0.5, 1.0 / 3.0], atol=1e-12)
     assert err < 1e-10
 
@@ -502,6 +506,24 @@ def test_integral_bound_bit_identical_to_node_by_node(lam, monkeypatch):
             acc = v if acc is None else acc + v
         want = acc if want is None else want + acc
     assert got.value == float(want)
+
+
+@pytest.mark.parametrize("l1, l2, want", [
+    (0.15, 0.15, 0.8699581858223866),
+    (0.5, 0.25, 0.7310530125083504),
+    (20.0, 20.0, 0.12576050894969867),
+])
+def test_integral_bound_bits_do_not_depend_on_the_python_version(l1, l2, want):
+    """The rules add their node values with plain +, in order.  From Python
+    3.12 on the builtin sum of floats is compensated, which moved the last
+    bit of each of these."""
+    assert bound_first_diff_integral(SkellamParams(l1, l2)).value == want
+
+
+def test_integral_bound_refuses_a_tolerance_that_is_not_positive():
+    for quad_tol in (0.0, -1e-8, math.nan):
+        with pytest.raises(ValueError, match="^quad_tol must be positive$"):
+            bound_first_diff_integral(SkellamParams(3.0, 4.0), quad_tol)
 
 
 def _debye_u_fractions(count):

@@ -636,11 +636,55 @@ print(next(ln.split()[1] for ln in open("/proc/self/status") if ln.startswith("V
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 def test_factor_sweep_peak_memory():
-    """A sweep holds one running sum and one rule's accumulator: at (20, 20)
-    on grid 78, (79, 79, 271) floats each.  An adaptive heap of pending
+    """A sweep holds one state tensor, (79, 79, 271) floats at (20, 20) on
+    grid 78, into which every rule adds.  An adaptive heap of pending
     tensors peaked at 181 MB here."""
     proc = subprocess.run([sys.executable, "-c", _PEAK_RSS], capture_output=True, text=True, check=True)
     assert int(proc.stdout) / 1024 <= 120
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("single_state", [None, (3, 2)])
+def test_sweep_tensor_is_the_left_to_right_sum_of_its_rules(order, single_state, monkeypatch):
+    """Every rule adds into the sweep's one tensor: bit for bit the sum, left
+    to right, of one fresh tensor per rule."""
+    real_kernel = kernels.sweep_accumulate
+    rules, summed = [], []
+
+    def replaying_kernel(acc, frame, u, coef):
+        tensor = acc.base  # the sweep's whole tensor; acc is its window's slice
+        start = (acc.__array_interface__["data"][0] - tensor.__array_interface__["data"][0]) // 8
+        fresh = np.zeros_like(tensor)
+        real_kernel(fresh[:, :, start : start + acc.shape[2]], frame.copy(), u, coef)
+        rules.append(fresh)
+        real_kernel(acc, frame, u, coef)
+        summed[:] = [tensor.copy()]
+
+    monkeypatch.setattr(kernels, "sweep_accumulate", replaying_kernel)
+    nx, ny = (4, 3) if single_state is not None else (5, 4)
+    res = stein._sweep(SkellamParams(3.0, 4.0), order, (1,) * order, nx, ny, QUAD_TOL, single_state)
+    assert len(rules) > 1
+    want = rules[0]
+    for fresh in rules[1:]:
+        want = want + fresh
+    np.testing.assert_array_equal(summed[0], want)
+    if order:  # order 0 subtracts its stationary row afterwards
+        got = res.tensor if single_state is not None else res.tensor.transpose(1, 0, 2)
+        np.testing.assert_array_equal(got, want[0, 0] if single_state is not None else want)
+
+
+def test_grid_sup_holds_one_state_tensor():
+    """The sweep adds every rule into one tensor and _grid_sup reduces it a
+    y-slice at a time: no second tensor of its size is ever live."""
+    params, n = SkellamParams(20.0, 20.0), 41
+    size = stein._sweep_window(params, n, n, stein._pois_tol(QUAD_TOL))[1]
+    tracemalloc.start()
+    try:
+        stein._grid_sup(params, 1, n - 1, QUAD_TOL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * n * n * size * 8
 
 
 def test_solution_kernels_of_an_earlier_rate_pair_are_released():
