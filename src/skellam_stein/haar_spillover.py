@@ -30,6 +30,7 @@ import numpy as np
 from .dists import SIM_BLOCK_CELLS, TVInterval, blocks, tv_rows
 from .jsonwriter import Rows
 from .skellam import SkellamParams, windows
+from .special import chernoff_level
 from .verification import VerificationReport, make_report, report_columns
 
 # Window points that the sweep holds live at once, bounded before any window
@@ -351,8 +352,8 @@ def _width_bound(total: np.ndarray, tail_tol: float) -> np.ndarray:
     """At least the points of a pmf window of total rate v at tail_tol:
     Bernstein's inequality, P(|X - EX| >= t) <= 2 exp(-t^2 / (2 (v + t / 3)))
     for a difference of Poisson counts, is at most tail_tol / 2 on each side
-    at t = T / 3 + sqrt(T^2 / 9 + 2 T v), T = log(2 / tail_tol), and
-    Chernoff's window ends lie within t + 1 of the mean."""
-    t_max = math.log(2.0 / tail_tol)
+    at t = T / 3 + sqrt(T^2 / 9 + 2 T v), T = special.chernoff_level(tail_tol),
+    and Chernoff's window ends lie within t + 1 of the mean."""
+    t_max = chernoff_level(tail_tol)
     with np.errstate(over="ignore"):
         return 2.0 * (t_max / 3.0 + np.sqrt(t_max * t_max / 9.0 + 2.0 * t_max * total)) + 3.0

@@ -13,7 +13,10 @@ the same expansion with the tilt folded in, and log_poisson_pmf the Poisson
 pmf at every order.
 window_ends sizes every pmf window, Poisson here and Skellam in skellam,
 before any value is built: its ends are where Chernoff's rate function,
-the exponent of that expansion, reaches log(2 / tail_tol).
+the exponent of that expansion, reaches log(2 / tail_tol).  On Python floats
+every step takes that rate on libm.  On arrays Newton's steps take a numpy
+rate within a proven margin of libm's, and libm's is taken only for a row
+whose end the margin leaves open, so both find the same ends.
 log_scaled_iv_pairs gives the Bessel values for many (order, argument)
 pairs at once, each regime's pairs together.
 Time integrals over [0, inf) are taken on (0, 1] via u = exp(-t) by Kronrod
@@ -58,19 +61,23 @@ def ratio_start(kmax, x):
     return int(math.sqrt(kmax * kmax + 100.0 * x)) + 20
 
 
-def backward_ratios(x: float, top: int, low: int, seed: float) -> list[float]:
-    """r[m - low - 1] = r_m = I_m(x) / I_{m-1}(x) for low < m <= top, x > 0,
-    from r_{top + 1} = seed.
+def backward_ratios(x: float, top: int, low: int, seed: float, high: int | None = None) -> list[float]:
+    """r[m - low - 1] = r_m = I_m(x) / I_{m-1}(x) for low < m <= min(top,
+    high), x > 0, from r_{top + 1} = seed; high defaults to top.
 
     Miller's backward recurrence r_m = 1 / (2m/x + r_{m+1}) (Gautschi, SIAM
     Review 9, 1967), seeded by 0 from ratio_start's order or by the true
-    ratio from any order.
+    ratio from any order.  Every order from top down is stepped, and only
+    those up to high are stored.
     The ratios lie in (0, 1) and come from the dominant solution of the
     three-term recurrence, so the continued fraction is forward stable.
     """
-    out = [0.0] * (top - low)
+    stop = top if high is None else min(top, high)
     r = seed
-    for m in range(top, low, -1):
+    for m in range(top, stop, -1):
+        r = 1.0 / (2.0 * m / x + r)
+    out = [0.0] * (stop - low)
+    for m in range(stop, low, -1):
         r = 1.0 / (2.0 * m / x + r)
         out[m - low - 1] = r
     return out
@@ -94,7 +101,7 @@ def backward_ratios_lockstep(x: np.ndarray, top: np.ndarray, low: int, high: int
     ratios = np.zeros((high - low, n))
     if n < _LOCKSTEP_ROWS:
         for i, (xi, t) in enumerate(zip(x.tolist(), top.tolist())):
-            r = backward_ratios(xi, t, low, 0.0 if seed is None else float(seed[i]))[: high - low]
+            r = backward_ratios(xi, t, low, 0.0 if seed is None else float(seed[i]), high)
             ratios[: len(r), i] = r
         return ratios
     order = np.argsort(top, kind="stable")
@@ -266,21 +273,33 @@ def _log_ratio(z: float, ratio: float, la: float, ns: float) -> float:
     return math.log(2.0 * la) - math.log(ns)  # the ratio underflows
 
 
+def chernoff_level(tail_tol: float) -> float:
+    """T = log(2 / tail_tol), the rate Chernoff's bound asks of a window's
+    ends, for 0 < tail_tol < 1; below 2 / DBL_MAX, where 2 / tail_tol
+    overflows, log 2 - log tail_tol."""
+    tail_tol = float(tail_tol)
+    ratio = 2.0 / tail_tol
+    return math.log(ratio) if ratio < math.inf else math.log(2.0) - math.log(tail_tol)
+
+
 def window_ends(center, la, lb, tail_tol: float):
     """(lo, hi), as integral floats, of the pmf window of Skellam(la, lb)
     around the integer center (the mode or round(la - lb)): with
-    T = log(2 / tail_tol) and I Chernoff's rate function, hi is the least
-    k >= center with I(hi + 1) >= T and lo the greatest k <= center with
-    I(lo - 1) >= T.  P(X > hi) <= exp(-I(hi + 1)) and the same below
+    T = chernoff_level(tail_tol) and I Chernoff's rate function, hi is the
+    least k >= center with I(hi + 1) >= T and lo the greatest k <= center
+    with I(lo - 1) >= T.  P(X > hi) <= exp(-I(hi + 1)) and the same below
     (Chernoff, Ann. Math. Statist. 23, 1952), so at most tail_tol lies outside.
 
     la > 0, lb >= 0; lb = 0 gives the Poisson(la) window, lo >= 0, whose
     ends never decrease as la grows.  No pmf value is built.  On Python
-    floats one window's Newton steps avoid numpy's cost per call; on 1-D
-    float arrays of positive rates, as skellam.windows batches them, all
-    rows step together.  Both find the same ends from the same I.
+    floats, _end_distance takes every Newton step and every check on
+    libm's I.  On 1-D float arrays of positive rates, as skellam.windows
+    batches them, _end_distances steps all rows together on numpy's I and
+    decides each check on it wherever its proven margin does; libm's I
+    decides the rest.  Each end is the first point past the centre whose
+    libm I reaches T, so both give the same ends.
     """
-    t_max = math.log(2.0 / tail_tol)
+    t_max = chernoff_level(tail_tol)
     distance = _end_distances if isinstance(center, np.ndarray) else _end_distance
     return (center - distance(center, la, lb, t_max, -1.0) + 1.0,
             center + distance(center, la, lb, t_max, 1.0) - 1.0)
@@ -291,8 +310,11 @@ def _end_distance(c: float, la: float, lb: float, t_max: float, side: float) -> 
     convex I from a Cornish-Fisher guess.  Where the tangent reaches
     t_max + 1e-9, far above the rounding of I, so does I: from either side
     the tangent's root, rounded up, is at or past the answer, and only the
-    point one nearer c needs I.  On a Poisson law's lower side Newton starts
-    at k >= 1, where I' is finite, and stops at k = -1, where I = inf.
+    point one nearer c needs I.  A point whose I reaches t_max is at or past
+    the answer, so no step from it goes outward; else an I within 1e-9
+    above t_max would step out and back forever.  On a Poisson law's lower side
+    Newton starts at k >= 1, where I' is finite, and stops at k = -1, where
+    I = inf.
     """
     v = la + lb
     if v > WINDOW_CAP**2:  # more than 2 sqrt(v) wide, so past the cap: no step is taken
@@ -306,7 +328,7 @@ def _end_distance(c: float, la: float, lb: float, t_max: float, side: float) -> 
     while True:
         step = (rate - t_max - 1e-9) / (side * slope)
         if abs(step) < math.inf:  # neither nan nor infinite
-            t = min(max(t - math.floor(step), 1.0), cap)
+            t = min(max(t - math.floor(max(step, 0.0) if rate >= t_max else step), 1.0), cap)
         if t == 1.0:
             return t
         rate, slope = _chernoff_rate(c + side * (t - 1.0), la, lb)
@@ -317,22 +339,51 @@ def _end_distance(c: float, la: float, lb: float, t_max: float, side: float) -> 
 
 def _end_distances(c, la, lb, t_max: float, side: float) -> np.ndarray:
     """_end_distance of each row of 1-D arrays of positive rates: the rows
-    not yet done take a Newton step together."""
+    not yet done take a step together, on _chernoff_rates_fast's I and I'
+    within their margins e and e'.
+
+    A Newton step from t0 lands at t1 where the fast tangent reaches
+    t_max + 1e-9 + e, taken with slope S' + e' inward (S' = side I', the
+    slope along t) and S' - e' outward.  libm's tangent at t0, which
+    _end_distance steps by, differs from it at t1 by at most
+    e + e' |t1 - t0|, so it reaches t_max + 1e-9 there too, and the landing
+    is at or past the answer as in _end_distance.  A check I(t - 1) >=
+    t_max with |I_fast - t_max| > e has libm's answer; the other rows take
+    _chernoff_rates for that check, as does any row without a finite
+    margin.  So a row stops at _end_distance's t.
+    """
     with np.errstate(over="ignore", invalid="ignore"):  # rows that are huge
         v = la + lb
         huge = v > WINDOW_CAP**2  # inf, refused by the caller
         guess = side * (la - lb - c) + np.sqrt(2.0 * t_max * v) + side * t_max * (la - lb) / (3.0 * v)
     t = np.where(huge, np.inf, np.maximum(np.ceil(guess), 1.0))
     rows = np.flatnonzero(~huge)
-    rate, slope = _chernoff_rates(c[rows] + side * t[rows], la[rows], lb[rows])
+    rate, slope, err, slope_err = _settled_rates(c[rows] + side * t[rows], la[rows], lb[rows])
     while rows.size:
-        t[rows] = np.maximum(t[rows] - np.floor((rate - t_max - 1e-9) / (side * slope)), 1.0)
+        reach = rate - t_max - 1e-9 - err
+        step = np.floor(reach / (side * slope + np.copysign(slope_err, reach)))
+        t[rows] = np.maximum(t[rows] - np.where(rate - err >= t_max, np.maximum(step, 0.0), step), 1.0)
         rows = rows[t[rows] > 1.0]
-        rate, slope = _chernoff_rates(c[rows] + side * (t[rows] - 1.0), la[rows], lb[rows])
+        rate, slope, err, slope_err = _settled_rates(c[rows] + side * (t[rows] - 1.0), la[rows], lb[rows], t_max)
         nearer = rate >= t_max
-        rows, rate, slope = rows[nearer], rate[nearer], slope[nearer]
+        rows, rate, slope, err, slope_err = rows[nearer], rate[nearer], slope[nearer], err[nearer], slope_err[nearer]
         t[rows] -= 1.0
     return t
+
+
+def _settled_rates(k, la, lb, t_max=None):
+    """_chernoff_rates_fast's (I, I', e, e'), with libm's I and I' and
+    zero margins in the rows whose margin is not finite and, given t_max,
+    in those where I_fast lies within e of t_max."""
+    rate, slope, err, slope_err = _chernoff_rates_fast(k, la, lb)
+    exact = ~(err < np.inf)
+    if t_max is not None:
+        exact |= np.abs(rate - t_max) <= err
+    if exact.any():
+        i = np.flatnonzero(exact)
+        rate[i], slope[i] = _chernoff_rates(k[i], la[i], lb[i])
+        err[i] = slope_err[i] = 0.0
+    return rate, slope, err, slope_err
 
 
 def _chernoff_rates(k: np.ndarray, la: np.ndarray, lb: np.ndarray):
@@ -340,6 +391,60 @@ def _chernoff_rates(k: np.ndarray, la: np.ndarray, lb: np.ndarray):
     up = (k > 0.0) | ((k == 0.0) & (la >= lb))
     exponent, log_ratio, _ = _log_skellam_exponent(np.abs(k), np.where(up, la, lb), np.where(up, lb, la))
     return -exponent, np.where(up, -log_ratio, log_ratio)
+
+
+# _chernoff_rates_fast's relative margin besides delta's.  It assumes numpy's
+# log and log1p within a relative 4e-10 of the true value: some 10^6 ulps,
+# where libm and numpy's SIMD loops claim a few.
+_FAST_RATE_REL = 1e-9
+
+
+def _chernoff_rates_fast(k: np.ndarray, la: np.ndarray, lb: np.ndarray):
+    """(I, I', e, e'): _chernoff_rates' I and I' of each row by numpy's log
+    and log1p, with delta = (nu - la) + lb in place of fsum, and bounds e
+    and e' on their distance from _chernoff_rates' values; inf or nan where
+    none is proven.
+
+    Both evaluate I = -(A + B), A = nu L, B = delta (nu + d) / st and
+    L = log(2 la / ns) = +-I' by the same correctly rounded operations on
+    the same inputs, except delta and the logs.  With u = 2^-53 and
+    D = nu + la + lb:
+    - fsum's delta is within u |delta| of the true one, and two plain
+      additions within 2u D, so they differ by at most 4u D = r |delta_fast|,
+      which defines r; a row needs r <= 1e-3.
+    - B's two values differ by at most (r + 7u) |B|.
+    - Where both take log1p, z scales with delta, so the two z differ by
+      (r + 5u) |z|.  log1p's slope is at most 2 for |z| <= 1/2, and
+      |z| <= 1.5 |L| there, so the L differ by 3.1 r |L| plus each log's
+      own error.  Where both take log of the one shared ratio, or one takes
+      each at |z| near 1/2, where the two are the same function to 100u,
+      the logs' errors and 100u remain.  Past the float range the log of
+      2 la less that of ns errs by 1.2 times the logs' error in |L|.
+    - With each log within a relative alpha <= 4e-10 (libm's within 2u),
+      L differs by (3.1 r + 1.2 alpha + 100u) |L|, A by as much in |A|, and
+      I, after one last rounding, by (3.2 r + 1.21 alpha + 111u)(|A| + |B|)
+      <= (3.2 r + 5e-10)(|A| + |B|), second-order terms included at
+      r <= 1e-3.
+    e = (8r + 1e-9)(|A| + |B|) and e' = (8r + 1e-9) |L| hold both with room.
+    """
+    up = (k > 0.0) | ((k == 0.0) & (la >= lb))
+    nu, la, lb = np.abs(k), np.where(up, la, lb), np.where(up, lb, la)
+    total, d = la + lb, la - lb
+    x = 2.0 * np.sqrt(la) * np.sqrt(lb)
+    s = np.sqrt(nu * nu + x * x)
+    delta = nu - la + lb
+    st, ns = s + total, nu + s
+    z = -delta * (st + nu + d) / (st * ns)
+    ratio = 2.0 * la / ns
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_ratio = np.where(np.abs(z) <= 0.5, np.log1p(z), np.log(ratio))
+        under = ratio < sys.float_info.min
+        if under.any():  # the ratio underflows
+            log_ratio[under] = np.log(2.0 * la[under]) - np.log(ns[under])
+        a, b = nu * log_ratio, delta * (nu + d) / st
+        r = 2.0**-51 * (nu + total) / np.abs(delta)
+    rel = np.where(r <= 1e-3, 8.0 * r + _FAST_RATE_REL, np.inf)
+    return -(a + b), np.where(up, -log_ratio, log_ratio), rel * (np.abs(a) + np.abs(b)), rel * np.abs(log_ratio)
 
 
 def _chernoff_rate(k: float, la: float, lb: float) -> tuple[float, float]:
@@ -515,7 +620,7 @@ def poisson_rows(lams: np.ndarray, tail_tol: float) -> tuple[int, np.ndarray]:
     """
     lams = np.asarray(lams, dtype=np.float64)
     small, large = float(lams.min()), float(lams.max())
-    t_max = math.log(2.0 / tail_tol)
+    t_max = chernoff_level(tail_tol)
     lo = hi = 0.0
     if small > 0.0:
         lo = float(int(small)) - _end_distance(float(int(small)), small, 0.0, t_max, -1.0) + 1.0

@@ -746,7 +746,7 @@ _FUZZ_RATES = st.one_of(
     l2=_FUZZ_RATES,
     extended=st.booleans(),
     order=st.sampled_from(["1", "2"]),
-    quad_tol=st.sampled_from([None, 1e-300, 1.0]),
+    quad_tol=st.sampled_from([None, 1e-300, 1e-310, 5e-324, 1.0]),
     grid=st.sampled_from([None, -1, 0, 3, 10**6]),
 )
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -794,7 +794,7 @@ _SOLVE_SETS = st.one_of(
     x=st.sampled_from([0, 1, 7, 40, 10**5]),
     y=st.sampled_from([0, 1, 7, 40, 10**5]),
     test_set=_SOLVE_SETS,
-    quad_tol=st.sampled_from([1e-300, 1e-13, 1.0]),
+    quad_tol=st.sampled_from([1e-300, 1e-310, 5e-324, 1e-13, 1.0]),
 )
 @settings(max_examples=100, deadline=None, derandomize=True)
 def test_fuzz_stein_solve(l1, l2, extended, x, y, test_set, quad_tol):
@@ -870,7 +870,7 @@ _HAAR_BINS = st.one_of(st.sampled_from([0.0, 5e-324, 1e308]), st.floats(0.0, 50.
     bins=st.lists(_HAAR_BINS, min_size=1, max_size=64),
     window=st.one_of(st.none(), st.tuples(st.integers(0, 7), st.integers(-1, 40))),
     p=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
-    tail_tol=st.sampled_from([None, 1e-300, 0.5]),
+    tail_tol=st.sampled_from([None, 1e-300, 1e-310, 5e-324, 0.5]),
 )
 @settings(max_examples=100, deadline=None, derandomize=True)
 def test_fuzz_verify_haar(tmp_path_factory, bins, window, p, tail_tol):
@@ -916,7 +916,7 @@ _DIST_RATES = st.one_of(
     l2=_DIST_RATES,
     extended=st.booleans(),
     k=st.one_of(st.integers(-60, 60), st.sampled_from([-(2**53) - 1, 2**53, 10**20])),
-    tol=st.sampled_from([None, 1e-300, 1e-15, 0.5, 1.0]),
+    tol=st.sampled_from([None, 1e-300, 1e-310, 5e-324, 1e-15, 0.5, 1.0]),
     n=st.integers(0, 1000),
 )
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -981,10 +981,11 @@ _GRAPH_MODELS = [
     n=st.sampled_from(["0", "1", "2.5", "12", str(10**5 + 1)]),
     prs=st.tuples(_GRAPH_PROBABILITIES, _GRAPH_PROBABILITIES, _GRAPH_PROBABILITIES),
     model=st.one_of(st.none(), st.sampled_from(_GRAPH_MODELS)),
+    tail_tol=st.sampled_from([None, 1e-300, 1e-310, 5e-324]),
 )
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_fuzz_stein_bounds_conjecture_and_verify_graph(
-    tmp_path_factory, command, l1, l2, extended, quad_tol, window, n, prs, model
+    tmp_path_factory, command, l1, l2, extended, quad_tol, window, n, prs, model, tail_tol
 ):
     """Any rates, tolerance, window or graph model: a record or one error
     line, exit 1 only for a graph whose bound fails, and no nan bound."""
@@ -996,6 +997,7 @@ def test_fuzz_stein_bounds_conjecture_and_verify_graph(
             path = tmp_path_factory.mktemp("graph") / "model.json"
             path.write_text(model)
             args += ["--model", str(path)]
+        args += [f"--tail-tol={tail_tol!r}"] if tail_tol is not None else []
     else:
         args = ["stein", command, f"--l1={l1!r}", f"--l2={l2!r}", "--format", "json"]
         args += ["--extended"] if extended else []
@@ -1023,3 +1025,39 @@ def test_fuzz_stein_bounds_conjecture_and_verify_graph(
     else:
         bounds = [res["second_diff_sum"], res["reference_rate"], res["tail_bound"]]
     assert not any(math.isnan(b) for b in bounds), (args, res)
+
+
+@pytest.mark.parametrize("tol", ["1e-310", "5e-324"])
+@pytest.mark.parametrize("args", [
+    ["dist", "table", "--l1", "3", "--l2", "4", "--tol"],
+    ["verify", "graph", "--homogeneous", "100", "0.3", "0.1", "0.05", "--tail-tol"],
+    ["verify", "haar", "--signal", "SIGNAL", "--p", "0.2", "--sweep", "--tail-tol"],
+    ["dist", "table", "--l1", "3", "--l2", "0", "--extended", "--tol"],
+    ["stein", "factors", "--l1", "3", "--l2", "4", "--order", "1", "--quad-tol"],
+])
+def test_tolerances_below_two_over_the_float_max_give_no_nan(tmp_path, capsys, args, tol):
+    """Where 2 / tail_tol overflows, T = log 2 - log tail_tol: a record, or
+    one error line that names the tolerance, never a nan window."""
+    signal = tmp_path / "signal.txt"
+    np.savetxt(signal, np.random.default_rng(0).gamma(2.0, 2.5, 2048))
+    args = [str(signal) if a == "SIGNAL" else a for a in args] + [tol, "--format", "json"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(capsys, *args)
+    assert "nan" not in err.lower(), err
+    if code == 2:
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert "tol" in err, err
+    else:
+        assert (code, err) == (0, ""), err
+        assert json.loads(out)["tolerances"], out
+
+
+def test_a_tolerance_on_a_rate_value_still_ends_the_window(capsys):
+    # T = log(2 / tol) lies within 1e-9 below Chernoff's I(67) at (30, 20),
+    # where a Newton step out from k = 67 and the check back would cycle.
+    code, out, err = run_cli(capsys, "dist", "table", "--l1", "30", "--l2", "20",
+                             "--tol", "9.349046447863673e-13", "--format", "json")
+    assert (code, err) == (0, "")
+    res = json.loads(out)["results"]
+    assert (res["window_lo"], res["window_hi"]) == (-43, 66)

@@ -471,9 +471,9 @@ def test_large_rate_window_takes_few_backward_ratio_steps(monkeypatch):
     steps = []
     real = skellam.special.backward_ratios
 
-    def counting(x, top, low, seed):
+    def counting(x, top, low, seed, high=None):
         steps.append(top - low)
-        return real(x, top, low, seed)
+        return real(x, top, low, seed, high)
 
     monkeypatch.setattr(skellam.special, "backward_ratios", counting)
     to_dist(SkellamParams(7e5, 3e5), 1e-12)

@@ -156,9 +156,9 @@ def test_orders_below_64_take_at_most_64_backward_ratio_steps(monkeypatch, x):
     steps = []
     real = special.backward_ratios
 
-    def counting(x, top, low, seed):
+    def counting(x, top, low, seed, high=None):
         steps.append(top - low)
-        return real(x, top, low, seed)
+        return real(x, top, low, seed, high)
 
     monkeypatch.setattr(special, "backward_ratios", counting)
     for k in (0, 17, 63):
@@ -596,3 +596,93 @@ def test_poisson_window_tail_is_the_mass_outside():
         d = poisson_dist(lam, 1e-12)
         outside = sstats.poisson.cdf(d.min_support - 1, lam) + sstats.poisson.sf(d.max_support, lam)
         assert abs(d.tail_mass - outside) <= 1e-14, (lam, d.tail_mass, outside)
+
+
+def _fuzzed_rows(rng, n):
+    """n positive rate pairs: l1 log-uniform over [1e-6, 1e10], l2 at a skew
+    down to 1e-17 either way or within a factor 10, centred at
+    round(l1 - l2)."""
+    l1 = np.exp(rng.uniform(math.log(1e-6), math.log(1e10), n))
+    skew = np.exp(rng.uniform(math.log(1e-17), 0.0, n))
+    l2 = np.where(rng.random(n) < 0.5, l1 * skew, l1 / skew)
+    l2 = np.where(rng.random(n) < 0.3, l1 * rng.uniform(0.1, 10.0, n), l2)
+    keep = l2 <= 1e10
+    l1, l2 = l1[keep], l2[keep]
+    return np.rint(l1 - l2), l1, l2
+
+
+def _float_ends(center, l1, l2, tail_tol):
+    """window_ends of each row, solved on Python floats."""
+    ends = [special.window_ends(c, a, b, tail_tol) for c, a, b in zip(center.tolist(), l1.tolist(), l2.tolist())]
+    return np.array(ends).T
+
+
+def test_array_window_ends_match_floats_on_fuzzed_rows():
+    # The array solve steps on numpy's rate and asks libm's only where its
+    # margin leaves a check open; the float solve takes libm's everywhere.
+    rng = np.random.default_rng(20261020)
+    rows = 0
+    for _ in range(30):
+        center, l1, l2 = _fuzzed_rows(rng, 500)
+        tail_tol = math.exp(rng.uniform(math.log(1e-300), math.log(0.5)))
+        lo, hi = special.window_ends(center, l1, l2, tail_tol)
+        want_lo, want_hi = _float_ends(center, l1, l2, tail_tol)
+        assert lo.tolist() == want_lo.tolist() and hi.tolist() == want_hi.tolist(), tail_tol
+        rows += center.size
+    assert rows >= 10**4
+
+
+def test_array_window_ends_match_floats_where_an_end_rests_on_the_last_bits():
+    # tail_tol = 2 exp(-I(k)) puts T within a few ulps of libm's I(k) at a
+    # point k next to a row's end, so the end turns on I's last bits: the
+    # margin must hand these checks to libm.  T just below I(k) also needs
+    # that no step goes outward from a point reaching T: out and back by one
+    # would cycle forever.
+    rng = np.random.default_rng(2026102)
+    center, l1, l2 = _fuzzed_rows(rng, 120)
+    checked = 0
+    for c, a, b in zip(center.tolist(), l1.tolist(), l2.tolist()):
+        lo, hi = special.window_ends(c, a, b, 1e-10)
+        for k in (hi, hi + 1.0, hi + 2.0, lo - 2.0, lo - 1.0, lo):
+            rate = special._chernoff_rate(k, a, b)[0]
+            tail = 2.0 * math.exp(-rate)
+            if not 0.0 < tail < 1.0:
+                continue
+            for tail_tol in (math.nextafter(tail, 0.0), tail, math.nextafter(tail, 1.0)):
+                got = special.window_ends(np.array([c]), np.array([a]), np.array([b]), tail_tol)
+                assert [v[0] for v in got] == list(special.window_ends(c, a, b, tail_tol)), (c, a, b, tail_tol)
+                checked += 1
+    assert checked >= 1000
+
+
+def test_haar_sweep_end_solve_rarely_needs_the_libm_rate(monkeypatch):
+    # Each check takes libm's rate only where numpy's margin leaves it open:
+    # on the seed-0 2048-bin signal, none of the rows.
+    from skellam_stein import haar_spillover
+
+    seen = {"fast": 0, "exact": 0}
+    fast, exact = special._chernoff_rates_fast, special._chernoff_rates
+
+    def counting_fast(k, la, lb):
+        seen["fast"] += k.size
+        return fast(k, la, lb)
+
+    def counting_exact(k, la, lb):
+        seen["exact"] += k.size
+        return exact(k, la, lb)
+
+    monkeypatch.setattr(special, "_chernoff_rates_fast", counting_fast)
+    monkeypatch.setattr(special, "_chernoff_rates", counting_exact)
+    f = np.random.default_rng(0).gamma(2.0, 2.5, 2048)
+    haar_spillover.sweep_windows(f, 0.2, 1e-10)
+    assert seen["fast"] >= 4 * 2047
+    assert seen["exact"] <= 0.01 * seen["fast"], seen
+
+
+def test_chernoff_level_past_the_float_range_of_two_over_tail_tol():
+    # T = log(2 / tail_tol) keeps its bits wherever 2 / tail_tol is finite.
+    for tail_tol in (0.5, 1e-12, 1e-300, 1.2e-308):
+        assert special.chernoff_level(tail_tol) == math.log(2.0 / tail_tol)
+    for tail_tol in (1e-310, 5e-324):
+        assert special.chernoff_level(tail_tol) == math.log(2.0) - math.log(tail_tol)
+    assert special.chernoff_level(5e-324) == pytest.approx(745.13, abs=0.01)
