@@ -12,6 +12,8 @@ ints); a 1-D array value prints the same way.  A list of dicts, such as
 csv's one-row table of results, is formatted value by value.
 Every record echoes the tool version, command, resolved parameters, seed,
 and tolerances; deterministic commands reproduce bit-for-bit from a record.
+A ``verify graph`` model's arrays are not echoed: the record identifies
+them by ``n`` and their SHA-256 (``noisy_graph.model_digest``).
 """
 
 from __future__ import annotations
@@ -386,18 +388,10 @@ def _cmd_verify_graph(args):
         n_text, p_text, r_text, s_text = args.homogeneous
         n = int(n_text)
         noisy_graph.check_exact_size(n)
-        model = noisy_graph.NoisyGraphModel.homogeneous(
-            n, float(p_text), float(r_text), float(s_text)
-        )
-        params = {}
-    params.update(
-        {
-            "n": model.n,
-            "p": model.p,
-            "r": model.r,
-            "s": model.s,
-        }
-    )
+        p, r, s = float(p_text), float(r_text), float(s_text)
+        model = noisy_graph.NoisyGraphModel.homogeneous(n, p, r, s)
+        params = {"p": p, "r": r, "s": s}
+    params.update({"n": model.n, "sha256": noisy_graph.model_digest(model)})
     report = noisy_graph.verify(model, args.tail_tol)
     approx = noisy_graph.skellam_params(model)
     results = {"lambda1": approx.lambda1, "lambda2": approx.lambda2}

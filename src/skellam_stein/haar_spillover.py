@@ -219,7 +219,11 @@ def bound_theorem32(model: HaarSpilloverModel) -> SpilloverBound:
 def _bounds(p: float, pf, nf, pfs, nfs):
     """(value, shift_gap_pos, shift_gap_neg, max_rate) of SpilloverBound for
     arrays of window sums: sqrt(2 p^2 / (e max_rate)) (gap_pos + gap_neg),
-    +inf where that leaves the float range."""
+    +inf where that leaves the float range.
+
+    That is p (gap_pos + gap_neg) times the first-difference Stein factor
+    stein.bound_first_diff at m = max_rate = max(pf, nf), without that
+    factor's clamp at 1."""
     gap_pos = np.abs(pf - pfs)
     gap_neg = np.abs(nf - nfs)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

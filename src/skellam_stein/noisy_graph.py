@@ -112,6 +112,21 @@ def load_model(path) -> NoisyGraphModel:
         return NoisyGraphModel.from_dict(json.load(fh))
 
 
+def model_digest(model: NoisyGraphModel) -> str:
+    """Hex SHA-256 of p, then r, then s as little-endian float64 bytes.
+
+    The arrays are the model's validated, expanded ones, so a homogeneous
+    model hashes the same however it was given (--homogeneous, the {"n": ...}
+    shorthand or written-out arrays), and -0.0 and 0.0 hash differently.
+    """
+    import hashlib  # here, not at module top: it would add ~3 ms to every CLI import
+
+    h = hashlib.sha256()
+    for arr in (model.p, model.r, model.s):
+        h.update(arr.astype("<f8", copy=False).tobytes())
+    return h.hexdigest()
+
+
 def skellam_params(model: NoisyGraphModel) -> SkellamParams:
     """Approximating rates: total drop rate and total invent rate."""
     return SkellamParams(
@@ -207,6 +222,12 @@ class EdgeCountBound:
 
 
 def bound_theorem31(model: NoisyGraphModel) -> EdgeCountBound:
+    """Theorem 3.1's bound s2 (2/s1^2 + 2 sqrt(2) log+(sqrt(2) s1)/s1), where
+    s1 and s2 sum q and q^2 over the pairs' rates q = drop + invent.
+
+    It is s2 times the order-2 Stein factor stein.bound_relaxed(params, 2)
+    at the total rate L = s1, without that factor's clamp at 1.
+    """
     q = model.drop_rates + model.invent_rates
     s1 = float(q.sum())
     s2 = float((q * q).sum())

@@ -898,7 +898,13 @@ def prior_bound_comparison(lam: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class SecondDiffSumReport:
-    """Report-only probe of the conjectured 1/(l1+l2) second-difference rate."""
+    """Report-only probe of the conjectured 1/(l1+l2) second-difference rate.
+
+    The conjecture V <= 1/(l1 + l2) fails below a total rate of about 5:
+    ratio = V (l1 + l2) is 1.1258 at (0.1757, 0.981), which 40-digit
+    mpmath confirms.  At large totals the ratio tends to 4/sqrt(2 pi e)
+    ~ 0.96788, the L1 norm of the normal density's second derivative.
+    """
 
     value: float
     reference: float   # 1 / (l1 + l2)
@@ -915,7 +921,12 @@ class SecondDiffSumReport:
 def skellam_second_diff_sum(
     params: SkellamParams, window: tuple[int, int] | None = None
 ) -> SecondDiffSumReport:
-    """sum_k |p(k) - 2 p(k-1) + p(k-2)| over the window, with tail note."""
+    """V = sum_k |p(k) - 2 p(k-1) + p(k-2)| over the window, with tail note.
+
+    The reference rate 1/(l1 + l2) is no bound below a total of about 5
+    (SecondDiffSumReport); at large totals V (l1 + l2) tends to
+    4/sqrt(2 pi e) ~ 0.96788.
+    """
     if window is None:
         d = to_dist(params, 1e-12)
         lo_k, hi_k = d.min_support, d.max_support

@@ -1,9 +1,11 @@
 import csv
+import hashlib
 import io
 import json
 import logging
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -158,6 +160,28 @@ def test_stein_conjecture_reports(capsys):
     assert isinstance(res["holds_numerically"], bool)
 
 
+def test_stein_conjecture_fails_at_a_small_rate_witness(capsys):
+    """V (l1 + l2) = 1.1258 at (0.1757, 0.981): the 1/(l1 + l2) rate fails
+    below a total of about 5, and mpmath at 40 digits says the same."""
+    mpmath = pytest.importorskip("mpmath")
+    code, out, _ = run_cli(capsys, "stein", "conjecture", "--l1", "0.1757", "--l2", "0.981",
+                           "--format", "json")
+    assert code == 0
+    res = json.loads(out)["results"]
+    assert res["holds_numerically"] is False
+    with mpmath.workdps(40):
+        a, b = mpmath.mpf(0.1757), mpmath.mpf(0.981)
+
+        def p(k):
+            return mpmath.exp(-(a + b)) * (a / b) ** (mpmath.mpf(k) / 2) * mpmath.besseli(abs(k), 2 * mpmath.sqrt(a * b))
+
+        probs = {k: p(k) for k in range(-62, 61)}  # beyond |k| = 60 each pmf is below 1e-80
+        second = mpmath.fsum(abs(probs[k] - 2 * probs[k - 1] + probs[k - 2]) for k in range(-60, 61))
+        ratio = float(second * (a + b))
+    assert ratio > 1.12
+    assert abs(res["ratio"] - ratio) <= 1e-12 * ratio
+
+
 def test_verify_graph_homogeneous(capsys):
     code, out, _ = run_cli(capsys, "verify", "graph", "--homogeneous",
                            "100", "0.3", "0.1", "0.05", "--format", "json")
@@ -174,7 +198,50 @@ def test_verify_graph_model_file(capsys, tmp_path):
     assert code == 0
     doc = json.loads(out)
     assert doc["results"]["satisfied"] is True
-    assert doc["params"]["p"] == [0.5, 0.5]
+    expected = hashlib.sha256(
+        b"".join(np.array(v, "<f8").tobytes() for v in ([0.5, 0.5], [0.2, 0.2], [0.1, 0.1]))
+    ).hexdigest()
+    assert doc["params"]["sha256"] == expected
+    assert doc["params"]["n"] == 2
+
+
+def _graph_record(capsys, *source):
+    code, out, _ = run_cli(capsys, "verify", "graph", *source, "--format", "json")
+    assert code == 0
+    return json.loads(out)
+
+
+def test_verify_graph_digest_is_the_same_for_every_form_of_a_model(capsys, tmp_path):
+    shorthand = tmp_path / "shorthand.json"
+    shorthand.write_text(json.dumps({"n": 2, "p": 0.5, "r": 0.2, "s": 0.1}))
+    arrays = tmp_path / "arrays.json"
+    arrays.write_text(json.dumps({"p": [0.5, 0.5], "r": [0.2, 0.2], "s": [0.1, 0.1]}))
+    docs = [
+        _graph_record(capsys, "--homogeneous", "2", "0.5", "0.2", "0.1"),
+        _graph_record(capsys, "--model", str(shorthand)),
+        _graph_record(capsys, "--model", str(arrays)),
+    ]
+    assert len({doc["params"]["sha256"] for doc in docs}) == 1
+    assert docs[0]["params"] == {"p": 0.5, "r": 0.2, "s": 0.1, "n": 2,
+                                 "sha256": docs[0]["params"]["sha256"]}
+    assert docs[1]["results"] == docs[2]["results"] == docs[0]["results"]
+
+
+def test_verify_graph_digest_moves_with_one_ulp_of_p(capsys, tmp_path):
+    p = np.array([0.5, 0.25])
+    digests = []
+    for p0 in (p[0], np.nextafter(p[0], 1.0)):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"p": [float(p0), p[1]], "r": [0.2, 0.1], "s": [0.1, 0.3]}))
+        digests.append(_graph_record(capsys, "--model", str(path))["params"]["sha256"])
+    assert digests[0] != digests[1]
+
+
+def test_verify_graph_record_does_not_echo_the_model(capsys):
+    code, out, _ = run_cli(capsys, "verify", "graph", "--homogeneous",
+                           "100000", "0.3", "0.1", "0.05", "--format", "json")
+    assert code == 0
+    assert len(out.encode()) < 2048
 
 
 def test_verify_graph_bad_model_exits_2(capsys, tmp_path):
@@ -1015,8 +1082,12 @@ def test_fuzz_stein_bounds_conjecture_and_verify_graph(
         lines = err.getvalue().splitlines()
         assert out.getvalue() == "" and len(lines) == 1 and lines[0].startswith("error: "), args
         return
-    res = json.loads(out.getvalue())["results"]
+    doc = json.loads(out.getvalue())
+    res = doc["results"]
     if command == "graph":
+        params = doc["params"]
+        assert not any(isinstance(v, list) for v in params.values()), (args, params)
+        assert re.fullmatch("[0-9a-f]{64}", params["sha256"]), (args, params)
         assert res["satisfied"] is (code == 0), (args, res)
         assert 0.0 <= res["tv"] <= 1.0 and res["tv_slack"] >= 0.0, (args, res)
         bounds = [res["bound"]]

@@ -27,7 +27,8 @@ from skellam_stein.noisy_graph import (
     skellam_params,
     verify,
 )
-from skellam_stein.skellam import to_dist
+from skellam_stein.skellam import SkellamParams, to_dist
+from skellam_stein.stein import bound_relaxed
 from skellam_stein.verification import empirical_tv_threshold
 
 TWO_EDGE = NoisyGraphModel([0.5, 0.5], [0.2, 0.2], [0.1, 0.1])
@@ -194,6 +195,25 @@ def test_bound_reductions_match_general_formula():
     model = NoisyGraphModel.homogeneous(n, pc, lam / n / pc, lam / n / (1 - pc))
     centered = (1.0 / n) * (2.0 + 4.0 * math.sqrt(2.0) * lam * math.log(2.0 * math.sqrt(2.0) * lam))
     assert abs(centered - bound_theorem31(model).value) <= 1e-12
+
+
+def test_bound_is_s2_times_the_unclamped_order_2_relaxed_factor_at_s1():
+    rng = np.random.default_rng(11)
+    n = 1000
+    models = [
+        NoisyGraphModel.homogeneous(100, 0.3, 0.1, 0.05),
+        NoisyGraphModel(rng.uniform(0.05, 0.5, n), rng.uniform(0.0, 0.2, n), rng.uniform(0.0, 0.2, n)),
+    ]
+    matched = 0
+    for model in models:
+        b = bound_theorem31(model)
+        factor = bound_relaxed(SkellamParams(b.s1, 0.0, extended=True), 2)
+        if factor < 1.0:
+            assert abs(b.value - b.s2 * factor) <= 4 * math.ulp(b.value), (b, factor)
+            matched += 1
+        else:  # the clamp at 1, which the bound does not take
+            assert b.value >= b.s2
+    assert matched >= 1
 
 
 def test_bound_degenerate_and_log_clamp():
