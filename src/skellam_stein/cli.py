@@ -12,6 +12,9 @@ ints); a 1-D array value prints the same way.  A list of dicts, such as
 csv's one-row table of results, is formatted value by value.
 Every record echoes the tool version, command, resolved parameters, seed,
 and tolerances; deterministic commands reproduce bit-for-bit from a record.
+``main`` builds that header once for every command: a handler returns only
+its own params, tolerances, results, rows and exit code, and the command
+name, seed and format come from the parsed arguments.
 A ``verify graph`` model's arrays are not echoed: the record identifies
 them by ``n`` and their SHA-256 (``noisy_graph.model_digest``).
 """
@@ -23,7 +26,6 @@ import csv
 import functools
 import json
 import logging
-import math
 import re
 import sys
 from collections.abc import Iterable
@@ -164,6 +166,11 @@ def _skellam_from_args(args) -> SkellamParams:
     return SkellamParams(args.l1, args.l2, extended=args.extended)
 
 
+def _rate_params(params: SkellamParams, **own) -> dict:
+    """A rate command's params: the rate pair, then the command's own."""
+    return {"l1": params.lambda1, "l2": params.lambda2, "extended": params.extended, **own}
+
+
 def _parse_index_list(text: str, n: int, name: str) -> np.ndarray:
     out = np.zeros(n, dtype=np.int64)
     for tok in text.split(","):
@@ -184,27 +191,13 @@ def _parse_index_list(text: str, n: int, name: str) -> np.ndarray:
 
 def _cmd_dist_pmf(args):
     params = _skellam_from_args(args)
-    config = RunConfig(
-        "dist pmf",
-        {"l1": params.lambda1, "l2": params.lambda2, "extended": params.extended, "k": args.k},
-        args.seed,
-        {},
-        args.format,
-    )
-    return config, {"pmf": pmf(params, args.k)}, None, EXIT_OK
+    return _rate_params(params, k=args.k), {}, {"pmf": pmf(params, args.k)}, None, EXIT_OK
 
 
 def _cmd_dist_table(args):
     params = _skellam_from_args(args)
     dist = to_dist(params, args.tol)
     mean, variance = moments(params)
-    config = RunConfig(
-        "dist table",
-        {"l1": params.lambda1, "l2": params.lambda2, "extended": params.extended},
-        args.seed,
-        {"tail_tol": args.tol},
-        args.format,
-    )
     results = {
         "window_lo": dist.min_support,
         "window_hi": dist.max_support,
@@ -216,24 +209,16 @@ def _cmd_dist_table(args):
     rows = jsonwriter.Rows(
         k=np.arange(dist.min_support, dist.max_support + 1), pmf=dist.probabilities
     )
-    return config, results, rows, EXIT_OK
+    return _rate_params(params), {"tail_tol": args.tol}, results, rows, EXIT_OK
 
 
 def _cmd_dist_sample(args):
     params = _skellam_from_args(args)
     if args.n < 0:
         raise ValueError("--n must be >= 0")
-    rng = np.random.default_rng(args.seed)
-    draws = sample(params, rng, args.n)
-    config = RunConfig(
-        "dist sample",
-        {"l1": params.lambda1, "l2": params.lambda2, "extended": params.extended, "n": args.n},
-        args.seed,
-        {},
-        args.format,
-    )
+    draws = sample(params, np.random.default_rng(args.seed), args.n)
     rows = jsonwriter.Rows(index=np.arange(args.n), draw=draws)
-    return config, {"count": args.n}, rows, EXIT_OK
+    return _rate_params(params, n=args.n), {}, {"count": args.n}, rows, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -258,35 +243,15 @@ def _cmd_stein_bounds(args):
         here, prior = prior_bound_comparison(params.lambda1)
         results["prior_comparison_here"] = here
         results["prior_comparison_reference"] = prior
-    config = RunConfig(
-        "stein bounds",
-        {"l1": params.lambda1, "l2": params.lambda2, "extended": params.extended},
-        args.seed,
-        {"quad_tol": args.quad_tol},
-        args.format,
-    )
-    return config, results, None, EXIT_OK
+    return _rate_params(params), {"quad_tol": args.quad_tol}, results, None, EXIT_OK
 
 
 def _cmd_stein_solve(args):
     params = _skellam_from_args(args)
     f = TestSet.parse(args.set)
     value = stein_solution(params, f, (args.x, args.y), args.quad_tol)
-    config = RunConfig(
-        "stein solve",
-        {
-            "l1": params.lambda1,
-            "l2": params.lambda2,
-            "extended": params.extended,
-            "set": f.describe(),
-            "x": args.x,
-            "y": args.y,
-        },
-        args.seed,
-        {"quad_tol": args.quad_tol},
-        args.format,
-    )
-    return config, {"value": value}, None, EXIT_OK
+    own = _rate_params(params, set=f.describe(), x=args.x, y=args.y)
+    return own, {"quad_tol": args.quad_tol}, {"value": value}, None, EXIT_OK
 
 
 _COORDS_BY_ORDER = {1: ((1,), (2,)), 2: ((1, 1), (2, 2), (1, 2))}
@@ -322,20 +287,8 @@ def _cmd_stein_factors(args):
         grid_max=np.array([res.grid_max for res in found]),
     )
     code = EXIT_OK if dominated.all() else EXIT_VIOLATION
-    config = RunConfig(
-        "stein factors",
-        {
-            "l1": params.lambda1,
-            "l2": params.lambda2,
-            "extended": params.extended,
-            "order": args.order,
-            "grid": found[0].grid_max,
-        },
-        args.seed,
-        {"quad_tol": args.quad_tol},
-        args.format,
-    )
-    return config, {"all_dominated": code == EXIT_OK}, rows, code
+    own = _rate_params(params, order=args.order, grid=found[0].grid_max)
+    return own, {"quad_tol": args.quad_tol}, {"all_dominated": code == EXIT_OK}, rows, code
 
 
 def _cmd_stein_conjecture(args):
@@ -346,13 +299,6 @@ def _cmd_stein_conjecture(args):
             raise ValueError("--lo and --hi must be given together")
         window = (args.lo, args.hi)
     report = skellam_second_diff_sum(params, window)
-    config = RunConfig(
-        "stein conjecture",
-        {"l1": params.lambda1, "l2": params.lambda2, "extended": params.extended},
-        args.seed,
-        {"tail_tol": 1e-12},
-        args.format,
-    )
     results = {
         "second_diff_sum": report.value,
         "reference_rate": report.reference,
@@ -362,7 +308,7 @@ def _cmd_stein_conjecture(args):
         "tail_bound": report.tail_bound,
         "holds_numerically": report.conjecture_holds_numerically(),
     }
-    return config, results, None, EXIT_OK
+    return _rate_params(params), {"tail_tol": 1e-12}, results, None, EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -385,19 +331,18 @@ def _cmd_verify_graph(args):
         model = noisy_graph.load_model(args.model)
         params = {"model": args.model}
     else:
+        # N is read as a model file's "n" is: 1e5 is a whole number, 2.7 is refused.
         n_text, p_text, r_text, s_text = args.homogeneous
-        n = int(n_text)
-        noisy_graph.check_exact_size(n)
-        p, r, s = float(p_text), float(r_text), float(s_text)
-        model = noisy_graph.NoisyGraphModel.homogeneous(n, p, r, s)
-        params = {"p": p, "r": r, "s": s}
+        n = float(n_text)
+        params = {"p": float(p_text), "r": float(r_text), "s": float(s_text)}
+        model = noisy_graph.NoisyGraphModel.from_dict({"n": n, **params})
     params.update({"n": model.n, "sha256": noisy_graph.model_digest(model)})
     report = noisy_graph.verify(model, args.tail_tol)
     approx = noisy_graph.skellam_params(model)
     results = {"lambda1": approx.lambda1, "lambda2": approx.lambda2}
     results.update(_report_results(report))
-    config = RunConfig("verify graph", params, args.seed, {"tail_tol": args.tail_tol}, args.format)
-    return config, results, None, EXIT_OK if report.satisfied else EXIT_VIOLATION
+    code = EXIT_OK if report.satisfied else EXIT_VIOLATION
+    return params, {"tail_tol": args.tail_tol}, results, None, code
 
 
 def _haar_model_from_args(args) -> tuple[haar_spillover.HaarSpilloverModel, dict]:
@@ -418,20 +363,14 @@ def _haar_model_from_args(args) -> tuple[haar_spillover.HaarSpilloverModel, dict
 
 
 def _cmd_verify_haar(args):
+    tolerances = {"tail_tol": args.tail_tol}
     if args.sweep:
         f = haar_spillover.load_signal(args.signal)
         rows = haar_spillover.sweep_windows(f, args.p, args.tail_tol)
         ok = bool(rows.columns["satisfied"].all())
-        config = RunConfig(
-            "verify haar",
-            {"signal": args.signal, "n": f.size, "p": args.p, "sweep": True},
-            args.seed,
-            {"tail_tol": args.tail_tol},
-            args.format,
-        )
-        return config, {"windows": len(rows), "all_satisfied": ok}, rows, (
-            EXIT_OK if ok else EXIT_VIOLATION
-        )
+        params = {"signal": args.signal, "n": f.size, "p": args.p, "sweep": True}
+        results = {"windows": len(rows), "all_satisfied": ok}
+        return params, tolerances, results, rows, EXIT_OK if ok else EXIT_VIOLATION
     model, params = _haar_model_from_args(args)
     report = haar_spillover.verify(model, args.tail_tol)
     true_p = haar_spillover.true_coeff_params(model)
@@ -443,8 +382,7 @@ def _cmd_verify_haar(args):
         "observed_lambda2": obs_p.lambda2,
     }
     results.update(_report_results(report))
-    config = RunConfig("verify haar", params, args.seed, {"tail_tol": args.tail_tol}, args.format)
-    return config, results, None, EXIT_OK if report.satisfied else EXIT_VIOLATION
+    return params, tolerances, results, None, EXIT_OK if report.satisfied else EXIT_VIOLATION
 
 
 # ---------------------------------------------------------------------------
@@ -550,13 +488,22 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _run(args) -> tuple[RunConfig, dict, object, int]:
+    """Run the parsed command's handler, which returns (params, tolerances,
+    results, rows, exit code), and build the record's header around them:
+    the command the parser read, the seed and the output format."""
+    params, tolerances, results, rows, code = args.handler(args)
+    config = RunConfig(f"{args.group} {args.subcommand}", params, args.seed, tolerances, args.format)
+    return config, results, rows, code
+
+
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        config, results, rows, code = args.handler(args)
+        config, results, rows, code = _run(args)
     except (ValueError, OSError, QuadratureError, ResourceLimitError,
             json.JSONDecodeError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

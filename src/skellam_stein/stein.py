@@ -346,11 +346,13 @@ def _pois_tol(quad_tol: float) -> float:
     return quad_tol / 800.0
 
 
+@lru_cache(maxsize=256)
 def _full_rate_tops(params: SkellamParams, pois_tol: float) -> tuple[float, float]:
     """Upper ends, as floats, of the full-rate Poisson windows.  They never
     decrease as the rate grows, so every window at rate l (1 - u) ends at or
     below them; rate 0 is the point 0, and an infinite end is refused by
-    _check_cells."""
+    _check_cells.  Cached: both refusals, every sweep and the certificate
+    of one rate pair and tolerance ask for the same ends."""
     return tuple(
         window_ends(float(int(lam)), lam, 0.0, pois_tol)[1] if lam > 0.0 else 0.0
         for lam in (params.lambda1, params.lambda2)
@@ -482,7 +484,12 @@ def _solution_kernel_grid(
 
 
 def stein_solution(params: SkellamParams, f: TestSet, state, quad_tol: float = QUAD_TOL_DEFAULT) -> float:
-    """Value of the integral solution h_f at one state; |error| <= quad_tol."""
+    """Value of the integral solution h_f at one state.
+
+    Its error is at most the sweep's slack (_sweep): the rules' bounds,
+    within 99% of quad_tol, plus a count of roundings.  Below a quad_tol of
+    about 1e-12 that count alone exceeds quad_tol, and so may the error.
+    """
     x, y = _state_xy(state)
     res = _sweep(params, 0, (), x + 1, y + 1, quad_tol, single_state=(x, y))
     ind = f.indicator(res.lo, res.tensor.size)

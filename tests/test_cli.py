@@ -319,6 +319,24 @@ def test_verify_graph_model_non_integral_n_refused(capsys, tmp_path, n):
     assert '"n" must be a whole number' in err
 
 
+def test_verify_graph_homogeneous_n_written_as_a_float(capsys):
+    """--homogeneous reads N as a model file's "n" is read: 1e5 is 100000."""
+    as_float = _graph_record(capsys, "--homogeneous", "1e5", "0.3", "0.1", "0.05")
+    as_int = _graph_record(capsys, "--homogeneous", "100000", "0.3", "0.1", "0.05")
+    assert as_float["params"]["sha256"] == as_int["params"]["sha256"]
+    assert as_float["results"] == as_int["results"]
+
+
+@pytest.mark.parametrize("n, message", [
+    ("2.7", '"n" must be a whole number, got 2.7'),
+    ("inf", '"n" must be a whole number, got inf'),
+    ("0", "n must be >= 1"),
+])
+def test_verify_graph_homogeneous_bad_n_refused(capsys, n, message):
+    code, out, err = run_cli(capsys, "verify", "graph", "--homogeneous", n, "0.3", "0.1", "0.05")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv", "human"])
 def test_dist_sample_rows_render_as_a_list_of_dicts(capsys, fmt):
     """The draws' rows are built a block at a time (jsonwriter.Rows); the
@@ -326,7 +344,7 @@ def test_dist_sample_rows_render_as_a_list_of_dicts(capsys, fmt):
     args = ["dist", "sample", "--l1", "3", "--l2", "2", "--n", "700", "--seed", "4", "--format", fmt]
     code, out, _ = run_cli(capsys, *args)
     parsed = cli.build_parser().parse_args(args)
-    config, results, _, _ = parsed.handler(parsed)
+    config, results, _, _ = cli._run(parsed)
     draws = cli.sample(cli.SkellamParams(3.0, 2.0), np.random.default_rng(4), 700)
     listed = [{"index": i, "draw": int(v)} for i, v in enumerate(draws)]
     buf = io.StringIO()
@@ -647,6 +665,46 @@ def test_render_rows_formats_each_column_by_dtype(fmt, block):
     assert out.getvalue() == oracle(config, {"n": len(_EDGE_ROWS)}, _EDGE_ROWS)
 
 
+_HEADER_CASES = [
+    (["dist", "pmf", "--l1", "3", "--l2", "2", "--k", "1"], []),
+    (["dist", "table", "--l1", "3", "--l2", "2"], ["tail_tol"]),
+    (["dist", "sample", "--l1", "3", "--l2", "2", "--n", "5"], []),
+    (["stein", "bounds", "--l1", "2", "--l2", "1"], ["quad_tol"]),
+    (["stein", "solve", "--l1", "2", "--l2", "1", "--set", "k>=0", "--x", "1", "--y", "0"], ["quad_tol"]),
+    (["stein", "factors", "--l1", "2", "--l2", "1", "--order", "1", "--grid", "2"], ["quad_tol"]),
+    (["stein", "conjecture", "--l1", "3", "--l2", "2"], ["tail_tol"]),
+    (["verify", "graph", "--homogeneous", "4", "0.3", "0.1", "0.05"], ["tail_tol"]),
+    (["verify", "haar", "--signal", "SIGNAL", "--p", "0.1", "--sweep"], ["tail_tol"]),
+    (["verify", "haar", "--signal", "SIGNAL", "--p", "0.1", "--scale", "1", "--loc", "0"], ["tail_tol"]),
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "human"])
+@pytest.mark.parametrize("argv, tolerances", _HEADER_CASES, ids=[
+    "dist-pmf", "dist-table", "dist-sample", "stein-bounds", "stein-solve", "stein-factors",
+    "stein-conjecture", "verify-graph", "verify-haar-sweep", "verify-haar-window",
+])
+def test_every_record_header_names_its_command_seed_and_tolerances(capsys, tmp_path, argv, tolerances, fmt):
+    """main builds every header: the command as parsed, --seed and the
+    command's own tolerance keys, in each format."""
+    signal = tmp_path / "signal.txt"
+    signal.write_text("3\n5\n2\n8\n")
+    argv = [str(signal) if a == "SIGNAL" else a for a in argv]
+    code, out, err = run_cli(capsys, *argv, "--seed", "7", "--format", fmt)
+    assert (code, err) == (0, ""), err
+    command = " ".join(argv[:2])
+    if fmt == "json":
+        doc = json.loads(out)
+        assert (doc["command"], doc["seed"], list(doc["tolerances"])) == (command, 7, tolerances)
+        return
+    lines = out.splitlines()
+    prefix, sep = ("# ", "=") if fmt == "csv" else ("", " = ")
+    assert f"{prefix}command{sep}{command}" in lines
+    assert f"{prefix}seed{sep}7" in lines
+    found = [line[len(prefix):].split(sep)[0] for line in lines if line.startswith(prefix + "tolerances.")]
+    assert found == [f"tolerances.{key}" for key in tolerances]
+
+
 def test_every_cli_table_reaches_render_as_rows(capsys, tmp_path):
     signal = tmp_path / "signal.txt"
     signal.write_text("3\n5\n2\n8\n")
@@ -718,7 +776,7 @@ def test_dist_table_record_byte_identical_to_json_dump(capsys):
     argv = ["dist", "table", "--l1", "6e5", "--l2", "4e5", "--format", "json"]
     code, out, _ = run_cli(capsys, *argv)
     args = cli.build_parser().parse_args(argv)
-    config, results, rows, _ = args.handler(args)
+    config, results, rows, _ = cli._run(args)
     assert code == 0 and len(rows) > 10**4
     assert out == _json_oracle(config, results, rows)
 

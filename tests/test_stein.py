@@ -348,6 +348,39 @@ def test_factor_runs_one_sweep_per_order(monkeypatch):
     assert len(calls) == 2
 
 
+def test_full_rate_tops_are_solved_once_per_rate(monkeypatch):
+    """Both up-front refusals, every sweep window and the certificate's
+    width ask for the same full-rate Poisson window ends: one end solve per
+    rate for a rate pair and tolerance, across orders."""
+    calls = []
+    real_window_ends = stein.window_ends
+
+    def counting_window_ends(*args):
+        calls.append(args)
+        return real_window_ends(*args)
+
+    monkeypatch.setattr(stein, "window_ends", counting_window_ends)
+    stein._full_rate_tops.cache_clear()
+    stein._exact_stein_factor_cached.cache_clear()
+    params = SkellamParams(4.5, 7.5)
+    for order in (1, 2):
+        exact_stein_factor(params, order, (1,) * order)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("quad_tol", [1e-8, 1e-10])
+@pytest.mark.parametrize("rates", [(3.0, 9.0), (6.0, 6.0), (9.0, 3.0)])
+def test_difference_kernel_quad_error_within_quad_tol(rates, quad_tol):
+    """quad_error is the sweep's slack: the rules' bounds, within 99% of
+    quad_tol, plus a rounding count.  Down to quad_tol 1e-10 the count fits
+    in the rest; from about 1e-12 down it alone exceeds quad_tol."""
+    params = SkellamParams(*rates)
+    for order in (1, 2):
+        for state in ((0, 0), (2, 1), (20, 5)):
+            g = difference_kernel(params, order, (1,) * order, state, quad_tol)
+            assert g.quad_error <= quad_tol, (rates, order, state, g.quad_error)
+
+
 def test_single_state_sweeps_run_the_rule_kernel(monkeypatch):
     """A single state is a 1x1 grid of the one stacked-rule kernel, stepped
     to its state by the kernel's own steps: no binomial window is built."""
