@@ -326,15 +326,21 @@ def _report_results(report) -> dict:
     return results
 
 
+def _homogeneous_field(name: str, text: str) -> float:
+    try:
+        return float(text)
+    except ValueError as exc:
+        raise ValueError(f"--homogeneous {name}: {exc}") from None
+
+
 def _cmd_verify_graph(args):
     if args.model:
         model = noisy_graph.load_model(args.model)
         params = {"model": args.model}
     else:
         # N is read as a model file's "n" is: 1e5 is a whole number, 2.7 is refused.
-        n_text, p_text, r_text, s_text = args.homogeneous
-        n = float(n_text)
-        params = {"p": float(p_text), "r": float(r_text), "s": float(s_text)}
+        n, p, r, s = map(_homogeneous_field, "NPRS", args.homogeneous)
+        params = {"p": p, "r": r, "s": s}
         model = noisy_graph.NoisyGraphModel.from_dict({"n": n, **params})
     params.update({"n": model.n, "sha256": noisy_graph.model_digest(model)})
     report = noisy_graph.verify(model, args.tail_tol)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,16 +23,19 @@ from .skellam import SkellamParams, to_dist
 from .verification import VerificationReport, make_report
 
 EXACT_EDGE_CAP = 10**5
-# Rows at most this wide are convolved by shift-and-add, wider ones by one
-# batched rfft per level.  Measured on a 2-core host at n = 10^5 (p in
-# U[0.05, 0.5], r and s in U[0, 0.2], the benchmark's graph inputs), with
-# the handover at width 4/8/16/32/64/128/256: the tree took
+# Laws at most this wide are convolved by shift-and-add, wider ones by one
+# batched rfft per level.  Measured with laws as rows on a 2-core host at
+# n = 10^5 (p in U[0.05, 0.5], r and s in U[0, 0.2], the benchmark's graph
+# inputs), handover at width 4/8/16/32/64/128/256: the tree took
 # 0.154/0.147/0.151/0.156/0.171/0.190/0.235 s (median of 7 interleaved
-# runs), and the largest |dtv| to the Skellam law against the tree of one
-# `dists.convolve` per pair over 3 seeds was
-# 2.0e-13/1.1e-13/4.7e-14/2.0e-14/2.8e-14/4.2e-14/3.9e-14.  32 is within
-# 6% of the fastest and has the smallest |dtv|.
+# runs); the largest |dtv| to the Skellam law against one `dists.convolve`
+# per pair, 3 seeds: 2.0e-13/1.1e-13/4.7e-14/2.0e-14/2.8e-14/4.2e-14/3.9e-14.
+# 32 was within 6% of the fastest with the smallest |dtv|; any other moves bits.
 SHIFT_ADD_WIDTH = 32
+# From this many pairs on, a worker thread builds the root's right subtree.  Split
+# over serial time, 2-core host, 31 interleaved runs (split wins): n = 10^4 1.09 (0),
+# 12000 0.93 (24), 16384 0.69-1.07 (20-31), 32768 0.72 (31), 16385 1.03 (5).
+SPLIT_PAIRS = 16384
 
 _log = logging.getLogger("skellam_stein")
 
@@ -136,63 +140,93 @@ def skellam_params(model: NoisyGraphModel) -> SkellamParams:
     )
 
 
-def _convolve_pairs(rows: np.ndarray) -> np.ndarray:
-    """Row i of the result is the convolution of rows 2i and 2i+1."""
-    a, b = rows[0::2], rows[1::2]
-    m, w = a.shape
-    n_out = 2 * w - 1
-    if w <= SHIFT_ADD_WIDTH:
-        out = np.zeros((m, n_out))
-        for j in range(w):
-            out[:, j : j + w] += a[:, j, None] * b
-        return out
-    # n_fft >= n_out - 1, so at most the last point wraps onto the first.
-    # Both end points are single products and are set directly.
-    n_fft = 1 << (n_out - 2).bit_length()
-    out = np.empty((m, n_out))
-    out[:, :-1] = np.fft.irfft(
-        np.fft.rfft(a, n_fft) * np.fft.rfft(b, n_fft), n_fft
-    )[:, : n_out - 1]
-    out[:, 0] = a[:, 0] * b[:, 0]
-    out[:, -1] = a[:, -1] * b[:, -1]
+def _convolve_pairs(level: list[np.ndarray]) -> np.ndarray:
+    """Row i of the result is a[i] convolved with b[i], for level = [a, b] or
+    [a, b, a's spectrum].  Each array is popped, to be freed once it is used."""
+    a, b = level.pop(0), level.pop(0)
+    # Laws of 2^k + 1 points convolve to 2^(k+1) + 1: with n_fft = 2^(k+1) only
+    # the last point wraps onto the first, and both ends are set directly.
+    n_fft = 2 * a.shape[1] - 2
+    ends = a[:, :: n_fft // 2] * b[:, :: n_fft // 2]
+    conv = level.pop() if level else np.fft.rfft(a, n_fft)
+    conv *= np.fft.rfft(b, n_fft)
+    del a, b
+    conv = np.fft.irfft(conv, n_fft)  # rebinding lets the spectrum go
+    out = np.empty((len(conv), n_fft + 1))
+    out[:, :-1] = conv
+    out[:, ::n_fft] = ends
     return np.maximum(out, 0.0, out=out)
+
+
+def _levels(plus: np.ndarray, minus: np.ndarray, depth: int) -> np.ndarray:
+    """depth levels of the tree on the pairs' laws as columns, left as rows."""
+    cols = np.stack([minus, 1.0 - plus - minus, plus])
+    while depth and (w := len(cols)) <= SHIFT_ADD_WIDTH:
+        if cols.shape[1] % 2:  # np.eye's one 1 is the point mass at 0
+            cols = np.hstack([cols, np.eye(w, 1, -(w // 2))])
+        a, b = cols[:, 0::2], cols[:, 1::2]
+        cols = np.zeros((2 * w - 1, a.shape[1]))
+        for j in range(w):
+            cols[j : j + w] += a[j] * b
+        depth -= 1
+    rows = cols.T
+    for _ in range(depth):
+        if len(rows) % 2:
+            rows = np.vstack([rows, np.eye(1, rows.shape[1], rows.shape[1] // 2)])
+        level = [rows[0::2], rows[1::2]]
+        del rows  # freed once both halves are used
+        rows = _convolve_pairs(level)
+    return rows
+
+
+def _split_levels(plus: np.ndarray, minus: np.ndarray, levels: int) -> np.ndarray:
+    """Every level of the tree, the root's right subtree on a worker thread."""
+    half, right = 1 << (levels - 1), []
+
+    def work():
+        try:
+            right.append(_levels(plus[half:], minus[half:], levels - 1))
+        except BaseException as exc:  # re-raised by the caller after the join
+            right.append(exc)
+
+    worker = threading.Thread(target=work)
+    worker.start()
+    try:
+        left = _levels(plus[:half], minus[:half], levels - 1)
+        left_spectrum = np.fft.rfft(left, 2 * left.shape[1] - 2)
+    finally:
+        worker.join()
+    if isinstance(right[0], BaseException):
+        raise right[0]
+    return _convolve_pairs([left, right.pop(), left_spectrum])
 
 
 def edge_difference_dist(model: NoisyGraphModel) -> IntegerDist:
     """Exact law of the discrepancy: convolution of n three-point laws.
 
-    The laws are convolved in a pairwise tree, one stacked array per level.
-    Level 0 holds row i = [P(-1), P(0), P(+1)] of pair i on the window
-    [-1, 1]; each level convolves rows 2i and 2i+1, so every row of level L
-    is a law on [-2^L, 2^L].  A level with an odd row count first gains a
-    point mass at 0 (a 1 in the centre column), which keeps that window, and
-    the finished row is cut to [-n, n].  Narrow rows are convolved by
-    shift-and-add, rows wider than SHIFT_ADD_WIDTH by a batched rfft whose
-    round-off is clipped at 0.  Only the finished law is an IntegerDist.
-    Emits one DEBUG event with n, the level count, the first rfft level
-    (None if every level is shift-and-add) and |1 - window mass|.
+    The laws are convolved in a pairwise tree.  Level 0 holds law i =
+    [P(-1), P(0), P(+1)] of pair i; each level convolves laws 2i and 2i+1,
+    after a point mass at 0 joins an odd count, so level L's laws lie on
+    [-2^L, 2^L]; the root is cut to [-n, n].  Laws of SHIFT_ADD_WIDTH points
+    or fewer are columns, convolved by shift-and-add; wider ones are rows,
+    convolved by a batched rfft clipped at 0.  From SPLIT_PAIRS pairs on, a
+    worker thread builds the root's right subtree (leaves past the first
+    2^(levels-1)) while the caller builds the left one.  Every sum has the
+    same terms in the same order either way, so the bits do not depend on
+    the core count.  Emits one DEBUG event: n, levels, first rfft level, |1 - mass|.
     """
     n = model.n
     check_exact_size(n)
-    plus = model.drop_rates
-    minus = model.invent_rates
-    rows = np.column_stack([minus, 1.0 - plus - minus, plus])
-    levels = 0
-    rfft_level = None
-    while rows.shape[0] > 1:
-        if rows.shape[0] % 2:
-            pad = np.zeros((1, rows.shape[1]))
-            pad[0, rows.shape[1] // 2] = 1.0
-            rows = np.vstack([rows, pad])
-        levels += 1
-        if rfft_level is None and rows.shape[1] > SHIFT_ADD_WIDTH:
-            rfft_level = levels
-        rows = _convolve_pairs(rows)
+    levels = (n - 1).bit_length()
+    first_rfft = (SHIFT_ADD_WIDTH - 1).bit_length()  # level k takes 2^k + 1 points
+    tree = _split_levels if n >= SPLIT_PAIRS else _levels
+    rows = tree(model.drop_rates, model.invent_rates, levels)
     centre = rows.shape[1] // 2
     law = IntegerDist(-n, rows[0, centre - n : centre + n + 1])
     _log.debug(
         "edge_difference_dist: n=%d levels=%d rfft_level=%s mass_defect=%.3g",
-        n, levels, rfft_level, abs(1.0 - law.window_mass()),
+        n, levels, first_rfft if levels >= first_rfft else None,
+        abs(1.0 - law.window_mass()),
     )
     return law
 

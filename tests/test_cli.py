@@ -337,6 +337,15 @@ def test_verify_graph_homogeneous_bad_n_refused(capsys, n, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("position, name", list(enumerate("NPRS")))
+def test_verify_graph_homogeneous_unreadable_value_named(capsys, position, name):
+    values = ["5", "0.3", "0.1", "0.05"]
+    values[position] = "abc"
+    code, out, err = run_cli(capsys, "verify", "graph", "--homogeneous", *values)
+    assert (code, out) == (2, "")
+    assert err == f"error: --homogeneous {name}: could not convert string to float: 'abc'\n"
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv", "human"])
 def test_dist_sample_rows_render_as_a_list_of_dicts(capsys, fmt):
     """The draws' rows are built a block at a time (jsonwriter.Rows); the

@@ -2,6 +2,7 @@ import itertools
 import json
 import logging
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skellam_stein import noisy_graph
 from skellam_stein.cli import main
 from skellam_stein.dists import (
     IntegerDist,
@@ -19,6 +21,8 @@ from skellam_stein.dists import (
 )
 from skellam_stein.noisy_graph import (
     EXACT_EDGE_CAP,
+    SHIFT_ADD_WIDTH,
+    SPLIT_PAIRS,
     NoisyGraphModel,
     bound_theorem31,
     edge_difference_dist,
@@ -150,6 +154,104 @@ def test_edge_difference_matches_pairwise_tree(n):
         approx = to_dist(skellam_params(model), 1e-10)
         tv_got = tv_distance(got, approx).value
         assert abs(tv_got - tv_distance(want, approx).value) <= 1e-13, kind
+
+
+def _stacked_convolve_pairs(rows: np.ndarray) -> np.ndarray:
+    a, b = rows[0::2], rows[1::2]
+    m, w = a.shape
+    n_out = 2 * w - 1
+    if w <= SHIFT_ADD_WIDTH:
+        out = np.zeros((m, n_out))
+        for j in range(w):
+            out[:, j : j + w] += a[:, j, None] * b
+        return out
+    n_fft = 1 << (n_out - 2).bit_length()
+    out = np.empty((m, n_out))
+    out[:, :-1] = np.fft.irfft(
+        np.fft.rfft(a, n_fft) * np.fft.rfft(b, n_fft), n_fft
+    )[:, : n_out - 1]
+    out[:, 0] = a[:, 0] * b[:, 0]
+    out[:, -1] = a[:, -1] * b[:, -1]
+    return np.maximum(out, 0.0, out=out)
+
+
+def _stacked_tree_dist(model: NoisyGraphModel) -> IntegerDist:
+    """The serial tree of one stacked row array per level that the
+    two-subtree, column-layout tree replaced, kept as the bit oracle."""
+    n = model.n
+    plus = model.drop_rates
+    minus = model.invent_rates
+    rows = np.column_stack([minus, 1.0 - plus - minus, plus])
+    while rows.shape[0] > 1:
+        if rows.shape[0] % 2:
+            pad = np.zeros((1, rows.shape[1]))
+            pad[0, rows.shape[1] // 2] = 1.0
+            rows = np.vstack([rows, pad])
+        rows = _stacked_convolve_pairs(rows)
+    centre = rows.shape[1] // 2
+    return IntegerDist(-n, rows[0, centre - n : centre + n + 1])
+
+
+def _same_bits(got: IntegerDist, want: IntegerDist) -> bool:
+    return (
+        got.min_support == want.min_support
+        and got.probabilities.tobytes() == want.probabilities.tobytes()
+    )
+
+
+_AROUND_SPLIT = sorted({
+    k + d
+    for k in (SPLIT_PAIRS - 1, 1 << (SPLIT_PAIRS - 1).bit_length())
+    for d in (-1, 0, 1)
+})
+
+
+@pytest.mark.parametrize(
+    "n",
+    [1, 2, 3, 4, 5, 7, 8, 9, 31, 32, 33, 63, 64, 65, 1000, 4095, 4096, 4097, 5000]
+    + [8191, 8192, 8193] + _AROUND_SPLIT,
+)
+def test_edge_difference_bits_match_stacked_tree(n):
+    for kind, model in _oracle_models(n):
+        assert _same_bits(edge_difference_dist(model), _stacked_tree_dist(model)), kind
+
+
+def test_edge_difference_bits_match_stacked_tree_at_cap():
+    rng = np.random.default_rng(2024)
+    n = EXACT_EDGE_CAP
+    model = NoisyGraphModel(rng.random(n), rng.random(n), rng.random(n))
+    assert _same_bits(edge_difference_dist(model), _stacked_tree_dist(model))
+
+
+@pytest.mark.parametrize("failing", ["worker", "caller"])
+def test_edge_difference_subtree_failure_is_raised_and_no_thread_is_left(monkeypatch, failing):
+    real_levels = noisy_graph._levels
+    threads = set()
+
+    def levels(*args):
+        worker = threading.current_thread() is not threading.main_thread()
+        threads.add(worker)
+        if worker == (failing == "worker"):
+            raise MemoryError(f"{failing} subtree")
+        return real_levels(*args)
+
+    monkeypatch.setattr(noisy_graph, "_levels", levels)
+    before = threading.active_count()
+    model = NoisyGraphModel.homogeneous(SPLIT_PAIRS, 0.3, 0.1, 0.05)
+    with pytest.raises(MemoryError, match=f"{failing} subtree"):
+        edge_difference_dist(model)
+    assert threading.active_count() == before
+    assert threads == {True, False}  # one subtree on each thread
+
+
+def test_edge_difference_over_cap_refused_before_any_thread(monkeypatch):
+    def start(self):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    model = NoisyGraphModel.homogeneous(EXACT_EDGE_CAP + 1, 0.3, 0.1, 0.05)
+    with pytest.raises(ResourceLimitError):
+        edge_difference_dist(model)
 
 
 def test_edge_difference_debug_event(caplog, capsys):
