@@ -14,7 +14,8 @@ Every record echoes the tool version, command, resolved parameters, seed,
 and tolerances; deterministic commands reproduce bit-for-bit from a record.
 ``main`` builds that header once for every command: a handler returns only
 its own params, tolerances, results, rows and exit code, and the command
-name, seed and format come from the parsed arguments.
+name, seed and format come from the parsed arguments, and ``_run`` finds
+the handler by that name, ``_cmd_<group>_<subcommand>``.
 A ``verify graph`` model's arrays are not echoed: the record identifies
 them by ``n`` and their SHA-256 (``noisy_graph.model_digest``).
 """
@@ -351,9 +352,23 @@ def _cmd_verify_graph(args):
     return params, {"tail_tol": args.tail_tol}, results, None, code
 
 
-def _haar_model_from_args(args) -> tuple[haar_spillover.HaarSpilloverModel, dict]:
+def _cmd_verify_haar(args):
+    given = [name for name, on in (
+        ("--sweep", args.sweep),
+        ("--scale/--loc", args.scale is not None or args.loc is not None),
+        ("--pos/--neg", bool(args.pos or args.neg)),
+    ) if on]
+    if len(given) > 1:
+        raise ValueError(f"give one window selection, not {' and '.join(given)}")
     f = haar_spillover.load_signal(args.signal)
     params: dict = {"signal": args.signal, "n": f.size, "p": args.p}
+    tolerances = {"tail_tol": args.tail_tol}
+    if args.sweep:
+        rows = haar_spillover.sweep_windows(f, args.p, args.tail_tol)
+        ok = bool(rows.columns["satisfied"].all())
+        params["sweep"] = True
+        results = {"windows": len(rows), "all_satisfied": ok}
+        return params, tolerances, results, rows, EXIT_OK if ok else EXIT_VIOLATION
     if args.pos or args.neg:
         if not (args.pos and args.neg):
             raise ValueError("--pos and --neg must be given together")
@@ -365,19 +380,7 @@ def _haar_model_from_args(args) -> tuple[haar_spillover.HaarSpilloverModel, dict
             raise ValueError("window selection needs --scale/--loc or --pos/--neg")
         pos, neg = haar_spillover.haar_windows(f.size, args.scale, args.loc)
         params.update({"scale": args.scale, "location": args.loc})
-    return haar_spillover.HaarSpilloverModel(f, pos, neg, args.p), params
-
-
-def _cmd_verify_haar(args):
-    tolerances = {"tail_tol": args.tail_tol}
-    if args.sweep:
-        f = haar_spillover.load_signal(args.signal)
-        rows = haar_spillover.sweep_windows(f, args.p, args.tail_tol)
-        ok = bool(rows.columns["satisfied"].all())
-        params = {"signal": args.signal, "n": f.size, "p": args.p, "sweep": True}
-        results = {"windows": len(rows), "all_satisfied": ok}
-        return params, tolerances, results, rows, EXIT_OK if ok else EXIT_VIOLATION
-    model, params = _haar_model_from_args(args)
+    model = haar_spillover.HaarSpilloverModel(f, pos, neg, args.p)
     report = haar_spillover.verify(model, args.tail_tol)
     true_p = haar_spillover.true_coeff_params(model)
     obs_p = haar_spillover.observed_coeff_params(model)
@@ -393,13 +396,6 @@ def _cmd_verify_haar(args):
 
 # ---------------------------------------------------------------------------
 # Parser.
-
-def _late(name: str):
-    """The handler bound to name in this module when it is called: main
-    reuses one parser per process (_parser), and a handler rebound after it
-    was built (unittest.mock.patch, say) must still run, as with a fresh one."""
-    return lambda args: globals()[name](args)
-
 
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser, and the class of its subparsers, that reads an
@@ -433,13 +429,10 @@ def build_parser() -> argparse.ArgumentParser:
     dist_sub = dist.add_subparsers(dest="subcommand", required=True)
     p = dist_sub.add_parser("pmf", parents=[common, rates])
     p.add_argument("--k", type=int, required=True)
-    p.set_defaults(handler=_late("_cmd_dist_pmf"))
     p = dist_sub.add_parser("table", parents=[common, rates])
     p.add_argument("--tol", type=float, default=1e-12, help="tail mass outside the window")
-    p.set_defaults(handler=_late("_cmd_dist_table"))
     p = dist_sub.add_parser("sample", parents=[common, rates])
     p.add_argument("--n", type=int, required=True, help="number of draws")
-    p.set_defaults(handler=_late("_cmd_dist_sample"))
 
     stein_cmd = top.add_parser("stein", help="Stein solutions, factors, bounds")
     stein_sub = stein_cmd.add_subparsers(dest="subcommand", required=True)
@@ -447,23 +440,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quad-tol", type=float, default=QUAD_TOL_DEFAULT)
     p.add_argument("--printed-max-form", action="store_true",
                    help="also evaluate the integral bound with max in place of min")
-    p.set_defaults(handler=_late("_cmd_stein_bounds"))
     p = stein_sub.add_parser("solve", parents=[common, rates])
     p.add_argument("--set", required=True, help="k>=a, k<=a, or {a,b,c}")
     p.add_argument("--x", type=int, required=True)
     p.add_argument("--y", type=int, required=True)
     p.add_argument("--quad-tol", type=float, default=QUAD_TOL_DEFAULT)
-    p.set_defaults(handler=_late("_cmd_stein_solve"))
     p = stein_sub.add_parser("factors", parents=[common, rates])
     p.add_argument("--order", type=int, choices=(1, 2), required=True)
     p.add_argument("--coords", help="restrict to one coordinate tuple, e.g. 1,2")
     p.add_argument("--grid", type=int, help="state grid maximum (default rate-driven)")
     p.add_argument("--quad-tol", type=float, default=QUAD_TOL_DEFAULT)
-    p.set_defaults(handler=_late("_cmd_stein_factors"))
     p = stein_sub.add_parser("conjecture", parents=[common, rates])
     p.add_argument("--lo", type=int, help="window lower end")
     p.add_argument("--hi", type=int, help="window upper end")
-    p.set_defaults(handler=_late("_cmd_stein_conjecture"))
 
     verify = top.add_parser("verify", help="application theorem verification")
     verify_sub = verify.add_subparsers(dest="subcommand", required=True)
@@ -472,7 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--model", help="JSON model file with p, r, s arrays")
     src.add_argument("--homogeneous", nargs=4, metavar=("N", "P", "R", "S"))
     p.add_argument("--tail-tol", type=float, default=1e-10)
-    p.set_defaults(handler=_late("_cmd_verify_graph"))
     p = verify_sub.add_parser("haar", parents=[common])
     p.add_argument("--signal", required=True, help="newline-separated intensities")
     p.add_argument("--scale", type=int)
@@ -482,7 +470,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, required=True, help="spillover probability")
     p.add_argument("--sweep", action="store_true", help="verify every dyadic window")
     p.add_argument("--tail-tol", type=float, default=1e-10)
-    p.set_defaults(handler=_late("_cmd_verify_haar"))
 
     return parser
 
@@ -495,10 +482,12 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _run(args) -> tuple[RunConfig, dict, object, int]:
-    """Run the parsed command's handler, which returns (params, tolerances,
-    results, rows, exit code), and build the record's header around them:
-    the command the parser read, the seed and the output format."""
-    params, tolerances, results, rows, code = args.handler(args)
+    """Run the command's handler, _cmd_<group>_<subcommand> as bound now (not
+    when _parser was cached), and build the record's header around the
+    (params, tolerances, results, rows, exit code) it returns: the command
+    the parser read, the seed and the output format."""
+    handler = globals()[f"_cmd_{args.group}_{args.subcommand}"]
+    params, tolerances, results, rows, code = handler(args)
     config = RunConfig(f"{args.group} {args.subcommand}", params, args.seed, tolerances, args.format)
     return config, results, rows, code
 

@@ -35,7 +35,9 @@ class IntegerDist:
     """Probability vector on the window [min_support, min_support + len - 1].
 
     tail_mass is the probability not captured by the window; the captured
-    mass plus the tail must account for the whole distribution.
+    mass plus the tail must account for the whole distribution.  The vector
+    given is never written into: entries down to -1e-12 are clipped to 0 in
+    a new array, and a NaN is refused.
     """
 
     min_support: int
@@ -47,16 +49,18 @@ class IntegerDist:
         if p.ndim != 1 or p.size == 0:
             raise ValueError("probabilities must be a non-empty 1-D vector")
         # FFT round-off may leave values like -1e-17; anything worse is a bug.
-        if np.any(p < -1e-12):
+        lowest = p.min()
+        if lowest < -1e-12:
             raise ValueError("negative probability in distribution window")
-        np.maximum(p, 0.0, out=p)
+        if lowest < 0.0:
+            p = np.maximum(p, 0.0)  # a new array: the caller's is never written
         self.probabilities = p
         self.min_support = int(self.min_support)
         self.tail_mass = float(self.tail_mass)
         if not 0.0 <= self.tail_mass < 1.0:
             raise ValueError(f"tail_mass {self.tail_mass} outside [0, 1)")
         total = float(p.sum()) + self.tail_mass
-        if abs(total - 1.0) > MASS_ATOL:
+        if not abs(total - 1.0) <= MASS_ATOL:
             raise ValueError(f"window mass + tail = {total}, not 1 within {MASS_ATOL}")
 
     @classmethod
@@ -199,11 +203,22 @@ def negate(d: IntegerDist) -> IntegerDist:
 
 
 def empirical_dist(samples) -> IntegerDist:
-    """Normalized histogram of integer samples; no tail mass."""
+    """Normalized histogram of integer samples; no tail mass.  Samples must
+    be whole numbers in int64's range, and a span of more than WINDOW_CAP
+    points is refused before the histogram is built."""
     arr = np.asarray(samples)
     if arr.size == 0:
         raise ValueError("cannot build an empirical distribution from no samples")
+    if arr.dtype.kind == "f":
+        whole = bool(np.all((arr == np.trunc(arr)) & (np.abs(arr) < 2.0**63)))
+    elif arr.dtype.kind == "u":
+        whole = int(arr.max()) < 2**63
+    else:
+        whole = arr.dtype.kind in "bi"
+    if not whole:
+        raise ValueError("samples must be integers in int64's range")
     arr = arr.astype(np.int64)
     lo = int(arr.min())
+    check_window_size(int(arr.max()) - lo + 1, "empirical histogram span")
     counts = np.bincount(arr - lo)
     return IntegerDist(lo, counts / arr.size, 0.0)

@@ -121,9 +121,10 @@ def _log_rate_ratio(big: float, small: float) -> float:
 def log_pmf(params: SkellamParams, k: int) -> float:
     """log P(X = k); -inf where the mass is exactly zero.
 
-    Takes |k| <= MAX_ABS_K and rates up to MAX_RATE; ValueError beyond.
+    Takes an integer k, |k| <= MAX_ABS_K, and rates up to MAX_RATE;
+    ValueError beyond.
     """
-    k = int(k)
+    k = special.as_int(k, "k")
     if abs(k) > MAX_ABS_K:
         raise ValueError(f"|k| = {abs(k)} is above the largest supported |k|, 2**53")
     _check_pmf_rates(params)

@@ -555,14 +555,27 @@ def log_scaled_iv_pairs(orders, xs) -> np.ndarray:
     return out
 
 
+def as_int(value, name: str) -> int:
+    """value as an int: an int, a numpy integer, or a float equal to one;
+    ValueError naming it otherwise, for NaN and the infinities too."""
+    try:
+        k = int(value)
+    except (OverflowError, ValueError):
+        k = None
+    if k is None or k != value:
+        raise ValueError(f"{name} must be an integer, not {value}")
+    return k
+
+
 def log_scaled_iv(order: int, x: float) -> float:
     """log(exp(-x) * I_order(x)) for x >= 0; order may be negative, -inf
     when the value is 0.  x > 0 is log_scaled_iv_pairs' pair."""
+    order = as_int(order, "order")
     if x < 0:
         raise ValueError("argument must be non-negative")
     if x == 0.0:
         return 0.0 if order == 0 else -math.inf
-    return float(log_scaled_iv_pairs([int(order)], [float(x)])[0])
+    return float(log_scaled_iv_pairs([order], [float(x)])[0])
 
 
 def bessel_i(order: int, x: float, scaled: bool = False) -> float:
@@ -573,7 +586,8 @@ def bessel_i(order: int, x: float, scaled: bool = False) -> float:
     Unscaled values raise OverflowError once the result leaves float64
     range, which can only happen when exp(x) itself overflows.
     """
-    if abs(int(order)) > 10**6:
+    order = as_int(order, "order")
+    if abs(order) > 10**6:
         raise ValueError("order magnitude above 10^6 is unsupported")
     lv = log_scaled_iv(order, x)
     if scaled:
@@ -581,7 +595,7 @@ def bessel_i(order: int, x: float, scaled: bool = False) -> float:
     total = lv + x
     if total > MAX_EXP:
         raise OverflowError(
-            f"I_{abs(int(order))}({x}) overflows float64; use scaled=True"
+            f"I_{abs(order)}({x}) overflows float64; use scaled=True"
         )
     return math.exp(total)
 
@@ -592,8 +606,8 @@ def poisson_dist(lam: float, tail_tol: float = 1e-12) -> IntegerDist:
     4.4e11 (at tail_tol 1e-12) raises ResourceLimitError before any value
     is built.
     """
-    if lam < 0:
-        raise ValueError("rate must be non-negative")
+    if not 0.0 <= lam < math.inf:
+        raise ValueError(f"rate must be finite and non-negative, not {lam}")
     if not 0.0 < tail_tol < 1.0:
         raise ValueError("tail_tol must lie in (0, 1)")
     if lam == 0.0:

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import io
@@ -281,6 +282,29 @@ def test_verify_haar_sweep(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["results"]["all_satisfied"] is True
     assert doc["results"]["windows"] == len(doc["rows"]) == 4 + 2 + 1
+
+
+_NO_SELECTION = "window selection needs --scale/--loc or --pos/--neg"
+
+
+@pytest.mark.parametrize("selection, message", [
+    (["--sweep", "--scale", "1", "--loc", "0"], "give one window selection, not --sweep and --scale/--loc"),
+    (["--sweep", "--pos", "0", "--neg", "1"], "give one window selection, not --sweep and --pos/--neg"),
+    (["--scale", "1", "--loc", "0", "--pos", "0", "--neg", "1"],
+     "give one window selection, not --scale/--loc and --pos/--neg"),
+    (["--sweep", "--scale", "1", "--loc", "0", "--pos", "0", "--neg", "1"],
+     "give one window selection, not --sweep and --scale/--loc and --pos/--neg"),
+    (["--sweep", "--loc", "0"], "give one window selection, not --sweep and --scale/--loc"),
+    (["--scale", "1", "--neg", "1"], "give one window selection, not --scale/--loc and --pos/--neg"),
+    (["--pos", "0"], "--pos and --neg must be given together"),
+    (["--scale", "1"], _NO_SELECTION),
+    ([], _NO_SELECTION),
+])
+def test_verify_haar_takes_exactly_one_window_selection(capsys, tmp_path, selection, message):
+    sig = tmp_path / "sig.txt"
+    sig.write_text("1.0\n2.0\n3.0\n4.0\n")
+    code, out, err = run_cli(capsys, "verify", "haar", "--signal", str(sig), "--p", "0.5", *selection)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_usage_errors_exit_2(capsys):
@@ -831,6 +855,23 @@ def test_unexpected_handler_error_exits_3(capsys):
     assert code == cli.EXIT_INTERNAL == 3 and out == ""
     assert err == "error: internal error: RuntimeError: simulated defect\n"
     assert debug.call_args.kwargs == {"exc_info": True}  # the traceback, for DEBUG logging
+
+
+def _subparsers(parser: argparse.ArgumentParser) -> dict:
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_every_subcommand_finds_its_handler_by_name():
+    """_run calls _cmd_<group>_<subcommand>: every subcommand the parser
+    declares has that handler, and every handler serves one subcommand."""
+    names = [
+        f"_cmd_{group}_{sub}"
+        for group, group_parser in _subparsers(cli.build_parser()).items()
+        for sub in _subparsers(group_parser)
+    ]
+    assert all(callable(getattr(cli, name, None)) for name in names), names
+    assert sorted(names) == sorted(name for name in vars(cli) if name.startswith("_cmd_"))
 
 
 def test_node_window_escape_inputs_exit_0(capsys):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skellam_stein.dists import (
+    WINDOW_CAP,
     IntegerDist,
     ResourceLimitError,
     convolve,
@@ -29,6 +30,27 @@ def test_construction_validation():
     # fft-scale negative roundoff is forgiven
     d = IntegerDist(0, np.array([1.0, -1e-15]))
     assert d.prob(1) == 0.0
+
+
+def test_integer_dist_clips_into_a_new_array():
+    given = np.array([0.5, 0.5 + 1e-13, -1e-13])
+    d = IntegerDist(0, given)
+    assert given[2] == -1e-13 and d.probabilities[2] == 0.0
+    assert d.probabilities[:2].tobytes() == given[:2].tobytes()
+    clean = np.array([0.25, 0.75])
+    assert IntegerDist(0, clean).probabilities is clean  # nothing to clip, no copy
+
+
+def test_integer_dist_takes_a_read_only_array():
+    given = np.array([0.5, 0.5 + 1e-13, -1e-13])
+    given.flags.writeable = False
+    assert IntegerDist(0, given).probabilities.tolist() == [0.5, 0.5 + 1e-13, 0.0]
+
+
+@pytest.mark.parametrize("probabilities, tail", [([math.nan, 1.0], 0.0), ([math.nan], 0.0), ([0.5, math.nan], 0.5)])
+def test_integer_dist_refuses_nan(probabilities, tail):
+    with pytest.raises(ValueError, match="window mass \\+ tail = nan"):
+        IntegerDist(0, np.array(probabilities), tail)
 
 
 def test_point_mass_and_accessors():
@@ -178,6 +200,22 @@ def test_empirical_dist_small_cases():
     assert half.prob(0) == 0.5 and half.prob(1) == 0.5
     with pytest.raises(ValueError):
         empirical_dist([])
+
+
+@pytest.mark.parametrize("samples", [
+    [0.5, 1.7, 2.2], [3.0, 2.5], [math.nan], [math.inf], [1e30], ["a"], np.array([2**63, 2**63], dtype=np.uint64),
+])
+def test_empirical_dist_refuses_non_integral_samples(samples):
+    with pytest.raises(ValueError, match="samples must be integers"):
+        empirical_dist(samples)
+
+
+def test_empirical_dist_takes_whole_floats_and_refuses_a_span_past_the_cap():
+    whole = empirical_dist(np.array([-1.0, 2.0, 2.0]))
+    ints = empirical_dist([-1, 2, 2])
+    assert (whole.min_support, whole.probabilities.tobytes()) == (ints.min_support, ints.probabilities.tobytes())
+    with pytest.raises(ResourceLimitError, match="empirical histogram span of 10000001 points"):
+        empirical_dist([0, WINDOW_CAP])  # built an 80 MB histogram before
 
 
 def test_empirical_skellam_draws_concentrate():

@@ -73,6 +73,17 @@ def test_window_mass_and_moments_on_grid():
             assert d.variance() == pytest.approx(var, rel=1e-6)
 
 
+def test_pmf_takes_integral_k_only():
+    for params in (SkellamParams(3.7, 8.3), SkellamParams(0.0, 2.5, extended=True)):
+        for k in (-70, 2, 70):
+            want = log_pmf(params, k)
+            for same in (float(k), np.float64(k), np.int64(k), np.int32(k)):
+                assert log_pmf(params, same) == want and pmf(params, same) == pmf(params, k)
+        for k in (2.5, -0.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="k must be an integer"):
+                pmf(params, k)
+
+
 def test_skew_symmetry_is_bit_exact():
     for l1, l2 in [(0.1, 1.0), (3.0, 0.2), (10.0, 100.0)]:
         a, b = SkellamParams(l1, l2), SkellamParams(l2, l1)

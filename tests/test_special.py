@@ -72,6 +72,23 @@ def test_bessel_domain_errors():
             bessel_i(k, math.inf, scaled=True)
 
 
+@pytest.mark.parametrize("fn", [bessel_i, log_scaled_iv])
+def test_bessel_takes_integral_orders_only(fn):
+    for x in (0.0, 1.0, 40.0, 700.0):
+        want = fn(2, x)
+        for order in (2.0, np.float64(2.0), np.int64(2), np.int32(2)):
+            assert fn(order, x) == want
+    for order in (2.5, -0.5, np.float64(1e-9), math.nan, math.inf):
+        with pytest.raises(ValueError, match="order must be an integer"):
+            fn(order, 1.0)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_poisson_dist_non_finite_rate_refused(lam):
+    with pytest.raises(ValueError, match="rate must be finite and non-negative"):
+        poisson_dist(lam)
+
+
 def test_bessel_at_zero_argument():
     assert bessel_i(0, 0.0, scaled=True) == 1.0
     assert bessel_i(3, 0.0, scaled=True) == 0.0
