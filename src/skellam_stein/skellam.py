@@ -154,9 +154,10 @@ def to_dist(params: SkellamParams, tail_tol: float = 1e-12) -> IntegerDist:
 
 
 def pmf_window(params: SkellamParams, lo: int, hi: int) -> np.ndarray:
-    """P(X = k) for k = lo..hi by to_dist's walk from the centre, run over
-    the orders from the centre to lo..hi; where to_dist's window reaches,
-    within a few units of roundoff of its values."""
+    """P(X = k) for integers k = lo..hi (special.as_int) by to_dist's walk
+    from the centre, run over the orders from the centre to lo..hi; where
+    to_dist's window reaches, within a few units of roundoff of its values."""
+    lo, hi = special.as_int(lo, "lo"), special.as_int(hi, "hi")
     _check_pmf_rates(params)
     l1, l2 = np.array([params.lambda1]), np.array([params.lambda2])
     center = _centers(l1, l2).astype(np.int64)
@@ -375,7 +376,8 @@ def _lockstep(rows: _Rows, anchor: np.ndarray, out: np.ndarray, start: np.ndarra
 
 
 def cdf(params: SkellamParams, k: int, tail_tol: float = 1e-12) -> float:
-    """P(X <= k), accurate to within tail_tol."""
+    """P(X <= k) for an integer k (special.as_int), to within tail_tol."""
+    k = special.as_int(k, "k")
     d = to_dist(params, tail_tol)
     if k < d.min_support:
         return 0.0

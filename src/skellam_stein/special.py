@@ -41,7 +41,6 @@ MAX_EXP = 709.782712893384  # largest x with exp(x) finite in float64
 MAX_BESSEL_X = 1e154
 _SERIES_X_MAX = 30.0
 DEBYE_MIN_ORDER = 64  # orders from here on off the series take Olver's expansion
-_LGAMMA_1P = np.array([math.lgamma(k + 1.0) for k in range(DEBYE_MIN_ORDER)])  # log k!
 
 
 class QuadratureError(RuntimeError):
@@ -536,9 +535,14 @@ def log_scaled_iv_pairs(orders, xs) -> np.ndarray:
     Pairs whose series converges in few terms (x <= 30 or 0.25 x^2 / (k + 1)
     <= 64) are summed together, those from order 64 on take Olver's expansion
     together, and the others are seeded by its orders 64 and 65 and anchored
-    at I_0 together.  So each value is bit for bit log_scaled_iv's.
+    at I_0 together.  So each value is bit for bit log_scaled_iv's.  A float
+    order is read by as_int.
     """
-    k = np.abs(np.asarray(orders, dtype=np.int64))
+    orders = np.asarray(orders)
+    if orders.dtype.kind == "f":  # int arrays, as the pmf walk passes, need no check
+        for order in orders.flat:
+            as_int(order, "order")
+    k = np.abs(orders.astype(np.int64, copy=False))
     xs = np.asarray(xs, dtype=np.float64)
     if not np.all((xs > 0.0) & (xs <= MAX_BESSEL_X)):
         raise ValueError(f"arguments must be positive and at most {MAX_BESSEL_X:g}")
@@ -619,20 +623,11 @@ def poisson_dist(lam: float, tail_tol: float = 1e-12) -> IntegerDist:
     return IntegerDist(int(lo), p, max(0.0, 1.0 - math.fsum(p)))
 
 
-def poisson_rows(lams: np.ndarray, tail_tol: float) -> tuple[int, np.ndarray]:
-    """(lo, rows): row i is the Poisson(lams[i]) pmf on lo..hi, for a 1-D
-    array of rates >= 0, with lo the lower end of window_ends' window at the
-    smallest rate and hi its upper end at the largest.
-
-    Those windows nest as the rate falls, so each row's own window lies in
-    lo..hi, and each row leaves out at most tail_tol with no end solve of
-    its own.  Each row's mode value is log_poisson_pmf's formula.  The steps
-    lam / k above the mode and (k + 1) / lam below it are all at most 1, and
-    one cumprod per side multiplies them out, so no factorial is formed and
-    a value k points from its mode errs by at most about 2 |k - mode| + 3
-    units of roundoff, plus its mode value's.
-    """
-    lams = np.asarray(lams, dtype=np.float64)
+def poisson_ends(lams: np.ndarray, tail_tol: float) -> tuple[int, int]:
+    """(lo, hi): window_ends' Poisson lower end at the least of a 1-D array
+    of rates >= 0 and upper end at the largest, 0 at a rate 0.  The windows
+    nest as the rate falls, so every rate's, with at most tail_tol outside,
+    lies in lo..hi."""
     small, large = float(lams.min()), float(lams.max())
     t_max = chernoff_level(tail_tol)
     lo = hi = 0.0
@@ -641,25 +636,7 @@ def poisson_rows(lams: np.ndarray, tail_tol: float) -> tuple[int, np.ndarray]:
     if large > 0.0:
         hi = float(int(large)) + _end_distance(float(int(large)), large, 0.0, t_max, 1.0) - 1.0
     check_window_size(hi - lo + 1.0, "pmf window")
-    lo, hi = int(lo), int(hi)
-    modes = lams.astype(np.int64)
-    ks = np.arange(lo, hi + 1, dtype=np.float64)
-    lam, mode = lams[:, None], modes[:, None]
-    up, down = ks > mode, ks < mode  # below a mode of 1 or more, lam >= 1
-    steps = np.divide(lam, ks, out=np.ones((lams.size, ks.size)), where=up)
-    np.divide(ks + 1.0, lam, out=steps, where=down)
-    rows = np.cumprod(np.where(down, 1.0, steps), axis=1)
-    rows *= np.cumprod(np.where(up, 1.0, steps)[:, ::-1], axis=1)[:, ::-1]
-    low = modes < DEBYE_MIN_ORDER
-    log_mode = np.zeros(lams.size)
-    positive = low & (lams > 0.0)
-    log_mode[positive] = (
-        modes[positive] * np.log(lams[positive]) - lams[positive] - _LGAMMA_1P[modes[positive]]
-    )
-    for i in np.flatnonzero(~low):
-        log_mode[i] = _log_skellam_debye(float(modes[i]), float(lams[i]), 0.0)
-    rows *= np.exp(log_mode)[:, None]
-    return lo, rows
+    return int(lo), int(hi)
 
 
 def log_poisson_pmf(lam: float, k: int) -> float:

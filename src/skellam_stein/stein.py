@@ -38,7 +38,6 @@ from functools import lru_cache
 from typing import Callable, Iterable
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import kernels
 from .dists import IntegerDist, ResourceLimitError, convolve, negate
@@ -46,6 +45,7 @@ from .skellam import SkellamParams, pmf_window, to_dist
 from .special import (
     MAX_BESSEL_X,
     QuadratureError,
+    _libm,
     adaptive_gauss_kronrod,
     bernstein_box,
     bessel_i,
@@ -53,7 +53,7 @@ from .special import (
     kronrod_bound,
     kronrod_rule,
     poisson_dist,
-    poisson_rows,
+    poisson_ends,
     window_ends,
 )
 
@@ -265,28 +265,51 @@ def _difference_base(k0: int, s: np.ndarray, order: int, coords: tuple[int, ...]
     return k0 - 1, -d  # mixed (1,2)
 
 
-def _skellam_rows(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
-    """Row i is the law of A - B for A, B with pmf rows pa[i] and pb[i]: for
-    rows on lo_a..hi_a and lo_b..hi_b it covers lo_a - hi_b .. hi_a - lo_b.
-    Entry c of row i is pa[i] reversed dotted with a window of pb[i]
-    reversed and zero-padded, so one batched product forms every row, each
-    entry a sum of non-negative terms."""
-    m, na = pa.shape
-    nb = pb.shape[1]
-    padded = np.zeros((m, nb + 2 * (na - 1)))
-    padded[:, na - 1 : na - 1 + nb] = pb[:, ::-1]
-    windows = sliding_window_view(padded, na + nb - 1, axis=1)  # [i, j, c] = padded[i, j + c]
-    return np.matmul(pa[:, None, ::-1], windows)[:, 0]
-
-
 def _base_rows(params: SkellamParams, grown: np.ndarray, pois_tol: float, order: int, coords):
-    """(k0, rows): row i is D^o S_b at b = 1 - grown[i] (_difference_base),
-    k0 the first k of every row; S_b is _skellam_rows of one
-    special.poisson_rows array per rate, each row leaving out at most
-    pois_tol per rate.  Every sweep node base and certificate row is one."""
-    a_lo, pa = poisson_rows(params.lambda1 * grown, pois_tol)
-    b_lo, pb = poisson_rows(params.lambda2 * grown, pois_tol)
-    return _difference_base(a_lo - (b_lo + pb.shape[1] - 1), _skellam_rows(pa, pb), order, coords)
+    """(k0, rows): row i is D^o S_b (_difference_base), S_b = Skellam(A, B)
+    at A = l1 grown[i], B = l2 grown[i], k0 the first k of every row.  Every
+    sweep node base and certificate row is one.
+
+    S_b's window [a_lo - b_hi, a_hi - b_lo], from special.poisson_ends of
+    each rate, leaves out at most 2 pois_tol.  S_b's characteristic function
+    is phi(theta) = exp(-2 (A + B) sin^2(theta / 2) + i (A - B) sin theta);
+    one inverse real FFT of conj phi at theta_j = 2 pi j / n, n the power of
+    two at or above the window's width, gives S_b aliased mod n.  Read by
+    index mod n, a row takes the mass outside its window, at most 2 pois_tol
+    more, so it is within L1 distance 4 pois_tol of S_b, and D^o of it
+    within 2^o 4 pois_tol, before rounding (_row_rounding).
+    """
+    la, lb = params.lambda1 * grown, params.lambda2 * grown
+    a_lo, a_hi = poisson_ends(la, pois_tol)
+    b_lo, b_hi = poisson_ends(lb, pois_tol)
+    k0, width = a_lo - b_hi, a_hi - a_lo + b_hi - b_lo + 1
+    n = 1 << (width - 1).bit_length()
+    half = np.arange(n // 2 + 1) * (math.pi / n)  # theta_j / 2
+    phi = np.empty((grown.size, half.size), dtype=complex)
+    np.multiply(-2.0 * (la + lb)[:, None], _libm(math.sin, half) ** 2, out=phi.real)
+    np.multiply((lb - la)[:, None], _libm(math.sin, 2.0 * half), out=phi.imag)
+    np.exp(phi, out=phi)
+    phi = np.fft.irfft(phi, n, axis=1)[:, (k0 + np.arange(width)) % n]  # frees the spectrum
+    return _difference_base(k0, phi, order, coords)
+
+
+def _row_rounding(width: float, rate: float) -> float:
+    """A first-order bound, in units of _EPS, on the L1 rounding error of any
+    _base_rows row on at most width points at A + B <= rate; its transform
+    has n < 2 width points.
+    - The rates l (1 - u), rounded twice, move S_b by 2 |dA| + 2 |dB| <= 4 rate.
+    - Each spectrum entry c_j = exp(-x_j + i psi_j) errs by 7 + 3.25 sqrt(rate):
+      the sines err by 3.4 units, so x_j = 2 (A + B) sin^2(theta_j / 2) by
+      10 x_j, which e^-x_j damps to 10 / e, and psi_j by (A + B) (1.5 theta_j
+      + 3 |sin theta_j|), damped to 3.25 sqrt(A + B); the complex exp adds 3.
+    - The inverse transform (1/n) F* scales that error's 2-norm by
+      1 / sqrt(n), and adds 8 log2(n) times the row's 2-norm, at most 1
+      (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm
+      24.2: log2(n) (mu + gamma_4 (sqrt 2 + mu)), twiddles within mu = 1,
+      the real transform taken as the complex one); sqrt(n) takes it to L1.
+    """
+    n = 2.0 * width
+    return math.sqrt(n) * (7.0 + 3.25 * math.sqrt(rate) + 8.0 * math.log2(n)) + 4.0 * rate
 
 
 def _normalize_coords(order: int, coords) -> tuple[int, ...]:
@@ -399,14 +422,12 @@ def _sweep(
     The partition of [0, 1] is fixed before any node is evaluated, from each
     15-point rule's proven bound (special.kronrod_bound of _log_norm_bound at
     the grid's largest x + y).  Each rule is one integrand call: its node
-    bases are _base_rows at the rule's nodes (one array of Poisson rows per
-    rate, from the lower window end at the rule's smallest rate to the
-    upper end at its largest), and kernels.sweep_accumulate adds them into
-    the sweep's one state tensor.  A single state (x, y) keeps the (x+1) x
-    (y+1) grid's window and partition and takes the kernel's own x and y
-    steps on one row, about (x + y + 1) x window floats of work per node;
-    added as a 1x1 grid, it is the grid's [x, y] kernel up to the rounding
-    of the weighted node sum.
+    bases are _base_rows at the rule's nodes, and kernels.sweep_accumulate
+    adds them into the sweep's one state tensor.  A single state (x, y)
+    keeps the (x+1) x (y+1) grid's window and partition and takes the
+    kernel's own x and y steps on one row, about (x + y + 1) x window floats
+    of work per node; added as a 1x1 grid, it is the grid's [x, y] kernel up
+    to the rounding of the weighted node sum.
 
     SWEEP_TENSOR_CAP bounds the state tensor (states x window floats), or a
     single state's work, before any window is built (ResourceLimitError).
@@ -414,14 +435,13 @@ def _sweep(
     never decrease as the rate grows, so every node window nests in it.
 
     The slack bounds each state's kernel L1 error: the rules' bounds, each
-    with the integrated truncation of its node windows (every Poisson window
-    leaves out at most pois_tol, so a node base errs by at most
-    2^order (tail_a + tail_b), and order 0's stationary row by pois_tol
-    more), within 99% of quad_tol; plus a first-order count of roundings
-    per unit of node weight: 8 per window point (the walk from the mode and
-    the convolution), 6 per state step (the recurrence, q = 1 - u and the
-    node's place), and 8 (l1 + l2) + 200 for the mode values' logs and the
-    sums over nodes and rules.
+    with the integrated truncation of its node windows (a _base_rows row is
+    within 4 pois_tol of S_b, so a node base errs by at most 2^order 4
+    pois_tol, and order 0's stationary row by pois_tol more), within 99% of
+    quad_tol; plus a first-order count of roundings per unit of node
+    weight: _row_rounding's bound on a row over the global window at rate
+    l1 + l2, 6 per state step (the recurrence, q = 1 - u and the node's
+    place), and 200 for the k-differences and the sums over nodes and rules.
     """
     pois_tol = _pois_tol(quad_tol)
     states = nx + ny - 2  # the largest x + y the sweep covers
@@ -454,7 +474,7 @@ def _sweep(
                 kernels.survive(rows, u, q, rows)
         kernels.sweep_accumulate(tensor[:, :, start:stop], frame, points, coef)
 
-    node_trunc = pois_tol * (3.0 if order == 0 else 2.0 ** (order + 1))
+    node_trunc = pois_tol * (5.0 if order == 0 else 2.0 ** (order + 2))
 
     def rule_bound(a: float, b: float) -> float:
         points, wk = kronrod_rule(a, b)
@@ -466,7 +486,7 @@ def _sweep(
         pi = to_dist(params, pois_tol)
         tensor[:, :, pi.min_support - lo : pi.max_support - lo + 1] -= weight * pi.probabilities
     tensor = tensor[0, 0] if single_state is not None else tensor.transpose(1, 0, 2)
-    roundings = 8.0 * size + 6.0 * states + 8.0 * params.total + 200.0
+    roundings = _row_rounding(size, params.total) + 6.0 * states + 200.0
     slack = err + 2.0 ** max(order, 1) * weight * roundings * _EPS
     return _SweepResult(lo, tensor, slack)
 
@@ -637,10 +657,9 @@ def _certificate(
     u = m, gives every D^o S_b (*) Bin(x, m).
 
     The rows D^o S_b are _base_rows at the mesh's right ends, as a sweep's
-    node bases are.  Each Skellam row is a product of Poisson rows on their
-    full-rate windows, leaving out at most 2 pois_tol, so 2^o (2 pois_tol)
-    per unit of mesh weight is added to both bounds, with a first-order
-    count of roundings.
+    node bases are.  Each is within L1 distance 4 pois_tol of S_b, so 2^o
+    (4 pois_tol) per unit of mesh weight is added to both bounds, with a
+    count of roundings (_row_rounding's, 6 per step in x, 200 + 2 intervals).
 
     The search steps x = G + 1 from G = 0 and stops at the first G <= limit
     whose E(G) (the least of the bounds at G' <= G, each of which covers the
@@ -661,8 +680,8 @@ def _certificate(
     full = np.abs(frame).sum(axis=1)  # |D^o S_b|
     lipschitz = full * np.tile(h, 2) / 2.0
 
-    roundings = 8.0 * width + 6.0 * limit + 8.0 * params.total + 200.0 + 2.0 * intervals
-    extra = 0.5 * 2.0**order * (2.0 * pois_tol + roundings * _EPS)
+    roundings = _row_rounding(width, params.total) + 6.0 * limit + 200.0 + 2.0 * intervals
+    extra = 0.5 * 2.0**order * (4.0 * pois_tol + roundings * _EPS)
     all_states = 0.5 * float(weight[:intervals] @ full[:intervals]) + extra
 
     mid = np.tile(mid, 2)[:, None]

@@ -475,6 +475,57 @@ def test_stein_factors_independent_of_thread_count(rates, order):
     assert one.returncode == many.returncode == 0
     assert one.stdout == many.stdout
 
+# Runs each command of a set through cli.main in one process and prints
+# their json records as one json list.
+_RECORDS = """\
+import contextlib, io, json, sys
+from skellam_stein import cli
+records = []
+for cmd in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(cmd + ["--format", "json"]) == 0
+    records.append(json.loads(out.getvalue()))
+print(json.dumps(records))
+"""
+
+
+def test_records_independent_of_simd_and_blas_kernels(tmp_path):
+    """numpy picks its SIMD loops and OpenBLAS its kernels by the CPU; both
+    can be forced down for one process.  With every dispatched numpy feature
+    the CPU has turned off, or OpenBLAS on its Haswell kernels, dist and
+    verify records keep every bit and each stein factor stays within its
+    quad_error of the default run's."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    signal = tmp_path / "signal.txt"
+    np.savetxt(signal, np.random.default_rng(0).gamma(2.0, 2.5, 256))
+    stein = [["stein", "factors", "--l1", l1, "--l2", l2, "--order", order]
+             for l1, l2, order in (("4.5", "7.5", "2"), ("3", "8", "2"), ("0.5", "2", "1"))]
+    exact = [["dist", "table", "--l1", "7e5", "--l2", "3e5"],
+             ["verify", "haar", "--signal", str(signal), "--p", "0.2", "--sweep"]]
+    default = {k: v for k, v in os.environ.items() if k not in ("NPY_DISABLE_CPU_FEATURES", "OPENBLAS_CORETYPE")}
+    present = [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
+    axes = [dict(default, NPY_DISABLE_CPU_FEATURES=" ".join(present))] if present else []
+    if __cpu_features__.get("AVX2"):  # Haswell's kernels need AVX2
+        axes.append(dict(default, OPENBLAS_CORETYPE="Haswell"))
+
+    def records(env):
+        proc = subprocess.run([sys.executable, "-c", _RECORDS, json.dumps(stein + exact)],
+                              capture_output=True, text=True, env=env, check=True)
+        return json.loads(proc.stdout)
+
+    want = records(default)
+    for env in axes:
+        got = records(env)
+        assert got[len(stein):] == want[len(stein):]
+        for ours, theirs in zip(got[:len(stein)], want[:len(stein)]):
+            for row, ref in zip(ours["rows"], theirs["rows"], strict=True):
+                assert abs(row["factor"] - ref["factor"]) <= row["quad_error"], (ours["params"], row)
+
+
 def _native_recursive(value):
     """The recursive conversion `cli._native` used before arrays went
     straight through `tolist`, kept as the oracle; a 0-d array converts to

@@ -84,6 +84,21 @@ def test_pmf_takes_integral_k_only():
                 pmf(params, k)
 
 
+def test_cdf_and_pmf_window_take_integral_ends_only():
+    """k, lo and hi are read as pmf reads k: integral floats give the ints'
+    bits, and any other value is a ValueError naming the argument."""
+    params = SkellamParams(3.7, 8.3)
+    assert cdf(params, 2.0) == cdf(params, 2)
+    assert np.array_equal(skellam.pmf_window(params, -3.0, np.float64(5.0)), skellam.pmf_window(params, -3, 5))
+    for bad in (0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            cdf(params, bad)
+        with pytest.raises(ValueError, match="lo must be an integer"):
+            skellam.pmf_window(params, bad, 2)
+        with pytest.raises(ValueError, match="hi must be an integer"):
+            skellam.pmf_window(params, 0, bad)
+
+
 def test_skew_symmetry_is_bit_exact():
     for l1, l2 in [(0.1, 1.0), (3.0, 0.2), (10.0, 100.0)]:
         a, b = SkellamParams(l1, l2), SkellamParams(l2, l1)

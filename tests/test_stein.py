@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from skellam_stein import kernels, stein
 from skellam_stein.dists import IntegerDist, ResourceLimitError, tv_distance
-from skellam_stein.skellam import SkellamParams, to_dist
+from skellam_stein.skellam import SkellamParams, pmf_window, to_dist
 from skellam_stein.special import QuadratureError, bernstein_box, poisson_dist
 from skellam_stein.stein import (
     BivariateState,
@@ -512,7 +512,7 @@ def test_certificate_is_tight_where_the_sup_sits_at_the_origin():
 
 
 def test_certificate_frame_beyond_cap_refused_before_rows_are_built(monkeypatch):
-    monkeypatch.setattr(stein, "poisson_rows", lambda *args: pytest.fail("rows built"))
+    monkeypatch.setattr(stein, "_base_rows", lambda *args: pytest.fail("rows built"))
     with pytest.raises(ResourceLimitError, match="certificate frame"):
         stein._certificate(SkellamParams(2.0, 1.0), 1, QUAD_TOL, 10**5)
     # Where the sweep's cap fails too, its message comes first.
@@ -561,6 +561,47 @@ def test_sweep_window_is_the_full_rate_poisson_windows(l1, l2):
     assert res.tensor.shape[:2] == (3, 4)
     assert res.lo == -top_b - 2 - 3
     assert res.lo + res.tensor.shape[-1] - 1 == top_a + 2 + 2
+
+
+def _reference_rows(params, grown, lo, hi):
+    """S_b on lo..hi at the rates l1 b, l2 b of each b in grown: scipy's pmf
+    up to a total rate of 200, pmf_window's walk above it."""
+    ks = np.arange(lo, hi + 1)
+    rows = []
+    for a, b in zip((params.lambda1 * grown).tolist(), (params.lambda2 * grown).tolist()):
+        if a + b > 200.0:
+            rows.append(pmf_window(SkellamParams(a, b), lo, hi))
+        elif a == 0.0:
+            rows.append(sstats.poisson.pmf(-ks, b) if b else (ks == 0) * 1.0)
+        else:
+            rows.append(sstats.skellam.pmf(ks, a, b) if b else sstats.poisson.pmf(ks, a))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize(
+    "l1, l2, pois_tol",
+    [(0.0, 0.0, 1e-11), (0.0, 3.0, 1e-11), (4.5, 7.5, 1e-11), (4.5, 7.5, 0.1),
+     (0.3, 2.0, 1e-200), (2750.0, 7250.0, 1e-11), (1e4, 1e4, 1e-3)],
+)
+def test_base_rows_within_their_truncation_and_rounding_bounds(l1, l2, pois_tol):
+    """Each D^o S_b row lies within the L1 bound a sweep adds to its slack
+    per unit of node weight, 2^o 4 pois_tol for the window and its aliasing
+    plus 2^max(o, 1) _row_rounding units of roundoff, of D^o of an
+    independent S_b on a range that holds all but a negligible mass.  At
+    pois_tol 1e-200 only the rounding bound is left."""
+    params = SkellamParams(l1, l2, extended=True)
+    grown = np.array([1.0, 0.7, 0.25, 1e-3, 0.0])  # b = 0 is the point mass at 0
+    lo, rows = stein._base_rows(params, grown, pois_tol, 0, ())
+    width = rows.shape[1]
+    pad = int(12.0 * math.sqrt(params.total)) + 30
+    ref = _reference_rows(params, grown, lo - pad, lo + width - 1 + pad)
+    for order, coords in ((0, ()), (1, (1,)), (1, (2,)), (2, (1, 1)), (2, (1, 2)), (2, (2, 2))):
+        k0, rows = stein._base_rows(params, grown, pois_tol, order, coords)
+        ref_lo, want = stein._difference_base(lo - pad, ref, order, coords)
+        got = np.zeros_like(want)
+        got[:, k0 - ref_lo : k0 - ref_lo + rows.shape[1]] = rows
+        bound = 2.0**order * 4.0 * pois_tol + 2.0 ** max(order, 1) * stein._row_rounding(width, params.total) * 2.0**-53
+        assert np.abs(got - want).sum(axis=1).max() <= bound, (order, coords)
 
 
 def test_unreachable_sweep_tolerance_evaluates_no_node(monkeypatch):
