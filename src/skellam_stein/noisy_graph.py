@@ -15,6 +15,7 @@ import logging
 import math
 import threading
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -23,8 +24,8 @@ from .skellam import SkellamParams, to_dist
 from .verification import VerificationReport, make_report
 
 EXACT_EDGE_CAP = 10**5
-# Laws at most this wide are convolved by shift-and-add, wider ones by one
-# batched rfft per level.  Measured with laws as rows on a 2-core host at
+# A join whose narrower law has at most this many points goes by shift-and-add,
+# any other by one batched rfft.  Measured with laws as rows on a 2-core host at
 # n = 10^5 (p in U[0.05, 0.5], r and s in U[0, 0.2], the benchmark's graph
 # inputs), handover at width 4/8/16/32/64/128/256: the tree took
 # 0.154/0.147/0.151/0.156/0.171/0.190/0.235 s (median of 7 interleaved
@@ -32,9 +33,10 @@ EXACT_EDGE_CAP = 10**5
 # per pair, 3 seeds: 2.0e-13/1.1e-13/4.7e-14/2.0e-14/2.8e-14/4.2e-14/3.9e-14.
 # 32 was within 6% of the fastest with the smallest |dtv|; any other moves bits.
 SHIFT_ADD_WIDTH = 32
-# From this many pairs on, a worker thread builds the root's right subtree.  Split
-# over serial time, 2-core host, 31 interleaved runs (split wins): n = 10^4 1.09 (0),
-# 12000 0.93 (24), 16384 0.69-1.07 (20-31), 32768 0.72 (31), 16385 1.03 (5).
+# From this many pairs on, a worker thread builds the law of the leaves past the first
+# 2^(levels-1).  Split over serial time, 2-core host, 31 interleaved runs (split wins):
+# n = 10^4 1.09 (3), 12000 1.03 (7), 16384 0.86 (27), 32768 0.84 (31); past 2^k the
+# worker has few leaves: 16385 1.04 (5), 33000 1.01 (12).  Rounds differ by up to 0.2.
 SPLIT_PAIRS = 16384
 
 _log = logging.getLogger("skellam_stein")
@@ -82,6 +84,10 @@ class NoisyGraphModel:
             # JSON's 1e5 is a whole number; 2.7 or true would truncate to another model.
             if isinstance(n, bool) or (isinstance(n, float) and not n.is_integer()):
                 raise ValueError(f'"n" must be a whole number, got {n!r}')
+            for name in "prs":  # np.full would take a list, or true as 1.0
+                if isinstance(obj[name], bool) or not isinstance(obj[name], (int, float)):
+                    kind = type(obj[name]).__name__
+                    raise ValueError(f'"{name}" must be one number when "n" is given, got {kind}')
             n = int(n)
             check_exact_size(n)
             return cls.homogeneous(n, obj["p"], obj["r"], obj["s"])
@@ -141,88 +147,86 @@ def skellam_params(model: NoisyGraphModel) -> SkellamParams:
 
 
 def _convolve_pairs(level: list[np.ndarray]) -> np.ndarray:
-    """Row i of the result is a[i] convolved with b[i], for level = [a, b] or
-    [a, b, a's spectrum].  Each array is popped, to be freed once it is used."""
+    """Row i is a[i] convolved with b[i], for level = [a, b] with a's laws no
+    narrower than b's.  Each array is popped, to be freed once it is used."""
     a, b = level.pop(0), level.pop(0)
-    # Laws of 2^k + 1 points convolve to 2^(k+1) + 1: with n_fft = 2^(k+1) only
-    # the last point wraps onto the first, and both ends are set directly.
-    n_fft = 2 * a.shape[1] - 2
-    ends = a[:, :: n_fft // 2] * b[:, :: n_fft // 2]
-    conv = level.pop() if level else np.fft.rfft(a, n_fft)
+    wa, wb = a.shape[1], b.shape[1]
+    if wb <= SHIFT_ADD_WIDTH:
+        # out keeps a's layout, so laws given as columns stay columns; from
+        # b's top, so each point sums its terms in the order of a's index.
+        out = np.zeros_like(a, shape=(len(a), wa + wb - 1))
+        for j in range(wb - 1, -1, -1):
+            out[:, j : j + wa] += b[:, j, None] * a
+        return out
+    # With n_fft the least power of two at or above width - 1, at most the
+    # last point wraps onto the first: both ends are set directly.
+    width = wa + wb - 1
+    n_fft = 1 << (width - 2).bit_length()
+    ends = a[:, :: wa - 1] * b[:, :: wb - 1]
+    conv = np.fft.rfft(a, n_fft)
     conv *= np.fft.rfft(b, n_fft)
     del a, b
     conv = np.fft.irfft(conv, n_fft)  # rebinding lets the spectrum go
-    out = np.empty((len(conv), n_fft + 1))
-    out[:, :-1] = conv
-    out[:, ::n_fft] = ends
+    out = np.empty((len(conv), width))
+    out[:, :-1] = conv[:, : width - 1]
+    out[:, :: width - 1] = ends
     return np.maximum(out, 0.0, out=out)
 
 
-def _levels(plus: np.ndarray, minus: np.ndarray, depth: int) -> np.ndarray:
-    """depth levels of the tree on the pairs' laws as columns, left as rows."""
-    cols = np.stack([minus, 1.0 - plus - minus, plus])
-    while depth and (w := len(cols)) <= SHIFT_ADD_WIDTH:
-        if cols.shape[1] % 2:  # np.eye's one 1 is the point mass at 0
-            cols = np.hstack([cols, np.eye(w, 1, -(w // 2))])
-        a, b = cols[:, 0::2], cols[:, 1::2]
-        cols = np.zeros((2 * w - 1, a.shape[1]))
-        for j in range(w):
-            cols[j : j + w] += a[j] * b
-        depth -= 1
-    rows = cols.T
-    for _ in range(depth):
+def _levels(leaves: np.ndarray) -> np.ndarray:
+    """The tree on the leaf laws, given as columns; the law as one row.  A
+    level with an odd count sets its last law aside, a finished block of 2^L
+    leaves at level L; the blocks join the last law left, smallest first."""
+    rows, aside = leaves.T, []
+    while len(rows) > 1:
         if len(rows) % 2:
-            rows = np.vstack([rows, np.eye(1, rows.shape[1], rows.shape[1] // 2)])
-        level = [rows[0::2], rows[1::2]]
+            aside.append(rows[-1:].copy())  # a slice would keep the level alive
+        level = [rows[0 : len(rows) - 1 : 2], rows[1::2]]
         del rows  # freed once both halves are used
         rows = _convolve_pairs(level)
-    return rows
+    return reduce(lambda law, block: _convolve_pairs([block, law]), aside + [rows])
 
 
-def _split_levels(plus: np.ndarray, minus: np.ndarray, levels: int) -> np.ndarray:
-    """Every level of the tree, the root's right subtree on a worker thread."""
-    half, right = 1 << (levels - 1), []
+def _split_levels(leaves: np.ndarray) -> np.ndarray:
+    """_levels' law: the first 2^(levels-1) leaves on the caller, the rest on a worker."""
+    half, right = 1 << ((leaves.shape[1] - 1).bit_length() - 1), []
 
     def work():
         try:
-            right.append(_levels(plus[half:], minus[half:], levels - 1))
+            right.append(_levels(leaves[:, half:]))
         except BaseException as exc:  # re-raised by the caller after the join
             right.append(exc)
 
     worker = threading.Thread(target=work)
     worker.start()
     try:
-        left = _levels(plus[:half], minus[:half], levels - 1)
-        left_spectrum = np.fft.rfft(left, 2 * left.shape[1] - 2)
+        left = _levels(leaves[:, :half])
     finally:
         worker.join()
     if isinstance(right[0], BaseException):
         raise right[0]
-    return _convolve_pairs([left, right.pop(), left_spectrum])
+    return _convolve_pairs([left, right.pop()])
 
 
 def edge_difference_dist(model: NoisyGraphModel) -> IntegerDist:
     """Exact law of the discrepancy: convolution of n three-point laws.
 
-    The laws are convolved in a pairwise tree.  Level 0 holds law i =
-    [P(-1), P(0), P(+1)] of pair i; each level convolves laws 2i and 2i+1,
-    after a point mass at 0 joins an odd count, so level L's laws lie on
-    [-2^L, 2^L]; the root is cut to [-n, n].  Laws of SHIFT_ADD_WIDTH points
-    or fewer are columns, convolved by shift-and-add; wider ones are rows,
-    convolved by a batched rfft clipped at 0.  From SPLIT_PAIRS pairs on, a
-    worker thread builds the root's right subtree (leaves past the first
-    2^(levels-1)) while the caller builds the left one.  Every sum has the
-    same terms in the same order either way, so the bits do not depend on
-    the core count.  Emits one DEBUG event: n, levels, first rfft level, |1 - mass|.
+    The leaves are the pairs' laws [P(-1), P(0), P(+1)], convolved by the
+    pairwise tree of _levels, which never pads: a law of k leaves has exactly
+    2k + 1 points.  A join whose narrower law has SHIFT_ADD_WIDTH points or
+    fewer goes by shift-and-add, any other by an rfft clipped at 0.  From
+    SPLIT_PAIRS pairs on, a worker thread builds the law of the leaves past
+    the first 2^(levels-1).  Every sum has the same terms in the same order
+    either way, so the bits do not depend on the core count.  Emits one
+    DEBUG event: n, levels, first rfft level, |1 - mass|.
     """
     n = model.n
     check_exact_size(n)
     levels = (n - 1).bit_length()
     first_rfft = (SHIFT_ADD_WIDTH - 1).bit_length()  # level k takes 2^k + 1 points
-    tree = _split_levels if n >= SPLIT_PAIRS else _levels
-    rows = tree(model.drop_rates, model.invent_rates, levels)
-    centre = rows.shape[1] // 2
-    law = IntegerDist(-n, rows[0, centre - n : centre + n + 1])
+    plus, minus = model.drop_rates, model.invent_rates
+    leaves = np.stack([minus, 1.0 - plus - minus, plus])
+    law = IntegerDist(-n, (_split_levels if n >= SPLIT_PAIRS else _levels)(leaves)[0])
     _log.debug(
         "edge_difference_dist: n=%d levels=%d rfft_level=%s mass_defect=%.3g",
         n, levels, first_rfft if levels >= first_rfft else None,

@@ -343,6 +343,20 @@ def test_verify_graph_model_non_integral_n_refused(capsys, tmp_path, n):
     assert '"n" must be a whole number' in err
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"n": 2, "p": [0.5], "r": [0.1], "s": [0.1]}, '"p" must be one number when "n" is given, got list'),
+    ({"n": 3, "p": [0.3, 0.9], "r": 0.1, "s": 0.1}, '"p" must be one number when "n" is given, got list'),
+    ({"n": 3, "p": 0.3, "r": 0.1, "s": True}, '"s" must be one number when "n" is given, got bool'),
+])
+def test_verify_graph_model_shorthand_with_arrays_refused(capsys, tmp_path, doc, message):
+    """With "n", p, r and s are numbers: a list was read as n copies of its
+    entry, or failed in numpy's broadcast, and true was read as 1.0."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "verify", "graph", "--model", str(path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_verify_graph_homogeneous_n_written_as_a_float(capsys):
     """--homogeneous reads N as a model file's "n" is read: 1e5 is 100000."""
     as_float = _graph_record(capsys, "--homogeneous", "1e5", "0.3", "0.1", "0.05")

@@ -4,6 +4,7 @@ import logging
 import math
 import threading
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -176,8 +177,9 @@ def _stacked_convolve_pairs(rows: np.ndarray) -> np.ndarray:
 
 
 def _stacked_tree_dist(model: NoisyGraphModel) -> IntegerDist:
-    """The serial tree of one stacked row array per level that the
-    two-subtree, column-layout tree replaced, kept as the bit oracle."""
+    """The serial tree of one stacked row array per level, each odd level
+    padded by a point mass and the root cut to [-n, n], kept as the
+    reference: the tree that never pads keeps its bits at n = 2^k."""
     n = model.n
     plus = model.drop_rates
     minus = model.invent_rates
@@ -206,6 +208,28 @@ _AROUND_SPLIT = sorted({
 })
 
 
+def _assert_matches_stacked_tree(model: NoisyGraphModel, kind: str) -> None:
+    """The tree never pads: every law of k leaves has exactly 2k + 1 points.
+    Where no level has an odd count (n = 2^k) the stacked tree's bits are
+    kept; elsewhere the law lies within 1e-13 of it in L1."""
+    n, real_levels, shapes = model.n, noisy_graph._levels, []
+
+    def levels(leaves):
+        law = real_levels(leaves)
+        shapes.append((leaves.shape[1], law.shape))
+        return law
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(noisy_graph, "_levels", levels)
+        got = edge_difference_dist(model)
+    want = _stacked_tree_dist(model)
+    assert shapes and all(shape == (1, 2 * k + 1) for k, shape in shapes), kind
+    assert got.min_support == want.min_support == -n, kind
+    assert np.abs(got.probabilities - want.probabilities).sum() <= 1e-13, kind
+    if n & (n - 1) == 0:
+        assert _same_bits(got, want), kind
+
+
 @pytest.mark.parametrize(
     "n",
     [1, 2, 3, 4, 5, 7, 8, 9, 31, 32, 33, 63, 64, 65, 1000, 4095, 4096, 4097, 5000]
@@ -213,14 +237,54 @@ _AROUND_SPLIT = sorted({
 )
 def test_edge_difference_bits_match_stacked_tree(n):
     for kind, model in _oracle_models(n):
-        assert _same_bits(edge_difference_dist(model), _stacked_tree_dist(model)), kind
+        _assert_matches_stacked_tree(model, kind)
 
 
 def test_edge_difference_bits_match_stacked_tree_at_cap():
     rng = np.random.default_rng(2024)
     n = EXACT_EDGE_CAP
     model = NoisyGraphModel(rng.random(n), rng.random(n), rng.random(n))
-    assert _same_bits(edge_difference_dist(model), _stacked_tree_dist(model))
+    _assert_matches_stacked_tree(model, "random")
+
+
+def _fraction_law(model: NoisyGraphModel) -> list[Fraction]:
+    """The exact law of the float leaves, by polynomial products."""
+    plus, minus = model.drop_rates, model.invent_rates
+    law = [Fraction(1)]
+    for leaf in zip(minus, 1.0 - plus - minus, plus):
+        out = [Fraction(0)] * (len(law) + 2)
+        for j, q in enumerate(map(Fraction, leaf)):
+            for i, c in enumerate(law):
+                out[i + j] += c * q
+        law = out
+    return law
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 17, 33, 64])
+def test_edge_difference_matches_fraction_oracle(n):
+    # Each of the n - 1 joins rounds by at most sqrt(W) * 30 log2(N) u in L1
+    # (Higham, Accuracy and Stability of Numerical Algorithms, ch. 24: three
+    # transforms of length N <= 4n + 2 and a product, unit norms, W <= 2n + 1
+    # points; shift-and-add's gamma_32 is within it), and a join carries its
+    # inputs' errors forward without growth, as convolving with a law does.
+    u = 2.0**-53
+    bound = (n - 1) * math.sqrt(2 * n + 1) * 30 * math.log2(4 * n + 2) * u
+    for kind, model in _oracle_models(n):
+        got = edge_difference_dist(model).probabilities
+        want = _fraction_law(model)
+        assert got.size == len(want) == 2 * n + 1, kind
+        err = sum(abs(Fraction(g) - w) for g, w in zip(got.tolist(), want))
+        assert err <= bound, (kind, float(err), bound)
+
+
+@pytest.mark.parametrize("n", [SPLIT_PAIRS, 16385, 33000, EXACT_EDGE_CAP])
+def test_edge_difference_serial_and_threaded_bits_agree(monkeypatch, n):
+    for kind, model in _oracle_models(n):
+        threaded = edge_difference_dist(model)
+        with monkeypatch.context() as m:
+            m.setattr(noisy_graph, "SPLIT_PAIRS", EXACT_EDGE_CAP + 1)
+            serial = edge_difference_dist(model)
+        assert _same_bits(threaded, serial), kind
 
 
 @pytest.mark.parametrize("failing", ["worker", "caller"])
