@@ -338,8 +338,10 @@ def _tv_pairs(o1, o2, t1, t2, tail_tol: float) -> tuple[np.ndarray, np.ndarray]:
     The other windows, zero rates among them, go to skellam.windows in
     blocks of at most _SWEEP_POINTS window points, bounded by Bernstein's
     inequality before any is built, and each block's TVs come from one
-    dists.tv_rows pass.
+    dists.tv_rows pass.  tail_tol outside (0, 1) is refused first.
     """
+    if not 0.0 < tail_tol < 1.0:
+        raise ValueError("tail_tol must lie in (0, 1)")
     tv, slack = np.zeros(o1.size), np.zeros(o1.size)
     differ = np.flatnonzero((o1 != t1) | (o2 != t2))
     points = _width_bound(o1[differ] + o2[differ], tail_tol) + _width_bound(t1[differ] + t2[differ], tail_tol)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-import threading
 from dataclasses import dataclass
 from functools import reduce
 
@@ -188,24 +187,15 @@ def _levels(leaves: np.ndarray) -> np.ndarray:
 
 
 def _split_levels(leaves: np.ndarray) -> np.ndarray:
-    """_levels' law: the first 2^(levels-1) leaves on the caller, the rest on a worker."""
-    half, right = 1 << ((leaves.shape[1] - 1).bit_length() - 1), []
+    """_levels' law: the first 2^(levels-1) leaves on the caller, the rest on an
+    executor's worker, joined on leaving the with block even if a side raises."""
+    from concurrent.futures import ThreadPoolExecutor  # here: only a split pays its import
 
-    def work():
-        try:
-            right.append(_levels(leaves[:, half:]))
-        except BaseException as exc:  # re-raised by the caller after the join
-            right.append(exc)
-
-    worker = threading.Thread(target=work)
-    worker.start()
-    try:
+    half = 1 << ((leaves.shape[1] - 1).bit_length() - 1)
+    with ThreadPoolExecutor(1) as pool:
+        right = pool.submit(_levels, leaves[:, half:])
         left = _levels(leaves[:, :half])
-    finally:
-        worker.join()
-    if isinstance(right[0], BaseException):
-        raise right[0]
-    return _convolve_pairs([left, right.pop()])
+    return _convolve_pairs([left, right.result()])
 
 
 def edge_difference_dist(model: NoisyGraphModel) -> IntegerDist:
@@ -215,10 +205,10 @@ def edge_difference_dist(model: NoisyGraphModel) -> IntegerDist:
     pairwise tree of _levels, which never pads: a law of k leaves has exactly
     2k + 1 points.  A join whose narrower law has SHIFT_ADD_WIDTH points or
     fewer goes by shift-and-add, any other by an rfft clipped at 0.  From
-    SPLIT_PAIRS pairs on, a worker thread builds the law of the leaves past
-    the first 2^(levels-1).  Every sum has the same terms in the same order
-    either way, so the bits do not depend on the core count.  Emits one
-    DEBUG event: n, levels, first rfft level, |1 - mass|.
+    SPLIT_PAIRS pairs on, _split_levels' one executor thread builds the law
+    of the leaves past the first 2^(levels-1).  Every sum has the same terms
+    in the same order either way, so the bits do not depend on the core
+    count.  Emits one DEBUG event: n, levels, first rfft level, |1 - mass|.
     """
     n = model.n
     check_exact_size(n)

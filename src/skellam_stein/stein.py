@@ -48,10 +48,10 @@ from .special import (
     _libm,
     adaptive_gauss_kronrod,
     bernstein_box,
-    bessel_i,
     binomial_thin_dist,
     kronrod_bound,
     kronrod_rule,
+    log_scaled_iv_pairs,
     poisson_dist,
     poisson_ends,
     window_ends,
@@ -253,7 +253,9 @@ def _difference_base(k0: int, s: np.ndarray, order: int, coords: tuple[int, ...]
     if order == 0:
         return k0, s
     # d[m] = s[m] - s[m-1] at order 1, s[m] - 2 s[m-1] + s[m-2] at order 2
-    d = np.diff(np.pad(s, [(0, 0)] * (s.ndim - 1) + [(order, order)]), n=order)
+    padded = np.zeros(s.shape[:-1] + (s.shape[-1] + 2 * order,))
+    padded[..., order:-order] = s
+    d = np.diff(padded, n=order)
     if order == 1:
         if coords == (1,):
             return k0, -d
@@ -888,6 +890,7 @@ def bound_first_diff_integral(
 
     On [0, 1] the integrand is e^{-z} I_0(z), or 1, both entire in u; as
     |I_0(z)| <= e^{|Re z|}, its modulus is at most exp(2 L max(0, Re u - 1)).
+    Each rule takes its node values from one log_scaled_iv_pairs call.
     """
     lam = _total_rate(params)
     if not quad_tol > 0:
@@ -897,9 +900,13 @@ def bound_first_diff_integral(
 
     def rule(points, wk):
         nonlocal value
+        z = lam * (1.0 - points)
+        live = z > 0.0
+        logs = np.zeros_like(z)  # log(e^-z I_0(z)) is 0 where z underflows to 0
+        logs[live] = log_scaled_iv_pairs(np.zeros(live.sum(), np.int64), z[live])
         part = 0.0  # plain + in node order: from Python 3.12 the builtin sum is compensated
-        for u, w in zip(points.tolist(), wk.tolist()):
-            part += w * clamp(1.0, bessel_i(0, lam * (1.0 - u), scaled=True))
+        for w, log in zip(wk.tolist(), logs.tolist()):
+            part += w * clamp(1.0, math.exp(log))
         value += part
 
     def rule_bound(a: float, b: float) -> float:

@@ -910,6 +910,21 @@ def test_verify_haar_non_finite_window_rate_exits_2(capsys, tmp_path):
         assert len(lines) == 1 and lines[0].startswith("error: window ("), err
 
 
+@pytest.mark.parametrize("tail_tol", ["0", "-1", "7", "nan"])
+@pytest.mark.parametrize("signal, p", [
+    ("1.0\n2.0\n3.0\n4.0\n", "0.1"),
+    ("1.0\n2.0\n3.0\n4.0\n", "0"),  # no window's two laws differ
+    ("0\n0\n0\n0\n", "0.1"),
+])
+def test_verify_haar_refuses_a_tail_tol_outside_0_1(capsys, tmp_path, signal, p, tail_tol):
+    path = tmp_path / "signal.txt"
+    path.write_text(signal)
+    for window in (("--sweep",), ("--scale", "2", "--loc", "0")):
+        code, out, err = run_cli(capsys, "verify", "haar", "--signal", str(path), "--p", p,
+                                 f"--tail-tol={tail_tol}", *window)
+        assert (code, out, err) == (cli.EXIT_USAGE, "", "error: tail_tol must lie in (0, 1)\n")
+
+
 def test_unexpected_handler_error_exits_3(capsys):
     def broken(args):
         raise RuntimeError("simulated defect")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.stats as sstats
 
+from skellam_stein import haar_spillover
 from skellam_stein.dists import empirical_dist, tv_distance
 from skellam_stein.haar_spillover import (
     HaarSpilloverModel,
@@ -312,3 +313,24 @@ def test_sweep_tv_bit_identical_to_tv_distance_of_to_dist(f):
             tv = tv_distance(to_dist(obs, tail_tol), to_dist(true, tail_tol))
             want = (tv.value, tv.slack)
         assert (r["tv"], r["tv_slack"]) == want, (r, want)
+
+
+def test_sweep_over_many_blocks_has_the_bits_of_one_block(monkeypatch):
+    """A sweep whose windows span many _SWEEP_POINTS blocks, some of one
+    window larger than the block, gives the one-block sweep's columns."""
+    f = np.random.default_rng(2718).gamma(2.0, 2.5, 256)
+    one = sweep_windows(f, 0.2)
+    real_windows, calls = haar_spillover.windows, []
+
+    def windows(*args):
+        calls.append(args[0].size // 2)
+        return real_windows(*args)
+
+    monkeypatch.setattr(haar_spillover, "_SWEEP_POINTS", 300)
+    monkeypatch.setattr(haar_spillover, "windows", windows)
+    many = sweep_windows(f, 0.2)
+    assert len(calls) > 50 and 1 in calls and max(calls) > 1
+    assert one.columns.keys() == many.columns.keys()
+    for name, column in one.columns.items():
+        other = many.columns[name]
+        assert column.dtype == other.dtype and column.tobytes() == other.tobytes(), name

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from skellam_stein import kernels, stein
 from skellam_stein.dists import IntegerDist, ResourceLimitError, tv_distance
 from skellam_stein.skellam import SkellamParams, pmf_window, to_dist
-from skellam_stein.special import QuadratureError, bernstein_box, poisson_dist
+from skellam_stein import special
+from skellam_stein.special import QuadratureError, bernstein_box, bessel_i, poisson_dist
 from skellam_stein.stein import (
     BivariateState,
     TestSet,
@@ -828,6 +829,52 @@ def test_integral_bound_closed_form_oracle():
         got = bound_first_diff_integral(params).value
         want = float(sps.ive(0, lam) + sps.ive(1, lam))
         assert got == pytest.approx(want, abs=2 * QUAD_TOL)
+
+
+@pytest.mark.parametrize("rates", [
+    (5e-324, 0.0), (1e-300, 0.0), (1e-300, 1e-300), (0.0, 0.0), (0.3, 0.1), (2.0, 1.0),
+    (20.0, 20.0), (5e3, 5e3), (1e6, 3e5), (9e7, 1e7), (5e7, 4.9e7),
+])
+@pytest.mark.parametrize("printed_max_form", [False, True])
+def test_integral_bound_is_the_per_node_bessel_loop_in_one_call_per_rule(
+    monkeypatch, rates, printed_max_form
+):
+    """Each rule's node values come from one log_scaled_iv_pairs call, and
+    the value has the bits of adding bessel_i(0, z, scaled=True) node by
+    node on the same partition, where z = 0 (underflow, or rate 0) too."""
+    params = SkellamParams(*rates, extended=True)
+    lam, clamp = params.total, max if printed_max_form else min
+    real_pairs, real_quad = stein.log_scaled_iv_pairs, stein.adaptive_gauss_kronrod
+    calls, parts = [], []
+
+    def pairs(orders, xs):
+        calls[-1] += 1
+        return real_pairs(orders, xs)
+
+    def quad(fn, a, b, abs_tol, bound):
+        def rule(points, wk):
+            calls.append(0)
+            fn(points, wk)
+            part = 0.0  # the oracle: bessel_i at each node, added in node order
+            for u, w in zip(points.tolist(), wk.tolist()):
+                part += w * clamp(1.0, bessel_i(0, lam * (1.0 - u), scaled=True))
+            parts.append(part)
+
+        return real_quad(rule, a, b, abs_tol, bound)
+
+    def no_bessel_i(*args, **kwargs):
+        raise AssertionError("bessel_i was called")
+
+    monkeypatch.setattr(stein, "log_scaled_iv_pairs", pairs)
+    monkeypatch.setattr(stein, "adaptive_gauss_kronrod", quad)
+    monkeypatch.setattr(special, "bessel_i", no_bessel_i)
+    got = bound_first_diff_integral(params, printed_max_form=printed_max_form).value
+    want = 0.0
+    for part in parts:
+        want += part
+    assert got.hex() == want.hex()
+    assert calls == [1] * len(parts) and parts
+    assert "bessel_i" not in vars(stein)
 
 
 def test_integral_bound_printed_max_form_is_vacuous():
